@@ -12,6 +12,7 @@ spread grids, and an audit of the bundled published results table.
 from .defuzzify import (
     NEAR_SINGULAR_RATIO,
     FuzzySpreads,
+    defuzzified_rates,
     delta_signed_demand,
     demand_fuzzy,
     leak_fraction_cuts,
@@ -32,14 +33,17 @@ from .model import (
     CrispParams,
     CycleQuantities,
     SolutionRecord,
+    crisp_baseline,
     crisp_optimal,
     crisp_total_cost,
     cycle_quantities,
     fuzzy_cost,
     fuzzy_optimal,
+    held_baseline,
     lot_cost,
     optimal_lot_size,
     rel_metrics,
+    solve_against,
     truncated_baseline,
 )
 from .quadrature import adaptive_simpson
@@ -80,13 +84,16 @@ __all__ = [
     "TriangularFuzzyNumber",
     "adaptive_simpson",
     "audit_table",
+    "crisp_baseline",
     "crisp_optimal",
     "crisp_total_cost",
     "cycle_quantities",
+    "defuzzified_rates",
     "delta_signed_demand",
     "demand_fuzzy",
     "fuzzy_cost",
     "fuzzy_optimal",
+    "held_baseline",
     "leak_fraction_cuts",
     "leakage_fuzzy",
     "load_reference_table",
@@ -95,6 +102,7 @@ __all__ = [
     "rel_metrics",
     "run_sweep",
     "signed_distance_quadrature",
+    "solve_against",
     "truncated_baseline",
     "uses_quadrature_fallback",
     "zeta",

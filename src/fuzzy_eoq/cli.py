@@ -28,8 +28,8 @@ from .model import (
     SolutionRecord,
     crisp_optimal,
     cycle_quantities,
-    fuzzy_optimal,
-    truncated_baseline,
+    held_baseline,
+    solve_against,
 )
 from .sensitivity import (
     AUDIT_COLUMNS,
@@ -236,15 +236,11 @@ def _cmd_fuzzy(args: argparse.Namespace) -> int:
     if rc.spreads is None:
         raise DomainError("fuzzy solve requires spreads d1, d2, d3, d4 (flags or config)")
     p, sp = rc.params, rc.spreads
-    record = fuzzy_optimal(
-        p, sp, paper_baseline=rc.paper_baseline, relax_bounds=rc.relax_bounds
-    )
+    baseline = held_baseline(p, rc.paper_baseline)
+    record = solve_against(p, sp, baseline, relax_bounds=rc.relax_bounds)
     z_closed = zeta_closed_form(p.phi, p.psi, sp, relax_bounds=rc.relax_bounds)
     z_quad = zeta_quadrature(p.phi, p.psi, sp, relax_bounds=rc.relax_bounds)
     fallback = uses_quadrature_fallback(p.phi, p.psi, sp)
-    baseline = crisp_optimal(p)
-    if rc.paper_baseline:
-        baseline = truncated_baseline(baseline)
     if rc.fmt == "json":
         payload = {
             "params": _params_dict(p),

@@ -13,7 +13,9 @@ the fuzziness into the cost function:
 
 The two zeta routes share no code, so each validates the other; the
 ``zeta`` front end picks the closed form except in a near-degenerate
-regime where its log terms cancel catastrophically.
+regime where its log terms cancel catastrophically.  ``defuzzified_rates``
+returns both scalars for one spread row and validates the spreads once;
+the solver uses it.
 """
 
 from __future__ import annotations
@@ -100,6 +102,18 @@ def leakage_fuzzy(psi: float, spreads: FuzzySpreads) -> TriangularFuzzyNumber:
     return TriangularFuzzyNumber(psi - spreads.d3, psi, psi + spreads.d4)
 
 
+def _signed_demand(phi: float, spreads: FuzzySpreads) -> float:
+    return phi + (spreads.d2 - spreads.d1) / 4.0
+
+
+def _validate_rates(
+    phi: float, psi: float, spreads: FuzzySpreads, relax_bounds: bool
+) -> None:
+    _require_finite("phi", phi)
+    _require_finite("psi", psi)
+    spreads.validate_against(phi=phi, psi=psi, relax_bounds=relax_bounds)
+
+
 def delta_signed_demand(
     phi: float,
     spreads: FuzzySpreads,
@@ -109,7 +123,7 @@ def delta_signed_demand(
     """Signed distance of the fuzzy demand rate: phi + (d2 - d1) / 4."""
     _require_finite("phi", phi)
     spreads.validate_against(phi=phi, relax_bounds=relax_bounds)
-    return phi + (spreads.d2 - spreads.d1) / 4.0
+    return _signed_demand(phi, spreads)
 
 
 def leak_fraction_cuts(
@@ -125,9 +139,7 @@ def leak_fraction_cuts(
     the combined-rate cut, so its lower endpoint divides the leakage lower
     endpoint by the combined upper endpoint, and vice versa.
     """
-    _require_finite("phi", phi)
-    _require_finite("psi", psi)
-    spreads.validate_against(phi=phi, psi=psi, relax_bounds=relax_bounds)
+    _validate_rates(phi, psi, spreads, relax_bounds)
     eta = phi + psi
     d3, d4 = spreads.d3, spreads.d4
     d5, d6 = spreads.d5, spreads.d6
@@ -160,9 +172,11 @@ def zeta_closed_form(
     against the combined rate (the log terms then cancel almost exactly
     against d3/d6 + d4/d5); use ``zeta`` for the dispatching front end.
     """
-    _require_finite("phi", phi)
-    _require_finite("psi", psi)
-    spreads.validate_against(phi=phi, psi=psi, relax_bounds=relax_bounds)
+    _validate_rates(phi, psi, spreads, relax_bounds)
+    return _log_form(phi, psi, spreads)
+
+
+def _log_form(phi: float, psi: float, spreads: FuzzySpreads) -> float:
     eta = phi + psi
     d3, d4 = spreads.d3, spreads.d4
     d5, d6 = spreads.d5, spreads.d6
@@ -209,6 +223,27 @@ def zeta(
     ``uses_quadrature_fallback``; inside it, cancellation would leave few
     significant digits and the quadrature route is used instead.
     """
+    _validate_rates(phi, psi, spreads, relax_bounds)
+    return _leak_fraction(phi, psi, spreads, relax_bounds)
+
+
+def _leak_fraction(
+    phi: float, psi: float, spreads: FuzzySpreads, relax_bounds: bool
+) -> float:
+    # spreads already validated; the quadrature route validates again
     if uses_quadrature_fallback(phi, psi, spreads):
         return zeta_quadrature(phi, psi, spreads, relax_bounds=relax_bounds)
-    return zeta_closed_form(phi, psi, spreads, relax_bounds=relax_bounds)
+    return _log_form(phi, psi, spreads)
+
+
+def defuzzified_rates(
+    phi: float,
+    psi: float,
+    spreads: FuzzySpreads,
+    *,
+    relax_bounds: bool = False,
+) -> tuple[float, float]:
+    """``delta_signed_demand`` and ``zeta`` together, validating the spreads
+    once against both rates."""
+    _validate_rates(phi, psi, spreads, relax_bounds)
+    return _signed_demand(phi, spreads), _leak_fraction(phi, psi, spreads, relax_bounds)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .defuzzify import FuzzySpreads, delta_signed_demand, zeta
+from .defuzzify import FuzzySpreads, defuzzified_rates
 from .errors import DomainError
 from .fuzzy import _require_finite
 
@@ -193,9 +193,15 @@ def rel_metrics(fuzzy: SolutionRecord, crisp: SolutionRecord) -> tuple[float, fl
         raise DomainError(f"crisp.q_star > 0 violated (got {crisp.q_star!r})")
     if not crisp.z_star > 0.0:
         raise DomainError(f"crisp.z_star > 0 violated (got {crisp.z_star!r})")
-    rel_q = (fuzzy.q_star - crisp.q_star) / crisp.q_star * 100.0
-    rel_z = (fuzzy.z_star - crisp.z_star) / crisp.z_star * 100.0
-    return rel_q, rel_z
+    return (
+        percent_deviation(fuzzy.q_star, crisp.q_star),
+        percent_deviation(fuzzy.z_star, crisp.z_star),
+    )
+
+
+def percent_deviation(value: float, base: float) -> float:
+    """Deviation of ``value`` from ``base`` in percent of ``base``."""
+    return (value - base) / base * 100.0
 
 
 def fuzzy_cost(
@@ -206,9 +212,62 @@ def fuzzy_cost(
     relax_bounds: bool = False,
 ) -> float:
     """Defuzzified cost per unit time of lot size q under fuzzy rates."""
-    d = delta_signed_demand(p.phi, spreads, relax_bounds=relax_bounds)
-    z = zeta(p.phi, p.psi, spreads, relax_bounds=relax_bounds)
+    d, z = defuzzified_rates(p.phi, p.psi, spreads, relax_bounds=relax_bounds)
     return lot_cost(q, p.s, p.h, d, z)
+
+
+def crisp_baseline(p: CrispParams, paper_baseline: bool = False) -> SolutionRecord:
+    """The crisp optimum that fuzzy deviations are measured against.
+
+    With ``paper_baseline`` it is truncated to whole units, the baseline
+    the published reference table used; otherwise it is exact.
+    """
+    baseline = crisp_optimal(p)
+    return truncated_baseline(baseline) if paper_baseline else baseline
+
+
+def held_baseline(
+    p: CrispParams, paper_baseline: bool = False
+) -> SolutionRecord | DomainError:
+    """``crisp_baseline``, or the ``DomainError`` that building it raised.
+
+    ``solve_against`` raises a held error only after the row's own checks
+    pass, so a batch that builds its baseline once still reports each row's
+    spread or lot-rule error first, as a solve of that row alone would.
+    """
+    try:
+        return crisp_baseline(p, paper_baseline)
+    except DomainError as exc:
+        return exc
+
+
+def solve_against(
+    p: CrispParams,
+    spreads: FuzzySpreads,
+    baseline: SolutionRecord | DomainError,
+    *,
+    relax_bounds: bool = False,
+) -> SolutionRecord:
+    """Minimize the defuzzified cost and report deviations from ``baseline``.
+
+    ``baseline`` comes from ``crisp_baseline`` or ``held_baseline`` for the
+    same params; building it once serves every spread row.
+    """
+    d, z = defuzzified_rates(p.phi, p.psi, spreads, relax_bounds=relax_bounds)
+    q = optimal_lot_size(p.s, p.h, d, z)
+    assert 2.0 * p.s * d / q**3 > 0.0  # convexity at the stationary point
+    z_star = lot_cost(q, p.s, p.h, d, z)
+    if isinstance(baseline, DomainError):
+        # a fresh error per row: re-raising one instance would chain tracebacks
+        raise DomainError(str(baseline)) from baseline
+    return SolutionRecord(
+        delta=d,
+        zeta=z,
+        q_star=q,
+        z_star=z_star,
+        rel_q=percent_deviation(q, baseline.q_star),
+        rel_z=percent_deviation(z_star, baseline.z_star),
+    )
 
 
 def fuzzy_optimal(
@@ -224,18 +283,6 @@ def fuzzy_optimal(
     optimum truncated to whole units, the baseline the published
     reference table used; otherwise against the exact crisp optimum.
     """
-    d = delta_signed_demand(p.phi, spreads, relax_bounds=relax_bounds)
-    z = zeta(p.phi, p.psi, spreads, relax_bounds=relax_bounds)
-    q = optimal_lot_size(p.s, p.h, d, z)
-    assert 2.0 * p.s * d / q**3 > 0.0  # convexity at the stationary point
-    z_star = lot_cost(q, p.s, p.h, d, z)
-    baseline = crisp_optimal(p)
-    if paper_baseline:
-        baseline = truncated_baseline(baseline)
-    partial = SolutionRecord(
-        delta=d, zeta=z, q_star=q, z_star=z_star, rel_q=0.0, rel_z=0.0
-    )
-    rel_q, rel_z = rel_metrics(partial, baseline)
-    return SolutionRecord(
-        delta=d, zeta=z, q_star=q, z_star=z_star, rel_q=rel_q, rel_z=rel_z
+    return solve_against(
+        p, spreads, held_baseline(p, paper_baseline), relax_bounds=relax_bounds
     )

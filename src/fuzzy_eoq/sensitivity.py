@@ -8,7 +8,8 @@ crisp baseline.
 
 ``run_sweep`` re-solves any sequence of spread rows, collecting per-row
 failures instead of aborting.  ``audit_table`` re-derives the table and
-compares column by column.  Two modes:
+compares column by column.  A sweep or audit builds the crisp baseline
+once and validates each row's spreads once.  Two modes:
 
 * default: every column recomputed from the spreads by this package's
   own pipeline (exact crisp baseline);
@@ -31,16 +32,17 @@ from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
-from .defuzzify import FuzzySpreads, delta_signed_demand, zeta
+from .defuzzify import FuzzySpreads, defuzzified_rates
 from .errors import DomainError
 from .model import (
     CrispParams,
     SolutionRecord,
-    crisp_optimal,
-    fuzzy_optimal,
+    crisp_baseline,
+    held_baseline,
     lot_cost,
     optimal_lot_size,
-    truncated_baseline,
+    percent_deviation,
+    solve_against,
 )
 
 REFERENCE_PARAMS = CrispParams(phi=600.0, psi=10.0, h=10.0, s=100.0)
@@ -83,16 +85,15 @@ def run_sweep(
 
     A row whose spreads violate the bounds for ``spec.params`` yields a
     ``SweepRow`` carrying the error message; remaining rows still run.
+    The crisp baseline is built once; if it cannot be built, each row
+    carries that error unless its own checks fail first.
     """
+    p = spec.params
+    baseline = held_baseline(p, paper_baseline)
     out = []
     for i, spreads in enumerate(spec.rows):
         try:
-            record = fuzzy_optimal(
-                spec.params,
-                spreads,
-                paper_baseline=paper_baseline,
-                relax_bounds=relax_bounds,
-            )
+            record = solve_against(p, spreads, baseline, relax_bounds=relax_bounds)
         except DomainError as exc:
             out.append(SweepRow(index=i, spreads=spreads, record=None, error=str(exc)))
         else:
@@ -236,19 +237,16 @@ def audit_table(
     a sign contradiction (the recomputed fraction is strictly positive).
     """
     p = REFERENCE_PARAMS if params is None else params
-    baseline = crisp_optimal(p)
-    if paper_baseline:
-        baseline = truncated_baseline(baseline)
+    baseline = crisp_baseline(p, paper_baseline)
     audit_rows = []
     for i, ref in enumerate(load_reference_table()):
         spreads = ref.spreads
         if paper_baseline:
-            d = delta_signed_demand(p.phi, spreads)
-            z = zeta(p.phi, p.psi, spreads)
+            d, z = defuzzified_rates(p.phi, p.psi, spreads)
             q = optimal_lot_size(p.s, p.h, d, ref.zeta)
             z_star = lot_cost(q, p.s, p.h, d, ref.zeta)
-            rel_q = (q - baseline.q_star) / baseline.q_star * 100.0
-            rel_z = (z_star - baseline.z_star) / baseline.z_star * 100.0
+            rel_q = percent_deviation(q, baseline.q_star)
+            rel_z = percent_deviation(z_star, baseline.z_star)
             cells = (
                 AuditCell("delta", d, ref.delta, _DELTA_TOL, False),
                 AuditCell("zeta", z, ref.zeta, None, False),
@@ -258,7 +256,7 @@ def audit_table(
                 AuditCell("rel_z", rel_z, ref.rel_z, None, False),
             )
         else:
-            rec = fuzzy_optimal(p, spreads)
+            rec = solve_against(p, spreads, baseline)
             cells = (
                 AuditCell("delta", rec.delta, ref.delta, _DELTA_TOL, False),
                 AuditCell("zeta", rec.zeta, ref.zeta, None, False),

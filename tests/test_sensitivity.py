@@ -1,20 +1,31 @@
 """Tests for the sweep runner and the reference-table audit."""
 
+import itertools
 import math
+import random
 
 import pytest
 
+from conftest import random_params, random_spreads
 from fuzzy_eoq import (
     AUDIT_COLUMNS,
     REFERENCE_PARAMS,
     CrispParams,
     DomainError,
     FuzzySpreads,
+    SolutionRecord,
     SweepSpec,
     audit_table,
+    crisp_optimal,
+    delta_signed_demand,
     fuzzy_optimal,
     load_reference_table,
+    lot_cost,
+    optimal_lot_size,
+    rel_metrics,
     run_sweep,
+    truncated_baseline,
+    zeta,
 )
 
 NEGATIVE_ZETA_ROWS = (2, 3, 4, 5, 6, 9, 10, 11, 12, 15, 16, 17, 18)  # 1-based
@@ -46,14 +57,83 @@ class TestReferenceTable:
             row.value("nope")
 
 
+def _reference_solve(p, spreads, paper_baseline, relax_bounds):
+    """One row solved from the public pieces, in the order a lone solve
+    checks them: spreads, lot rule, then the baseline."""
+    d = delta_signed_demand(p.phi, spreads, relax_bounds=relax_bounds)
+    z = zeta(p.phi, p.psi, spreads, relax_bounds=relax_bounds)
+    q = optimal_lot_size(p.s, p.h, d, z)
+    z_star = lot_cost(q, p.s, p.h, d, z)
+    base = crisp_optimal(p)
+    if paper_baseline:
+        base = truncated_baseline(base)
+    partial = SolutionRecord(d, z, q, z_star, 0.0, 0.0)
+    rel_q, rel_z = rel_metrics(partial, base)
+    return SolutionRecord(d, z, q, z_star, rel_q, rel_z)
+
+
+def _seeded_rows(rng, p, n):
+    """Valid spreads, bound violations of each kind, and spreads tiny
+    enough for the quadrature fallback."""
+    rows = []
+    for _ in range(n):
+        sp = random_spreads(rng, p.phi, p.psi)
+        kind = rng.randrange(6)
+        if kind == 1:
+            sp = FuzzySpreads(p.phi * rng.uniform(1.0, 1.5), sp.d2, sp.d3, sp.d4)
+        elif kind == 2:
+            sp = FuzzySpreads(sp.d1, p.phi * rng.uniform(1.0, 3.0), sp.d3, sp.d4)
+        elif kind == 3:
+            sp = FuzzySpreads(sp.d1, sp.d2, p.psi * rng.uniform(1.0, 1.5), sp.d4)
+        elif kind == 4:
+            sp = FuzzySpreads(sp.d1, sp.d2, sp.d3, p.psi * rng.uniform(1.0, 50.0))
+        elif kind == 5:
+            tiny = (p.phi + p.psi) * 1e-10
+            sp = FuzzySpreads(tiny, tiny, tiny * 0.5, tiny * 0.5)
+        rows.append(sp)
+    return tuple(rows)
+
+
 class TestSweep:
     def test_reference_rows_match_single_solves(self):
-        rows = tuple(row.spreads for row in load_reference_table())
-        results = run_sweep(SweepSpec(REFERENCE_PARAMS, rows))
-        assert len(results) == 18
-        for res in results:
-            assert res.error is None
-            assert res.record == fuzzy_optimal(REFERENCE_PARAMS, res.spreads)
+        rng = random.Random(20220218)
+        cases = [(REFERENCE_PARAMS, tuple(row.spreads for row in load_reference_table()))]
+        for _ in range(4):
+            p = random_params(rng)
+            cases.append((p, _seeded_rows(rng, p, 60)))
+        for (n, (p, rows)), paper_baseline, relax_bounds in itertools.product(
+            enumerate(cases), (False, True), (False, True)
+        ):
+            results = run_sweep(
+                SweepSpec(p, rows), paper_baseline=paper_baseline, relax_bounds=relax_bounds
+            )
+            assert [res.spreads for res in results] == list(rows)
+            if n == 0:  # every published row solves
+                assert all(res.error is None for res in results)
+            for res in results:
+                try:
+                    expected = _reference_solve(p, res.spreads, paper_baseline, relax_bounds)
+                except DomainError as exc:
+                    assert res.record is None
+                    assert res.error == str(exc)
+                else:
+                    assert res.error is None
+                    assert res.record == expected
+
+    def test_unbuildable_baseline_reported_after_row_errors(self):
+        # the truncated baseline of these params has q* = 0 and cannot be built
+        p = CrispParams(600, 10, 10, 1e-6)
+        rows = (FuzzySpreads(1, 1, 1, 1), FuzzySpreads(700, 1, 1, 1))
+        results = run_sweep(SweepSpec(p, rows), paper_baseline=True)
+        assert [res.record for res in results] == [None, None]
+        assert [res.error for res in results] == [
+            "q_star > 0 violated (got 0.0)",
+            "d1 < phi violated (d1=700, phi=600)",
+        ]
+        with pytest.raises(DomainError, match=r"^d1 < phi violated"):
+            fuzzy_optimal(p, rows[1], paper_baseline=True)
+        with pytest.raises(DomainError, match=r"^q_star > 0 violated \(got 0.0\)$"):
+            fuzzy_optimal(p, rows[0], paper_baseline=True)
 
     def test_delta_blocks_exact(self):
         rows = tuple(row.spreads for row in load_reference_table())
