@@ -10,16 +10,13 @@ spread grids, and an audit of the bundled published results table.
 """
 
 from .defuzzify import (
-    NEAR_SINGULAR_RATIO,
     FuzzySpreads,
     defuzzified_rates,
     delta_signed_demand,
     demand_fuzzy,
     leak_fraction_cuts,
     leakage_fuzzy,
-    uses_quadrature_fallback,
     zeta,
-    zeta_closed_form,
     zeta_quadrature,
 )
 from .errors import DomainError, QuadratureError
@@ -73,7 +70,6 @@ __all__ = [
     "DomainError",
     "FuzzySpreads",
     "Interval",
-    "NEAR_SINGULAR_RATIO",
     "QuadratureError",
     "REFERENCE_PARAMS",
     "ReferenceRow",
@@ -104,9 +100,7 @@ __all__ = [
     "signed_distance_quadrature",
     "solve_against",
     "truncated_baseline",
-    "uses_quadrature_fallback",
     "zeta",
-    "zeta_closed_form",
     "zeta_quadrature",
     "__version__",
 ]

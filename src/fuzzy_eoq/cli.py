@@ -18,8 +18,6 @@ from typing import Optional
 from .defuzzify import (
     FuzzySpreads,
     delta_signed_demand,
-    uses_quadrature_fallback,
-    zeta_closed_form,
     zeta_quadrature,
 )
 from .errors import DomainError, QuadratureError
@@ -238,18 +236,15 @@ def _cmd_fuzzy(args: argparse.Namespace) -> int:
     p, sp = rc.params, rc.spreads
     baseline = held_baseline(p, rc.paper_baseline)
     record = solve_against(p, sp, baseline, relax_bounds=rc.relax_bounds)
-    z_closed = zeta_closed_form(p.phi, p.psi, sp, relax_bounds=rc.relax_bounds)
     z_quad = zeta_quadrature(p.phi, p.psi, sp, relax_bounds=rc.relax_bounds)
-    fallback = uses_quadrature_fallback(p.phi, p.psi, sp)
     if rc.fmt == "json":
         payload = {
             "params": _params_dict(p),
             "spreads": _spreads_dict(sp),
             "paper_baseline": rc.paper_baseline,
             "relax_bounds": rc.relax_bounds,
-            "zeta_closed_form": z_closed,
+            "zeta_closed_form": record.zeta,
             "zeta_quadrature": z_quad,
-            "zeta_route": "quadrature" if fallback else "closed-form",
             "baseline": {"q_star": baseline.q_star, "z_star": baseline.z_star},
             "record": record.to_dict(),
         }
@@ -267,20 +262,14 @@ def _cmd_fuzzy(args: argparse.Namespace) -> int:
         )
         text = buf.getvalue()
     else:
-        route = (
-            "quadrature fallback (combined spreads nearly degenerate)"
-            if fallback
-            else "closed form"
-        )
         baseline_label = "baseline (truncated)" if rc.paper_baseline else "baseline (crisp)"
         text = "\n".join([
             "fuzzy solve",
             f"  params: {_params_line(p)}",
             f"  spreads: {_spreads_line(sp)}",
             f"  delta (signed-distance demand): {_fmt(record.delta)}",
-            f"  zeta closed form: {_fmt(z_closed)}",
+            f"  zeta closed form: {_fmt(record.zeta)}",
             f"  zeta quadrature:  {_fmt(z_quad)}",
-            f"  zeta route: {route}",
             f"  q*: {_fmt(record.q_star)}",
             f"  Z*: {_fmt(record.z_star)}",
             f"  {baseline_label}: q*={_fmt(baseline.q_star)} Z*={_fmt(baseline.z_star)}",

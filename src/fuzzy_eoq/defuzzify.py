@@ -7,15 +7,15 @@ the fuzziness into the cost function:
 * ``delta_signed_demand``, the signed distance of the fuzzy demand rate,
   which collapses to ``phi + (d2 - d1) / 4``;
 * ``zeta``, the signed distance of the fuzzy leakage fraction
-  ``leakage / (demand + leakage)``, available both as a closed form (an
-  exact antiderivative in logarithms) and as adaptive quadrature over the
-  quotient's alpha-cut endpoints.
+  ``leakage / (demand + leakage)``, an exact antiderivative in logarithms
+  arranged so that nothing cancels.
 
-The two zeta routes share no code, so each validates the other; the
-``zeta`` front end picks the closed form except in a near-degenerate
-regime where its log terms cancel catastrophically.  ``defuzzified_rates``
-returns both scalars for one spread row and validates the spreads once;
-the solver uses it.
+``zeta_quadrature`` integrates the quotient's alpha-cut endpoints
+adaptively instead.  It shares no code with ``zeta``: it is the
+independent oracle that tests and the CLI report check the closed form
+against, and no solve calls it.
+``defuzzified_rates`` returns both scalars for one spread row and
+validates the spreads once; the solver uses it.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from .errors import DomainError
 from .fuzzy import TriangularFuzzyNumber, _require_finite, signed_distance_quadrature
 from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_TOL
 
-# Below this combined-spread to combined-rate ratio the closed form loses
-# most of its significant digits and the quadrature route takes over.
-NEAR_SINGULAR_RATIO = 1e-8
+# Below this |t|, log1p(t)/t - 1 is summed as a series: computed directly
+# it would subtract two nearly equal numbers.
+_SERIES_LIMIT = 1e-2
 
 
 @dataclass(frozen=True)
@@ -157,32 +157,29 @@ def leak_fraction_cuts(
     return cut_lo, cut_hi
 
 
-def zeta_closed_form(
-    phi: float,
-    psi: float,
-    spreads: FuzzySpreads,
-    *,
-    relax_bounds: bool = False,
-) -> float:
-    """Mean leakage fraction by the exact antiderivative.
-
-    Integrating the quotient's cut endpoints over the membership levels
-    gives a logarithmic expression.  It is strictly positive wherever the
-    bounds hold, but it loses precision when the combined spreads are tiny
-    against the combined rate (the log terms then cancel almost exactly
-    against d3/d6 + d4/d5); use ``zeta`` for the dispatching front end.
-    """
-    _validate_rates(phi, psi, spreads, relax_bounds)
-    return _log_form(phi, psi, spreads)
+def _g(t: float) -> float:
+    """log1p(t)/t - 1 for t > -1, without the cancellation of computing
+    it directly near t = 0."""
+    if abs(t) < _SERIES_LIMIT:
+        # sum of (-t)^k / (k + 1) for k = 1..9 in Horner form; the first
+        # term left out is below 2e-19 of the sum
+        return t * (-1 / 2 + t * (1 / 3 + t * (-1 / 4 + t * (1 / 5 + t * (
+            -1 / 6 + t * (1 / 7 + t * (-1 / 8 + t * (1 / 9 - t / 10))))))))
+    return math.log1p(t) / t - 1.0
 
 
-def _log_form(phi: float, psi: float, spreads: FuzzySpreads) -> float:
+def _closed_form(phi: float, psi: float, spreads: FuzzySpreads) -> float:
+    # With x = d6/eta, y = d5/eta and w = psi/eta the antiderivative is
+    #   zeta = 1/2 [w (2 + g(x) + g(-y)) + (d3/d6) g(x) + (d4/d5) g(-y)].
+    # Only w g(x) > -w and (d3/d6) g(x) > -w/2 are negative, against
+    # w (2 + g(-y)) >= 2w, so the bracket stays above w/2 and at most a
+    # couple of bits cancel.  Nothing is squared, so tiny or huge rates do
+    # not underflow or overflow on the way.
     eta = phi + psi
-    d3, d4 = spreads.d3, spreads.d4
     d5, d6 = spreads.d5, spreads.d6
-    up = (psi * d6 + eta * d3) / (d6 * d6) * math.log((eta + d6) / eta)
-    down = (psi * d5 + eta * d4) / (d5 * d5) * math.log(eta / (eta - d5))
-    return 0.5 * (up + down - d3 / d6 - d4 / d5)
+    gx = _g(d6 / eta)
+    gy = _g(-d5 / eta)
+    return 0.5 * (psi / eta * (2.0 + gx + gy) + spreads.d3 / d6 * gx + spreads.d4 / d5 * gy)
 
 
 def zeta_quadrature(
@@ -196,18 +193,11 @@ def zeta_quadrature(
 ) -> float:
     """Mean leakage fraction by adaptive quadrature over the cut endpoints.
 
-    Independent of ``zeta_closed_form`` by construction; the two must
-    agree to the quadrature tolerance on every valid input.
+    Independent of ``zeta`` by construction; the two must agree to the
+    quadrature tolerance on every valid input.
     """
     cut_lo, cut_hi = leak_fraction_cuts(phi, psi, spreads, relax_bounds=relax_bounds)
     return signed_distance_quadrature(cut_lo, cut_hi, tol=tol, max_depth=max_depth)
-
-
-def uses_quadrature_fallback(phi: float, psi: float, spreads: FuzzySpreads) -> bool:
-    """Whether ``zeta`` routes this input to quadrature instead of the
-    closed form (combined spreads nearly degenerate against the rates)."""
-    eta = phi + psi
-    return spreads.d5 < NEAR_SINGULAR_RATIO * eta or spreads.d6 < NEAR_SINGULAR_RATIO * eta
 
 
 def zeta(
@@ -217,23 +207,17 @@ def zeta(
     *,
     relax_bounds: bool = False,
 ) -> float:
-    """Mean leakage fraction: closed form, with a quadrature fallback.
+    """Mean leakage fraction by the exact antiderivative.
 
-    The closed form is exact outside the near-degenerate regime flagged by
-    ``uses_quadrature_fallback``; inside it, cancellation would leave few
-    significant digits and the quadrature route is used instead.
+    Integrating the quotient's cut endpoints over the membership levels
+    gives logarithms of 1 + d6/eta and 1 - d5/eta.  Written through
+    ``log1p(t)/t - 1``, which is summed as a series for small ``t``, the
+    expression has no cancellation, so it keeps full precision from
+    near-degenerate spreads up to the bounds and at both ends of the
+    binary64 range.
     """
     _validate_rates(phi, psi, spreads, relax_bounds)
-    return _leak_fraction(phi, psi, spreads, relax_bounds)
-
-
-def _leak_fraction(
-    phi: float, psi: float, spreads: FuzzySpreads, relax_bounds: bool
-) -> float:
-    # spreads already validated; the quadrature route validates again
-    if uses_quadrature_fallback(phi, psi, spreads):
-        return zeta_quadrature(phi, psi, spreads, relax_bounds=relax_bounds)
-    return _log_form(phi, psi, spreads)
+    return _closed_form(phi, psi, spreads)
 
 
 def defuzzified_rates(
@@ -246,4 +230,4 @@ def defuzzified_rates(
     """``delta_signed_demand`` and ``zeta`` together, validating the spreads
     once against both rates."""
     _validate_rates(phi, psi, spreads, relax_bounds)
-    return _signed_demand(phi, spreads), _leak_fraction(phi, psi, spreads, relax_bounds)
+    return _signed_demand(phi, spreads), _closed_form(phi, psi, spreads)

@@ -255,7 +255,6 @@ def solve_against(
     """
     d, z = defuzzified_rates(p.phi, p.psi, spreads, relax_bounds=relax_bounds)
     q = optimal_lot_size(p.s, p.h, d, z)
-    assert 2.0 * p.s * d / q**3 > 0.0  # convexity at the stationary point
     z_star = lot_cost(q, p.s, p.h, d, z)
     if isinstance(baseline, DomainError):
         # a fresh error per row: re-raising one instance would chain tracebacks

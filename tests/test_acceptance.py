@@ -23,7 +23,6 @@ from fuzzy_eoq import (
     signed_distance_quadrature,
     truncated_baseline,
     zeta,
-    zeta_closed_form,
     zeta_quadrature,
 )
 
@@ -85,7 +84,7 @@ def test_criterion_3_zeta_oracle_equivalence():
         p = random_params(rng)
         cases.append((p.phi, p.psi, random_spreads(rng, p.phi, p.psi)))
     for phi, psi, spreads in cases:
-        closed = zeta_closed_form(phi, psi, spreads)
+        closed = zeta(phi, psi, spreads)
         quad = zeta_quadrature(phi, psi, spreads)
         max_rel = max(max_rel, abs(closed - quad) / max(abs(closed), abs(quad)))
     elapsed = time.perf_counter() - t0

@@ -12,6 +12,7 @@ from fuzzy_eoq import (
     FuzzySpreads,
     crisp_optimal,
     fuzzy_optimal,
+    zeta_quadrature,
 )
 from fuzzy_eoq.cli import main
 
@@ -66,9 +67,13 @@ class TestFuzzy:
     def test_human_report_shows_both_zeta_routes(self, capsys):
         code, out, _ = run(capsys, ["fuzzy", *ROW1_FLAGS])
         assert code == 0
-        assert "zeta closed form" in out
-        assert "zeta quadrature" in out
-        assert "zeta route: closed form" in out
+        sp = FuzzySpreads(100, 100, 1, 1)
+        closed = fuzzy_optimal(REFERENCE_PARAMS, sp).zeta
+        quad = zeta_quadrature(600.0, 10.0, sp)
+        assert math.isclose(closed, quad, rel_tol=1e-12)
+        assert f"zeta closed form: {closed:.12g}\n" in out
+        assert f"zeta quadrature:  {quad:.12g}\n" in out
+        assert "zeta route" not in out
         assert "108.644" in out
 
     def test_json_round_trips_exactly(self, capsys):
@@ -77,7 +82,9 @@ class TestFuzzy:
         payload = json.loads(out)
         rec = fuzzy_optimal(REFERENCE_PARAMS, FuzzySpreads(100, 100, 1, 1))
         assert payload["record"] == rec.to_dict()
-        assert payload["zeta_route"] == "closed-form"
+        assert payload["zeta_closed_form"] == rec.zeta
+        assert math.isclose(rec.zeta, payload["zeta_quadrature"], rel_tol=1e-12)
+        assert "zeta_route" not in payload
 
     def test_missing_spreads_exit_2(self, capsys):
         code, _, err = run(capsys, ["fuzzy"])
@@ -108,11 +115,42 @@ class TestFuzzy:
         payload = json.loads(out)
         assert payload["baseline"] == {"q_star": 108.0, "z_star": 1104.0}
 
-    def test_near_degenerate_spreads_note_fallback(self, capsys):
+    def test_near_degenerate_spreads_match_quadrature(self, capsys):
         argv = ["fuzzy", "--d1", "3e-6", "--d2", "100", "--d3", "1e-7", "--d4", "1"]
-        code, out, _ = run(capsys, argv)
+        code, out, _ = run(capsys, [*argv, "--format", "json"])
         assert code == 0
-        assert "quadrature fallback" in out
+        payload = json.loads(out)
+        assert payload["zeta_closed_form"] == payload["record"]["zeta"]
+        assert math.isclose(
+            payload["zeta_closed_form"], payload["zeta_quadrature"], rel_tol=1e-12
+        )
+
+    # At rates near 1e300 the crisp baseline's cost term psi * q * h
+    # overflows for the default h and s, so the two large-rate inputs set
+    # h = 1 and a tiny s to keep the baseline in range.
+    @pytest.mark.parametrize("argv", [
+        ["--phi", "1e-300", "--psi", "1e-300",
+         "--d1", "1e-301", "--d2", "1e-301", "--d3", "1e-301", "--d4", "1e-301"],
+        ["--phi", "1e300", "--psi", "1e300", "--h", "1", "--s", "1e-290",
+         "--d1", "5e299", "--d2", "5e299", "--d3", "5e299", "--d4", "5e299"],
+        ["--phi", "1e308", "--psi", "1e307", "--h", "1", "--s", "1e-307",
+         "--d1", "5e307", "--d2", "5e307", "--d3", "5e306", "--d4", "5e306"],
+    ])
+    def test_binary64_extreme_rates_solve(self, capsys, argv):
+        code, out, err = run(capsys, ["fuzzy", *argv, "--format", "json"])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        closed = payload["zeta_closed_form"]
+        assert math.isfinite(closed)
+        assert math.isclose(closed, payload["zeta_quadrature"], rel_tol=1e-12)
+
+    def test_overflowing_lot_size_exits_2(self, capsys):
+        argv = ["fuzzy", "--phi", "1e300", "--s", "1e300",
+                "--d1", "1", "--d2", "1", "--d3", "1", "--d4", "1"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: q must be finite (got inf)\n"
 
 
 class TestSweep:

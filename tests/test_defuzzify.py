@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzy_eoq import (
@@ -14,9 +14,7 @@ from fuzzy_eoq import (
     demand_fuzzy,
     leak_fraction_cuts,
     leakage_fuzzy,
-    uses_quadrature_fallback,
     zeta,
-    zeta_closed_form,
     zeta_quadrature,
 )
 from fuzzy_eoq.sensitivity import load_reference_table
@@ -95,9 +93,9 @@ class TestDelta:
 
 class TestZetaRoutes:
     def test_closed_form_frozen_values(self):
-        got = zeta_closed_form(600.0, 10.0, FuzzySpreads(100, 100, 1, 1))
+        got = zeta(600.0, 10.0, FuzzySpreads(100, 100, 1, 1))
         assert math.isclose(got, ZETA_100_100_1_1, rel_tol=1e-12)
-        got = zeta_closed_form(600.0, 10.0, FuzzySpreads(150, 200, 1, 1))
+        got = zeta(600.0, 10.0, FuzzySpreads(150, 200, 1, 1))
         assert math.isclose(got, ZETA_150_200_1_1, rel_tol=1e-12)
 
     def test_quadrature_frozen_values(self):
@@ -106,30 +104,30 @@ class TestZetaRoutes:
 
     def test_routes_agree_on_reference_rows(self):
         for row in load_reference_table():
-            closed = zeta_closed_form(600.0, 10.0, row.spreads)
+            closed = zeta(600.0, 10.0, row.spreads)
             quad = zeta_quadrature(600.0, 10.0, row.spreads)
-            assert math.isclose(closed, quad, rel_tol=1e-8)
+            assert math.isclose(closed, quad, rel_tol=1e-12)
 
     def test_routes_agree_on_random_inputs(self):
         rng = random.Random(421)
         for _ in range(200):
             p = random_params(rng)
             sp = random_spreads(rng, p.phi, p.psi)
-            closed = zeta_closed_form(p.phi, p.psi, sp)
+            closed = zeta(p.phi, p.psi, sp)
             quad = zeta_quadrature(p.phi, p.psi, sp)
-            assert math.isclose(closed, quad, rel_tol=1e-8)
+            assert math.isclose(closed, quad, rel_tol=1e-12)
 
     @given(valid_cases())
     def test_positive_everywhere(self, case):
         phi, psi, spreads = case
-        assert zeta_closed_form(phi, psi, spreads) > 0.0
+        assert zeta(phi, psi, spreads) > 0.0
 
     @given(valid_cases())
     def test_within_cut_hull(self, case):
         # the mean of the cut midpoints cannot leave the level-0 hull
         phi, psi, spreads = case
         cut_lo, cut_hi = leak_fraction_cuts(phi, psi, spreads)
-        value = zeta_closed_form(phi, psi, spreads)
+        value = zeta(phi, psi, spreads)
         assert cut_lo(0.0) - 1e-12 <= value <= cut_hi(0.0) + 1e-12
 
     def test_cut_ordering_and_peak(self):
@@ -142,38 +140,81 @@ class TestZetaRoutes:
 
     def test_near_crisp_limit_approaches_fraction(self):
         sp = FuzzySpreads(6e-4, 6e-4, 1e-5, 1e-5)
-        got = zeta_closed_form(600.0, 10.0, sp)
+        got = zeta(600.0, 10.0, sp)
         assert math.isclose(got, ZETA_NEAR_CRISP, rel_tol=1e-9)
         assert abs(got - PSI_OVER_ETA) < 1e-6
 
     def test_bound_violation_raises(self):
         with pytest.raises(DomainError, match="d3 < psi"):
-            zeta_closed_form(600.0, 10.0, FuzzySpreads(100.0, 100.0, 15.0, 1.0))
+            zeta(600.0, 10.0, FuzzySpreads(100.0, 100.0, 15.0, 1.0))
         with pytest.raises(DomainError, match="d4 < psi"):
             zeta_quadrature(600.0, 10.0, FuzzySpreads(100.0, 100.0, 1.0, 15.0))
 
     def test_relax_bounds_passthrough(self):
         sp = FuzzySpreads(100.0, 100.0, 1.0, 15.0)
-        closed = zeta_closed_form(600.0, 10.0, sp, relax_bounds=True)
+        closed = zeta(600.0, 10.0, sp, relax_bounds=True)
         quad = zeta_quadrature(600.0, 10.0, sp, relax_bounds=True)
         assert math.isclose(closed, quad, rel_tol=1e-8)
         assert closed > 0.0
 
 
-class TestDispatch:
-    def test_normal_regime_uses_closed_form(self):
-        sp = FuzzySpreads(100.0, 100.0, 1.0, 1.0)
-        assert not uses_quadrature_fallback(600.0, 10.0, sp)
-        assert zeta(600.0, 10.0, sp) == zeta_closed_form(600.0, 10.0, sp)
+def _rel(got, want):
+    return abs(got - want) / abs(want)
 
-    def test_near_singular_regime_uses_quadrature(self):
+
+@st.composite
+def near_degenerate_cases(draw):
+    """Rates over nine decades; every spread is 1-100 % of the combined-
+    spread ratio times its rate, the ratio log-uniform in 1e-12..0.5."""
+    phi = 10.0 ** draw(st.floats(-3.0, 6.0))
+    psi = phi * draw(st.floats(1e-3, 0.9))
+    ratio = 10.0 ** draw(st.floats(-12.0, math.log10(0.5)))
+    shares = [draw(st.floats(0.01, 1.0)) for _ in range(4)]
+    spreads = FuzzySpreads(
+        d1=phi * ratio * shares[0],
+        d2=phi * ratio * shares[1],
+        d3=psi * ratio * shares[2],
+        d4=psi * ratio * shares[3],
+    )
+    return phi, psi, spreads
+
+
+# Rates at both ends of the binary64 range, where squaring a spread or
+# multiplying a rate by a spread under- or overflows.
+BINARY64_EXTREMES = [
+    (1e-300, 1e-300, FuzzySpreads(1e-301, 1e-301, 1e-301, 1e-301)),
+    (1e300, 1e300, FuzzySpreads(5e299, 5e299, 5e299, 5e299)),
+    (1e308, 1e307, FuzzySpreads(5e307, 5e307, 5e306, 5e306)),
+]
+
+
+class TestNoCancellation:
+    """The closed form keeps full precision where the spreads are tiny
+    against the rates; quadrature is the oracle."""
+
+    def test_ordinary_spreads_match_quadrature(self):
+        sp = FuzzySpreads(100.0, 100.0, 1.0, 1.0)
+        assert _rel(zeta(600.0, 10.0, sp), zeta_quadrature(600.0, 10.0, sp)) <= 1e-12
+
+    def test_near_degenerate_spreads_match_quadrature(self):
         # combined spreads below 1e-8 of the combined rate
         sp = FuzzySpreads(3e-6, 100.0, 1e-7, 1.0)
-        assert uses_quadrature_fallback(600.0, 10.0, sp)
-        assert zeta(600.0, 10.0, sp) == zeta_quadrature(600.0, 10.0, sp)
+        assert _rel(zeta(600.0, 10.0, sp), zeta_quadrature(600.0, 10.0, sp)) <= 1e-12
 
-    def test_fallback_value_is_sane_where_closed_form_cancels(self):
+    def test_near_degenerate_value_within_cut_hull(self):
         sp = FuzzySpreads(3e-6, 100.0, 1e-7, 1.0)
         got = zeta(600.0, 10.0, sp)
         cut_lo, cut_hi = leak_fraction_cuts(600.0, 10.0, sp)
         assert cut_lo(0.0) <= got <= cut_hi(0.0)
+
+    @settings(max_examples=300)
+    @given(near_degenerate_cases())
+    def test_matches_quadrature_down_to_tiny_spread_ratios(self, case):
+        phi, psi, spreads = case
+        assert _rel(zeta(phi, psi, spreads), zeta_quadrature(phi, psi, spreads)) <= 1e-12
+
+    @pytest.mark.parametrize("phi, psi, spreads", BINARY64_EXTREMES)
+    def test_binary64_extremes(self, phi, psi, spreads):
+        got = zeta(phi, psi, spreads)
+        assert math.isfinite(got)
+        assert _rel(got, zeta_quadrature(phi, psi, spreads)) <= 1e-12

@@ -247,6 +247,13 @@ class TestFuzzyOptimal:
             base = crisp_optimal(p)
             assert math.isclose(rec.q_star, base.q_star, rel_tol=1e-4)
 
+    def test_huge_lot_size_solves(self):
+        # q* is about 1.4e150; its cube would be beyond binary64
+        p = CrispParams(1e100, 1.0, 1e-100, 1e100)
+        rec = fuzzy_optimal(p, FuzzySpreads(1e99, 1e99, 0.5, 0.5))
+        assert rec.q_star == optimal_lot_size(p.s, p.h, rec.delta, rec.zeta)
+        assert math.isclose(rec.q_star, 1.4142135623730951e150, rel_tol=1e-6)
+
 
 class TestBaselines:
     def test_truncation_matches_published_baseline(self):

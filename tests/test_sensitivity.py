@@ -26,6 +26,7 @@ from fuzzy_eoq import (
     run_sweep,
     truncated_baseline,
     zeta,
+    zeta_quadrature,
 )
 
 NEGATIVE_ZETA_ROWS = (2, 3, 4, 5, 6, 9, 10, 11, 12, 15, 16, 17, 18)  # 1-based
@@ -74,7 +75,7 @@ def _reference_solve(p, spreads, paper_baseline, relax_bounds):
 
 def _seeded_rows(rng, p, n):
     """Valid spreads, bound violations of each kind, and spreads tiny
-    enough for the quadrature fallback."""
+    against the rates."""
     rows = []
     for _ in range(n):
         sp = random_spreads(rng, p.phi, p.psi)
@@ -134,6 +135,34 @@ class TestSweep:
             fuzzy_optimal(p, rows[1], paper_baseline=True)
         with pytest.raises(DomainError, match=r"^q_star > 0 violated \(got 0.0\)$"):
             fuzzy_optimal(p, rows[0], paper_baseline=True)
+
+    def test_tiny_rates_return_rows(self):
+        # squares of these rates and spreads would underflow binary64
+        p = CrispParams(1e-300, 1e-300, 1.0, 1.0)
+        sp = FuzzySpreads(1e-301, 1e-301, 1e-301, 1e-301)
+        (res,) = run_sweep(SweepSpec(p, (sp,)))
+        assert res.error is None
+        assert math.isclose(res.record.zeta, zeta_quadrature(p.phi, p.psi, sp), rel_tol=1e-12)
+
+    def test_near_degenerate_rows_never_run_quadrature(self, monkeypatch):
+        p = REFERENCE_PARAMS
+        tiny = (p.phi + p.psi) * 1e-10
+        rows = (
+            FuzzySpreads(3e-6, 100.0, 1e-7, 1.0),
+            FuzzySpreads(tiny, tiny, tiny * 0.5, tiny * 0.5),
+            FuzzySpreads(1e-9, 1e-9, 1e-12, 1e-12),
+        )
+        oracle = [zeta_quadrature(p.phi, p.psi, sp) for sp in rows]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solve ran quadrature")
+
+        monkeypatch.setattr("fuzzy_eoq.fuzzy.adaptive_simpson", refuse)
+        for paper_baseline in (False, True):
+            results = run_sweep(SweepSpec(p, rows), paper_baseline=paper_baseline)
+            for sp, res, want in zip(rows, results, oracle):
+                assert res.record == fuzzy_optimal(p, sp, paper_baseline=paper_baseline)
+                assert math.isclose(res.record.zeta, want, rel_tol=1e-12)
 
     def test_delta_blocks_exact(self):
         rows = tuple(row.spreads for row in load_reference_table())
