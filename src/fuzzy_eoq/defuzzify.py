@@ -111,6 +111,7 @@ def _validate_rates(
 ) -> None:
     _require_finite("phi", phi)
     _require_finite("psi", psi)
+    _require_finite("phi + psi", phi + psi)
     spreads.validate_against(phi=phi, psi=psi, relax_bounds=relax_bounds)
 
 

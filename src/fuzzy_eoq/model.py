@@ -43,6 +43,8 @@ class CrispParams:
             raise DomainError(f"phi > 0 violated (got {self.phi!r})")
         if not self.psi >= 0.0:
             raise DomainError(f"psi >= 0 violated (got {self.psi!r})")
+        # eta = phi + psi divides every leakage term
+        _require_finite("phi + psi", self.phi + self.psi)
         if not self.h > 0.0:
             raise DomainError(f"h > 0 violated (got {self.h!r})")
         if not self.s > 0.0:

@@ -62,6 +62,12 @@ class TestCrisp:
         assert "h > 0 violated" in err
         assert out == ""
 
+    def test_overflowing_combined_rate_exits_2(self, capsys):
+        argv = ["crisp", "--phi", "1e308", "--psi", "1e308", "--h", "1", "--s", "1e-300"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: phi + psi must be finite (got inf)\n"
+
 
 class TestFuzzy:
     def test_human_report_shows_both_zeta_routes(self, capsys):

@@ -51,6 +51,10 @@ ERRORS = {
     "error-fuzzy-partial-spreads": ["fuzzy", "--d1", "100"],
     "error-fuzzy-partial-config-spreads": ["fuzzy", "--config", "configs/partial-spreads.json"],
     "error-crisp-h-zero": ["crisp", "--h", "0"],
+    # phi + psi overflows although each rate is finite
+    "error-crisp-rate-overflow": [
+        "crisp", "--phi", "1e308", "--psi", "1e308", "--h", "1", "--s", "1e-300",
+    ],
     "error-verify-psi-5": ["verify-table", "--psi", "5"],
     "error-sweep-reference-and-config": [
         "sweep", "--reference", "--config", "configs/sweep.json",

@@ -218,3 +218,9 @@ class TestNoCancellation:
         got = zeta(phi, psi, spreads)
         assert math.isfinite(got)
         assert _rel(got, zeta_quadrature(phi, psi, spreads)) <= 1e-12
+
+    @pytest.mark.parametrize("route", [zeta, zeta_quadrature, leak_fraction_cuts])
+    def test_overflowing_combined_rate_rejected(self, route):
+        # the true fraction is about 0.5; with eta = inf both routes gave 0.0
+        with pytest.raises(DomainError, match=r"phi \+ psi must be finite \(got inf\)"):
+            route(1e308, 1e308, FuzzySpreads(1.0, 1.0, 1.0, 1.0))

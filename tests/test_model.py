@@ -56,6 +56,12 @@ class TestParams:
     def test_zero_leakage_allowed(self):
         CrispParams(600.0, 0.0, 10.0, 100.0)
 
+    def test_overflowing_combined_rate_rejected(self):
+        # each rate is finite but eta = phi + psi is inf, which would turn
+        # the leakage fraction psi / eta into a silent 0
+        with pytest.raises(DomainError, match=r"phi \+ psi must be finite \(got inf\)"):
+            CrispParams(1e308, 1e308, 1.0, 1e-320)
+
 
 class TestCrispCost:
     def test_worked_values(self):
