@@ -1,7 +1,11 @@
 """Command-line front end: crisp solves, fuzzy solves, sweeps, table audit.
 
+``main`` merges the config file and the flags once; each command returns one
+``_Result``, and one renderer per output format turns it into text.
+
 Exit codes: 0 on success, 1 when a sweep had failing rows or the table
-audit found deviations, 2 on invalid parameters, spreads, or config.
+audit found deviations, 2 on invalid parameters, spreads, or config, on a
+failed quadrature, or when ``--out`` cannot be written.
 """
 
 from __future__ import annotations
@@ -11,15 +15,11 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
-from .defuzzify import (
-    FuzzySpreads,
-    delta_signed_demand,
-    zeta_quadrature,
-)
+from .defuzzify import FuzzySpreads, zeta_quadrature
 from .errors import DomainError, QuadratureError
 from .model import (
     CrispParams,
@@ -33,7 +33,6 @@ from .sensitivity import (
     AUDIT_COLUMNS,
     REFERENCE_PARAMS,
     SweepSpec,
-    TableAudit,
     audit_table,
     load_reference_table,
     run_sweep,
@@ -41,33 +40,70 @@ from .sensitivity import (
 
 _PARAM_KEYS = ("phi", "psi", "h", "s")
 _SPREAD_KEYS = ("d1", "d2", "d3", "d4")
+_RECORD_KEYS = ("delta", "zeta", "q_star", "z_star", "rel_q", "rel_z")
+_CYCLE_KEYS = ("t", "t1", "leaked")
+_CELL_KEYS = (
+    "column", "recomputed", "paper", "abs_dev", "rel_dev", "tolerance", "relative", "passed",
+)
+_SOLUTION_HEADER = [*_SPREAD_KEYS, *_RECORD_KEYS]
+# per audit column: the recomputed and published values, both deviations, the verdict
+_AUDIT_HEADER = [
+    "row", *_SPREAD_KEYS,
+    *(name.format(column) for column in AUDIT_COLUMNS
+      for name in ("{}", "paper_{}", "{}_abs_dev", "{}_rel_dev", "{}_pass")),
+    "zeta_sign_contradiction",
+]
+_spread_values = attrgetter(*_SPREAD_KEYS)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One merged invocation: config file values overridden by flags."""
+class _Result(NamedTuple):
+    """What one command produced: a lazy builder per output form, and the exit code.
+    Only the requested builder runs, so a large csv sweep builds no JSON dicts."""
 
-    params: CrispParams
-    spreads: Optional[FuzzySpreads]
-    sweep_rows: Optional[tuple[FuzzySpreads, ...]]
-    fmt: str
-    out: Optional[str]
-    paper_baseline: bool
-    relax_bounds: bool
+    json: Callable[[], dict]
+    table: Callable[[], tuple[list[str], Iterable[list[str]]]]
+    lines: Callable[[], Iterable[str]]
+    code: int = 0
 
 
 def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _cell(value: float) -> str:
+def _cells(values: Iterable[float]) -> list[str]:
     # shortest digit string that round-trips binary64
-    return repr(float(value))
+    return [repr(float(value)) for value in values]
+
+
+def _fields(obj: object, keys: tuple[str, ...]) -> dict:
+    return {key: getattr(obj, key) for key in keys}
+
+
+def _pairs(obj: object, keys: tuple[str, ...]) -> str:
+    return " ".join(f"{key}={_fmt(getattr(obj, key))}" for key in keys)
+
+
+def _solution_cells(spreads: FuzzySpreads, record: SolutionRecord) -> list[str]:
+    return _cells((*_spread_values(spreads), *record.to_dict().values()))
+
+
+def _render_csv(result: _Result) -> str:
+    header, rows = result.table()
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+_RENDERERS: dict[str, Callable[[_Result], str]] = {
+    "human": lambda result: "\n".join(result.lines()) + "\n",
+    "csv": _render_csv,
+    "json": lambda result: json.dumps(result.json(), indent=2) + "\n",
+}
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
     if out is None:
         sys.stdout.write(text)
         return
@@ -77,13 +113,7 @@ def _emit(text: str, out: Optional[str]) -> None:
         raise DomainError(f"cannot write {out!r}: {exc}") from exc
 
 
-def _number(value: object, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DomainError(f"config: {where} must be a number (got {value!r})")
-    return float(value)
-
-
-def _load_config_file(path: str) -> dict:
+def _load_config(path: str) -> dict:
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -98,175 +128,99 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _merged_params(cfg: dict, args: argparse.Namespace) -> CrispParams:
-    merged = {
-        "phi": REFERENCE_PARAMS.phi,
-        "psi": REFERENCE_PARAMS.psi,
-        "h": REFERENCE_PARAMS.h,
-        "s": REFERENCE_PARAMS.s,
-    }
-    section = cfg.get("params", {})
-    if not isinstance(section, dict):
-        raise DomainError("config: params must be an object")
-    for key, value in section.items():
-        if key not in _PARAM_KEYS:
-            raise DomainError(f"config: unknown params key {key!r}")
-        merged[key] = _number(value, f"params.{key}")
-    for key in _PARAM_KEYS:
-        override = getattr(args, key)
-        if override is not None:
-            merged[key] = override
-    return CrispParams(**merged)
+def _merged(cfg: dict, args: Optional[argparse.Namespace], section: str,
+            keys: tuple[str, ...], defaults: dict) -> dict:
+    """``defaults``, then the numbers under ``cfg[section]``, then every flag
+    in ``keys`` that was given.  The result is empty or holds every key."""
+    values = cfg.get(section, {})
+    if not isinstance(values, dict):
+        raise DomainError(f"config: {section} must be an object")
+    merged = dict(defaults)
+    for key, value in values.items():
+        if key not in keys:
+            raise DomainError(f"config: unknown {section} key {key!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise DomainError(f"config: {section}.{key} must be a number (got {value!r})")
+        merged[key] = float(value)
+    for key in keys:
+        flag = getattr(args, key, None)
+        if flag is not None:
+            merged[key] = flag
+    if merged and len(merged) < len(keys):
+        missing = ", ".join(key for key in keys if key not in merged)
+        raise DomainError(f"{section} require {', '.join(keys)} (missing: {missing})")
+    return merged
 
 
-def _merged_spreads(cfg: dict, args: argparse.Namespace) -> Optional[FuzzySpreads]:
-    merged: dict[str, float] = {}
-    section = cfg.get("spreads", {})
-    if not isinstance(section, dict):
-        raise DomainError("config: spreads must be an object")
-    for key, value in section.items():
-        if key not in _SPREAD_KEYS:
-            raise DomainError(f"config: unknown spreads key {key!r}")
-        merged[key] = _number(value, f"spreads.{key}")
-    for key in _SPREAD_KEYS:
-        override = getattr(args, key, None)
-        if override is not None:
-            merged[key] = override
-    if not merged:
-        return None
-    missing = [key for key in _SPREAD_KEYS if key not in merged]
-    if missing:
-        raise DomainError(f"spreads require d1, d2, d3, d4 (missing: {', '.join(missing)})")
-    return FuzzySpreads(**merged)
-
-
-def _sweep_rows(cfg: dict, args: argparse.Namespace) -> Optional[tuple[FuzzySpreads, ...]]:
+def _sweep_rows(cfg: dict, args: argparse.Namespace) -> tuple[FuzzySpreads, ...]:
     section = cfg.get("sweep")
-    use_reference = getattr(args, "reference", False)
-    if use_reference and section is not None:
-        raise DomainError("config: give either --reference or a config sweep list, not both")
-    if use_reference:
+    if getattr(args, "reference", False):
+        if section is not None:
+            raise DomainError("config: give either --reference or a config sweep list, not both")
         return tuple(row.spreads for row in load_reference_table())
     if section is None:
-        return None
+        return ()
     if not isinstance(section, list):
         raise DomainError("config: sweep must be a list of objects")
     rows = []
     for i, entry in enumerate(section):
+        where = f"sweep[{i}]"
         if not isinstance(entry, dict) or set(entry) != set(_SPREAD_KEYS):
-            raise DomainError(
-                f"config: sweep[{i}] must be an object with exactly d1, d2, d3, d4"
-            )
+            raise DomainError(f"config: {where} must be an object with exactly d1, d2, d3, d4")
+        # in d1..d4 order, so a row with several bad values names the first of them
+        values = {where: {key: entry[key] for key in _SPREAD_KEYS}}
         try:
-            rows.append(
-                FuzzySpreads(**{key: _number(entry[key], f"sweep[{i}].{key}") for key in _SPREAD_KEYS})
-            )
+            rows.append(FuzzySpreads(**_merged(values, None, where, _SPREAD_KEYS, {})))
         except DomainError as exc:
-            raise DomainError(f"config: sweep[{i}]: {exc}") from exc
+            raise DomainError(f"config: {where}: {exc}") from exc
     return tuple(rows)
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = _load_config_file(args.config) if args.config else {}
-    return RunConfig(
-        params=_merged_params(cfg, args),
-        spreads=_merged_spreads(cfg, args),
-        sweep_rows=_sweep_rows(cfg, args),
-        fmt=args.format,
-        out=args.out,
-        paper_baseline=args.paper_baseline,
-        relax_bounds=args.relax_bounds,
+def _crisp(args: argparse.Namespace) -> _Result:
+    p = args.params
+    record = crisp_optimal(p)
+    cycle = cycle_quantities(record.q_star, p)
+    params, cycle_fields = _fields(p, _PARAM_KEYS), _fields(cycle, _CYCLE_KEYS)
+    return _Result(
+        json=lambda: {"params": params, "record": record.to_dict(), "cycle": cycle_fields},
+        table=lambda: (
+            [*params, "q_star", "z_star", *cycle_fields],
+            [_cells((*params.values(), record.q_star, record.z_star, *cycle_fields.values()))],
+        ),
+        lines=lambda: [
+            "crisp solve",
+            f"  params: {_pairs(p, _PARAM_KEYS)}",
+            f"  q*: {_fmt(record.q_star)}",
+            f"  cost: {_fmt(record.z_star)}",
+            f"  cycle: {_pairs(cycle, _CYCLE_KEYS)}",
+        ],
     )
 
 
-def _params_dict(p: CrispParams) -> dict[str, float]:
-    return {"phi": p.phi, "psi": p.psi, "h": p.h, "s": p.s}
-
-
-def _spreads_dict(sp: FuzzySpreads) -> dict[str, float]:
-    return {"d1": sp.d1, "d2": sp.d2, "d3": sp.d3, "d4": sp.d4}
-
-
-def _params_line(p: CrispParams) -> str:
-    return f"phi={_fmt(p.phi)} psi={_fmt(p.psi)} h={_fmt(p.h)} s={_fmt(p.s)}"
-
-
-def _spreads_line(sp: FuzzySpreads) -> str:
-    return f"d1={_fmt(sp.d1)} d2={_fmt(sp.d2)} d3={_fmt(sp.d3)} d4={_fmt(sp.d4)}"
-
-
-def _cmd_crisp(args: argparse.Namespace) -> int:
-    rc = _build_config(args)
-    record = crisp_optimal(rc.params)
-    cycle = cycle_quantities(record.q_star, rc.params)
-    if rc.fmt == "json":
-        payload = {
-            "params": _params_dict(rc.params),
-            "record": record.to_dict(),
-            "cycle": {"t": cycle.t, "t1": cycle.t1, "leaked": cycle.leaked},
-        }
-        text = json.dumps(payload, indent=2)
-    elif rc.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["phi", "psi", "h", "s", "q_star", "z_star", "t", "t1", "leaked"])
-        writer.writerow(
-            [_cell(v) for v in (
-                rc.params.phi, rc.params.psi, rc.params.h, rc.params.s,
-                record.q_star, record.z_star, cycle.t, cycle.t1, cycle.leaked,
-            )]
-        )
-        text = buf.getvalue()
-    else:
-        text = "\n".join([
-            "crisp solve",
-            f"  params: {_params_line(rc.params)}",
-            f"  q*: {_fmt(record.q_star)}",
-            f"  cost: {_fmt(record.z_star)}",
-            f"  cycle: t={_fmt(cycle.t)} t1={_fmt(cycle.t1)} leaked={_fmt(cycle.leaked)}",
-        ])
-    _emit(text, rc.out)
-    return 0
-
-
-def _cmd_fuzzy(args: argparse.Namespace) -> int:
-    rc = _build_config(args)
-    if rc.spreads is None:
+def _fuzzy(args: argparse.Namespace) -> _Result:
+    p, sp = args.params, args.spreads
+    if sp is None:
         raise DomainError("fuzzy solve requires spreads d1, d2, d3, d4 (flags or config)")
-    p, sp = rc.params, rc.spreads
-    baseline = held_baseline(p, rc.paper_baseline)
-    record = solve_against(p, sp, baseline, relax_bounds=rc.relax_bounds)
-    z_quad = zeta_quadrature(p.phi, p.psi, sp, relax_bounds=rc.relax_bounds)
-    if rc.fmt == "json":
-        payload = {
-            "params": _params_dict(p),
-            "spreads": _spreads_dict(sp),
-            "paper_baseline": rc.paper_baseline,
-            "relax_bounds": rc.relax_bounds,
+    baseline = held_baseline(p, args.paper_baseline)
+    record = solve_against(p, sp, baseline, relax_bounds=args.relax_bounds)
+    z_quad = zeta_quadrature(p.phi, p.psi, sp, relax_bounds=args.relax_bounds)
+    baseline_label = "baseline (truncated)" if args.paper_baseline else "baseline (crisp)"
+    return _Result(
+        json=lambda: {
+            "params": _fields(p, _PARAM_KEYS),
+            "spreads": _fields(sp, _SPREAD_KEYS),
+            "paper_baseline": args.paper_baseline,
+            "relax_bounds": args.relax_bounds,
             "zeta_closed_form": record.zeta,
             "zeta_quadrature": z_quad,
-            "baseline": {"q_star": baseline.q_star, "z_star": baseline.z_star},
+            "baseline": _fields(baseline, ("q_star", "z_star")),
             "record": record.to_dict(),
-        }
-        text = json.dumps(payload, indent=2)
-    elif rc.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(_SPREAD_KEYS) + ["delta", "zeta", "q_star", "z_star", "rel_q", "rel_z"])
-        writer.writerow(
-            [_cell(v) for v in (
-                sp.d1, sp.d2, sp.d3, sp.d4,
-                record.delta, record.zeta, record.q_star, record.z_star,
-                record.rel_q, record.rel_z,
-            )]
-        )
-        text = buf.getvalue()
-    else:
-        baseline_label = "baseline (truncated)" if rc.paper_baseline else "baseline (crisp)"
-        text = "\n".join([
+        },
+        table=lambda: (_SOLUTION_HEADER, [_solution_cells(sp, record)]),
+        lines=lambda: [
             "fuzzy solve",
-            f"  params: {_params_line(p)}",
-            f"  spreads: {_spreads_line(sp)}",
+            f"  params: {_pairs(p, _PARAM_KEYS)}",
+            f"  spreads: {_pairs(sp, _SPREAD_KEYS)}",
             f"  delta (signed-distance demand): {_fmt(record.delta)}",
             f"  zeta closed form: {_fmt(record.zeta)}",
             f"  zeta quadrature:  {_fmt(z_quad)}",
@@ -274,262 +228,165 @@ def _cmd_fuzzy(args: argparse.Namespace) -> int:
             f"  Z*: {_fmt(record.z_star)}",
             f"  {baseline_label}: q*={_fmt(baseline.q_star)} Z*={_fmt(baseline.z_star)}",
             f"  rel_q: {_fmt(record.rel_q)}%  rel_z: {_fmt(record.rel_z)}%",
-        ])
-    _emit(text, rc.out)
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    rc = _build_config(args)
-    if not rc.sweep_rows:
-        raise DomainError(
-            "sweep requires rows: pass --reference or a config with a non-empty sweep list"
-        )
-    spec = SweepSpec(params=rc.params, rows=rc.sweep_rows)
-    results = run_sweep(
-        spec, paper_baseline=rc.paper_baseline, relax_bounds=rc.relax_bounds
+        ],
     )
-    failed = [row for row in results if row.error is not None]
+
+
+def _sweep(args: argparse.Namespace) -> _Result:
+    if not args.rows:
+        raise DomainError("sweep requires rows: pass --reference or a config "
+                          "with a non-empty sweep list")
+    spec = SweepSpec(params=args.params, rows=args.rows)
+    results = run_sweep(spec, paper_baseline=args.paper_baseline, relax_bounds=args.relax_bounds)
+    solved = [row for row in results if row.record is not None]
+    failed = [row for row in results if row.record is None]
     for row in failed:
         print(f"row {row.index + 1}: {row.error}", file=sys.stderr)
-    if rc.fmt == "json":
-        payload = {
-            "params": _params_dict(rc.params),
-            "paper_baseline": rc.paper_baseline,
-            "relax_bounds": rc.relax_bounds,
+
+    def lines() -> Iterable[str]:
+        yield f"sweep ({_pairs(args.params, _PARAM_KEYS)})"
+        yield (f"  {'row':>4} {'d1':>8} {'d2':>8} {'d3':>6} {'d4':>6} {'delta':>10} {'zeta':>14} "
+               f"{'q*':>14} {'Z*':>14} {'rel_q%':>10} {'rel_z%':>10}")
+        for row in results:
+            rec, sp = row.record, row.spreads
+            if rec is None:
+                yield f"  {row.index + 1:>4} failed: {row.error}"
+                continue
+            yield (f"  {row.index + 1:>4} {sp.d1:>8g} {sp.d2:>8g} {sp.d3:>6g} {sp.d4:>6g} "
+                   f"{rec.delta:>10g} {rec.zeta:>14.10f} {rec.q_star:>14.6f} {rec.z_star:>14.6f} "
+                   f"{rec.rel_q:>10.4f} {rec.rel_z:>10.4f}")
+        yield f"  rows solved: {len(solved)}/{len(results)}"
+
+    return _Result(
+        json=lambda: {
+            "params": _fields(args.params, _PARAM_KEYS),
+            "paper_baseline": args.paper_baseline,
+            "relax_bounds": args.relax_bounds,
+            "rows": [{"row": row.index + 1, "spreads": _fields(row.spreads, _SPREAD_KEYS),
+                      **row.record.to_dict()} for row in solved],
+            "errors": [{"row": row.index + 1, "error": row.error} for row in failed],
+        },
+        table=lambda: (_SOLUTION_HEADER, (_solution_cells(r.spreads, r.record) for r in solved)),
+        lines=lines,
+        code=1 if failed else 0,
+    )
+
+
+def _verify_table(args: argparse.Namespace) -> _Result:
+    audit = audit_table(args.params, paper_baseline=args.paper_baseline)
+
+    def table() -> tuple[list[str], Iterable[list[str]]]:
+        rows = []
+        for row in audit.rows:
+            fields = [str(row.index + 1), *_cells(_spread_values(row.spreads))]
+            for cell in row.cells:
+                fields += _cells((cell.recomputed, cell.paper, cell.abs_dev, cell.rel_dev))
+                fields.append("" if cell.passed is None else str(cell.passed).lower())
+            rows.append([*fields, str(row.zeta_sign_contradiction).lower()])
+        return _AUDIT_HEADER, rows
+
+    def lines() -> Iterable[str]:
+        mode = ("replayed published zeta, truncated baseline" if audit.paper_baseline
+                else "recomputed pipeline, exact baseline")
+        yield from ("reference table audit", f"  params: {_pairs(audit.params, _PARAM_KEYS)}",
+                    f"  mode: {mode}", "")
+        yield (f"  {'row':>4} {'d1':>6} {'d2':>6} {'d3':>4} {'d4':>4} "
+               f"{'zeta recomputed':>16} {'zeta published':>15}  flag")
+        for row in audit.rows:
+            cell, sp = row.cell("zeta"), row.spreads
+            flag = "contradicts zeta > 0" if row.zeta_sign_contradiction else ""
+            yield (f"  {row.index + 1:>4} {sp.d1:>6g} {sp.d2:>6g} {sp.d3:>4g} {sp.d4:>4g} "
+                   f"{cell.recomputed:>16.10f} {cell.paper:>15.5f}  {flag}".rstrip())
+        yield from ("", "  column summary")
+        for column in AUDIT_COLUMNS:
+            cells = [row.cell(column) for row in audit.rows]
+            max_abs = _fmt(max(cell.abs_dev for cell in cells))
+            if cells[0].tolerance is None:
+                above = sum(cell.abs_dev > 1e-9 for cell in cells)
+                yield (f"    {column:<7} informational: max abs dev {max_abs} "
+                       f"({above}/{len(cells)} rows deviate)")
+            else:
+                kind = "rel" if cells[0].relative else "abs"
+                passed = sum(bool(cell.passed) for cell in cells)
+                yield (f"    {column:<7} hard {cells[0].tolerance:g} {kind}: "
+                       f"{passed}/{len(cells)} pass, max abs dev {max_abs}")
+        contradictions = audit.sign_contradictions
+        yield from (
+            "",
+            f"  hard checks: {'PASS' if audit.hard_pass else 'FAIL'}",
+            f"  informational deviations: {len(audit.deviations)} cells",
+            "  published zeta sign contradictions: "
+            f"{len(contradictions)} rows ({', '.join(str(i + 1) for i in contradictions)})",
+        )
+
+    return _Result(
+        json=lambda: {
+            "params": _fields(audit.params, _PARAM_KEYS),
+            "mode": "paper-baseline" if audit.paper_baseline else "recomputed",
+            "hard_pass": audit.hard_pass,
+            "deviation_count": len(audit.deviations),
+            "sign_contradiction_rows": [i + 1 for i in audit.sign_contradictions],
             "rows": [
-                {"row": row.index + 1, "spreads": _spreads_dict(row.spreads), **row.record.to_dict()}
-                for row in results
-                if row.record is not None
+                {"row": row.index + 1, "spreads": _fields(row.spreads, _SPREAD_KEYS),
+                 "zeta_sign_contradiction": row.zeta_sign_contradiction,
+                 "cells": [_fields(cell, _CELL_KEYS) for cell in row.cells]}
+                for row in audit.rows
             ],
-            "errors": [
-                {"row": row.index + 1, "error": row.error} for row in failed
-            ],
-        }
-        text = json.dumps(payload, indent=2)
-    elif rc.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(_SPREAD_KEYS) + ["delta", "zeta", "q_star", "z_star", "rel_q", "rel_z"])
-        for row in results:
-            if row.record is None:
-                continue
-            rec = row.record
-            writer.writerow(
-                [_cell(v) for v in (
-                    row.spreads.d1, row.spreads.d2, row.spreads.d3, row.spreads.d4,
-                    rec.delta, rec.zeta, rec.q_star, rec.z_star, rec.rel_q, rec.rel_z,
-                )]
-            )
-        text = buf.getvalue()
-    else:
-        lines = [
-            f"sweep ({_params_line(rc.params)})",
-            f"  {'row':>4} {'d1':>8} {'d2':>8} {'d3':>6} {'d4':>6} "
-            f"{'delta':>10} {'zeta':>14} {'q*':>14} {'Z*':>14} {'rel_q%':>10} {'rel_z%':>10}",
-        ]
-        for row in results:
-            if row.record is None:
-                lines.append(f"  {row.index + 1:>4} failed: {row.error}")
-                continue
-            rec = row.record
-            lines.append(
-                f"  {row.index + 1:>4} {row.spreads.d1:>8g} {row.spreads.d2:>8g} "
-                f"{row.spreads.d3:>6g} {row.spreads.d4:>6g} {rec.delta:>10g} "
-                f"{rec.zeta:>14.10f} {rec.q_star:>14.6f} {rec.z_star:>14.6f} "
-                f"{rec.rel_q:>10.4f} {rec.rel_z:>10.4f}"
-            )
-        lines.append(f"  rows solved: {len(results) - len(failed)}/{len(results)}")
-        text = "\n".join(lines)
-    _emit(text, rc.out)
-    return 1 if failed else 0
-
-
-def _audit_json(audit: TableAudit) -> str:
-    payload = {
-        "params": _params_dict(audit.params),
-        "mode": "paper-baseline" if audit.paper_baseline else "recomputed",
-        "hard_pass": audit.hard_pass,
-        "deviation_count": len(audit.deviations),
-        "sign_contradiction_rows": [i + 1 for i in audit.sign_contradictions],
-        "rows": [
-            {
-                "row": row.index + 1,
-                "spreads": _spreads_dict(row.spreads),
-                "zeta_sign_contradiction": row.zeta_sign_contradiction,
-                "cells": [
-                    {
-                        "column": cell.column,
-                        "recomputed": cell.recomputed,
-                        "paper": cell.paper,
-                        "abs_dev": cell.abs_dev,
-                        "rel_dev": cell.rel_dev,
-                        "tolerance": cell.tolerance,
-                        "relative": cell.relative,
-                        "passed": cell.passed,
-                    }
-                    for cell in row.cells
-                ],
-            }
-            for row in audit.rows
-        ],
-    }
-    return json.dumps(payload, indent=2)
-
-
-def _audit_csv(audit: TableAudit) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["row", "d1", "d2", "d3", "d4"]
-    for column in AUDIT_COLUMNS:
-        header += [
-            column,
-            f"paper_{column}",
-            f"{column}_abs_dev",
-            f"{column}_rel_dev",
-            f"{column}_pass",
-        ]
-    header.append("zeta_sign_contradiction")
-    writer.writerow(header)
-    for row in audit.rows:
-        sp = row.spreads
-        fields = [str(row.index + 1), _cell(sp.d1), _cell(sp.d2), _cell(sp.d3), _cell(sp.d4)]
-        for cell in row.cells:
-            fields += [
-                _cell(cell.recomputed),
-                _cell(cell.paper),
-                _cell(cell.abs_dev),
-                _cell(cell.rel_dev),
-                "" if cell.passed is None else str(cell.passed).lower(),
-            ]
-        fields.append(str(row.zeta_sign_contradiction).lower())
-        writer.writerow(fields)
-    return buf.getvalue()
-
-
-def _audit_human(audit: TableAudit) -> str:
-    mode = (
-        "replayed published zeta, truncated baseline"
-        if audit.paper_baseline
-        else "recomputed pipeline, exact baseline"
+        },
+        table=table,
+        lines=lines,
+        code=0 if audit.hard_pass and not audit.deviations else 1,
     )
-    lines = [
-        "reference table audit",
-        f"  params: {_params_line(audit.params)}",
-        f"  mode: {mode}",
-        "",
-        f"  {'row':>4} {'d1':>6} {'d2':>6} {'d3':>4} {'d4':>4} "
-        f"{'zeta recomputed':>16} {'zeta published':>15}  flag",
-    ]
-    for row in audit.rows:
-        cell = row.cell("zeta")
-        flag = "contradicts zeta > 0" if row.zeta_sign_contradiction else ""
-        lines.append(
-            f"  {row.index + 1:>4} {row.spreads.d1:>6g} {row.spreads.d2:>6g} "
-            f"{row.spreads.d3:>4g} {row.spreads.d4:>4g} "
-            f"{cell.recomputed:>16.10f} {cell.paper:>15.5f}  {flag}".rstrip()
-        )
-    lines.append("")
-    lines.append("  column summary")
-    for column in AUDIT_COLUMNS:
-        cells = [row.cell(column) for row in audit.rows]
-        max_abs = max(cell.abs_dev for cell in cells)
-        if cells[0].tolerance is None:
-            above = sum(cell.abs_dev > 1e-9 for cell in cells)
-            lines.append(
-                f"    {column:<7} informational: max abs dev {_fmt(max_abs)} "
-                f"({above}/18 rows deviate)"
-            )
-        else:
-            kind = "rel" if cells[0].relative else "abs"
-            passed = sum(bool(cell.passed) for cell in cells)
-            lines.append(
-                f"    {column:<7} hard {cells[0].tolerance:g} {kind}: "
-                f"{passed}/18 pass, max abs dev {_fmt(max_abs)}"
-            )
-    lines.append("")
-    lines.append(f"  hard checks: {'PASS' if audit.hard_pass else 'FAIL'}")
-    lines.append(f"  informational deviations: {len(audit.deviations)} cells")
-    contradictions = audit.sign_contradictions
-    lines.append(
-        "  published zeta sign contradictions: "
-        f"{len(contradictions)} rows ({', '.join(str(i + 1) for i in contradictions)})"
-    )
-    return "\n".join(lines)
 
 
-def _cmd_verify_table(args: argparse.Namespace) -> int:
-    rc = _build_config(args)
-    audit = audit_table(rc.params, paper_baseline=rc.paper_baseline)
-    if rc.fmt == "json":
-        text = _audit_json(audit)
-    elif rc.fmt == "csv":
-        text = _audit_csv(audit)
-    else:
-        text = _audit_human(audit)
-    _emit(text, rc.out)
-    return 0 if audit.hard_pass and not audit.deviations else 1
-
-
-def _add_common(sub: argparse.ArgumentParser, *, spreads: bool, sweep: bool) -> None:
-    sub.add_argument("--config", help="JSON config file (params/spreads/sweep)")
-    sub.add_argument(
-        "--format", choices=("human", "csv", "json"), default="human",
-        help="output format (default: human)",
-    )
-    sub.add_argument("--out", help="write output to this file instead of stdout")
-    sub.add_argument(
-        "--paper-baseline", action="store_true",
-        help="use the crisp optimum truncated to whole units as the baseline",
-    )
-    sub.add_argument(
-        "--relax-bounds", action="store_true",
-        help="lift the upper-spread bounds d2 < phi and d4 < psi",
-    )
-    for key in _PARAM_KEYS:
-        sub.add_argument(f"--{key}", type=float, help=f"override {key}")
-    if spreads:
-        for key in _SPREAD_KEYS:
-            sub.add_argument(f"--{key}", type=float, help=f"spread {key}")
-    if sweep:
-        sub.add_argument(
-            "--reference", action="store_true",
-            help="sweep the spread rows of the bundled reference table",
-        )
+_COMMON_FLAGS = {
+    "--config": {"help": "JSON config file (params/spreads/sweep)"},
+    "--format": {"choices": tuple(_RENDERERS), "default": "human",
+                 "help": "output format (default: human)"},
+    "--out": {"help": "write output to this file instead of stdout"},
+    "--paper-baseline": {"action": "store_true",
+                         "help": "use the crisp optimum truncated to whole units as the baseline"},
+    "--relax-bounds": {"action": "store_true",
+                       "help": "lift the upper-spread bounds d2 < phi and d4 < psi"},
+    **{f"--{key}": {"type": float, "help": f"override {key}"} for key in _PARAM_KEYS},
+}
+# name: (help, handler, flags beyond the common ones)
+_COMMANDS = {
+    "crisp": ("solve the crisp model", _crisp, {}),
+    "fuzzy": ("solve the fuzzy model for one spread set", _fuzzy,
+              {f"--{key}": {"type": float, "help": f"spread {key}"} for key in _SPREAD_KEYS}),
+    "sweep": ("solve the fuzzy model over many spread rows", _sweep,
+              {"--reference": {"action": "store_true",
+                               "help": "sweep the spread rows of the bundled reference table"}}),
+    "verify-table": ("audit the bundled reference table against recomputation", _verify_table, {}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fuzzy-eoq",
-        description="Lot sizing for leaky inventories with fuzzy demand and leakage rates.",
-    )
+    description = "Lot sizing for leaky inventories with fuzzy demand and leakage rates."
+    parser = argparse.ArgumentParser(prog="fuzzy-eoq", description=description)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    crisp = commands.add_parser("crisp", help="solve the crisp model")
-    _add_common(crisp, spreads=False, sweep=False)
-    crisp.set_defaults(handler=_cmd_crisp)
-
-    fuzzy = commands.add_parser("fuzzy", help="solve the fuzzy model for one spread set")
-    _add_common(fuzzy, spreads=True, sweep=False)
-    fuzzy.set_defaults(handler=_cmd_fuzzy)
-
-    sweep = commands.add_parser("sweep", help="solve the fuzzy model over many spread rows")
-    _add_common(sweep, spreads=False, sweep=True)
-    sweep.set_defaults(handler=_cmd_sweep)
-
-    verify = commands.add_parser(
-        "verify-table", help="audit the bundled reference table against recomputation"
-    )
-    _add_common(verify, spreads=False, sweep=False)
-    verify.set_defaults(handler=_cmd_verify_table)
-
+    for name, (help_text, handler, extra) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        for flag, options in {**_COMMON_FLAGS, **extra}.items():
+            sub.add_argument(flag, **options)
+        sub.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        cfg = _load_config(args.config) if args.config else {}
+        defaults = _fields(REFERENCE_PARAMS, _PARAM_KEYS)
+        args.params = CrispParams(**_merged(cfg, args, "params", _PARAM_KEYS, defaults))
+        spreads = _merged(cfg, args, "spreads", _SPREAD_KEYS, {})
+        args.spreads = FuzzySpreads(**spreads) if spreads else None
+        args.rows = _sweep_rows(cfg, args)
+        del cfg  # a parsed 10^4-row sweep config is megabytes; free it before solving
+        result = args.handler(args)
+        _emit(_RENDERERS[args.format](result), args.out)
+        return result.code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ from fuzzy_eoq import (
     REFERENCE_PARAMS,
     CrispParams,
     FuzzySpreads,
+    QuadratureError,
     crisp_optimal,
     fuzzy_optimal,
     zeta_quadrature,
@@ -337,3 +338,25 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+
+class TestRuntimeFailures:
+    """Failures after the inputs were accepted also exit 2 with one error line."""
+
+    def test_quadrature_failure_exits_2_without_traceback(self, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise QuadratureError("budget exhausted")
+
+        monkeypatch.setattr("fuzzy_eoq.cli.zeta_quadrature", failing)
+        code, out, err = run(capsys, ["fuzzy", *ROW1_FLAGS])
+        assert (code, out) == (2, "")
+        assert err == "error: quadrature failed: budget exhausted\n"
+
+    @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, fmt):
+        target = tmp_path / "missing" / "x.txt"
+        code, out, err = run(capsys, ["crisp", "--format", fmt, "--out", str(target)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {str(target)!r}: ")
+        assert err.count("\n") == 1
+        assert not target.parent.exists()
