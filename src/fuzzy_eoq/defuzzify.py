@@ -26,7 +26,6 @@ from typing import Callable, Optional
 
 from .errors import DomainError
 from .fuzzy import TriangularFuzzyNumber, _require_finite, signed_distance_quadrature
-from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_TOL
 
 # Below this |t|, log1p(t)/t - 1 is summed as a series: computed directly
 # it would subtract two nearly equal numbers.
@@ -138,19 +137,23 @@ def leak_fraction_cuts(
 
     The fraction is the positive interval quotient of the leakage cut by
     the combined-rate cut, so its lower endpoint divides the leakage lower
-    endpoint by the combined upper endpoint, and vice versa.
+    endpoint by the combined upper endpoint, and vice versa.  The lower one
+    is written in ``t = 1 - a``, so it never cancels and is exactly
+    ``psi / eta`` at ``a = 1``; the upper one keeps ``a``, which is exact
+    next to its pole at ``a = 0``, where ``1 - a`` would round.
     """
     _validate_rates(phi, psi, spreads, relax_bounds)
     eta = phi + psi
     d3, d4 = spreads.d3, spreads.d4
     d5, d6 = spreads.d5, spreads.d6
-    lo_num = psi - d3
+    # the largest sum either endpoint forms
+    _require_finite("phi + psi + d2 + d4", eta + d6)
     hi_num = psi + d4
-    lo_den = eta + d6
     hi_den = eta - d5
 
     def cut_lo(a: float) -> float:
-        return (lo_num + d3 * a) / (lo_den - d6 * a)
+        t = 1.0 - a
+        return (psi - d3 * t) / (eta + d6 * t)
 
     def cut_hi(a: float) -> float:
         return (hi_num - d4 * a) / (hi_den + d5 * a)
@@ -189,8 +192,6 @@ def zeta_quadrature(
     spreads: FuzzySpreads,
     *,
     relax_bounds: bool = False,
-    tol: float = DEFAULT_TOL,
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> float:
     """Mean leakage fraction by adaptive quadrature over the cut endpoints.
 
@@ -198,7 +199,7 @@ def zeta_quadrature(
     quadrature tolerance on every valid input.
     """
     cut_lo, cut_hi = leak_fraction_cuts(phi, psi, spreads, relax_bounds=relax_bounds)
-    return signed_distance_quadrature(cut_lo, cut_hi, tol=tol, max_depth=max_depth)
+    return signed_distance_quadrature(cut_lo, cut_hi)
 
 
 def zeta(

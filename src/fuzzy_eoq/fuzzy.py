@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from .errors import DomainError
-from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_TOL, adaptive_simpson
+from .quadrature import adaptive_simpson
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -223,9 +223,6 @@ class TriangularFuzzyNumber:
 def signed_distance_quadrature(
     cut_lo: Callable[[float], float],
     cut_hi: Callable[[float], float],
-    *,
-    tol: float = DEFAULT_TOL,
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> float:
     """Signed distance to zero from alpha-cut endpoint functions.
 
@@ -235,10 +232,4 @@ def signed_distance_quadrature(
     pointwise; this is the oracle route for every closed-form signed
     distance in the package.
     """
-    return adaptive_simpson(
-        lambda a: 0.5 * (cut_lo(a) + cut_hi(a)),
-        0.0,
-        1.0,
-        tol=tol,
-        max_depth=max_depth,
-    )
+    return adaptive_simpson(lambda a: 0.5 * (cut_lo(a) + cut_hi(a)), 0.0, 1.0)

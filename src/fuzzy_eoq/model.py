@@ -105,12 +105,9 @@ class SolutionRecord:
 
 
 def crisp_total_cost(q: float, p: CrispParams) -> float:
-    """Average cost per unit time of ordering crisp lots of size q."""
-    _require_finite("q", q)
-    if not q > 0.0:
-        raise DomainError(f"q > 0 violated (got {q!r})")
-    eta = p.phi + p.psi
-    return q * p.h / 2.0 + p.phi * p.s / q + p.psi * q * p.h / (2.0 * eta)
+    """Average cost per unit time of ordering crisp lots of size q: the
+    fuzzy ``lot_cost`` at delta = phi and zeta = psi / (phi + psi)."""
+    return lot_cost(q, p.s, p.h, p.phi, p.psi / (p.phi + p.psi))
 
 
 def lot_cost(q: float, s: float, h: float, delta: float, zeta_value: float) -> float:
@@ -169,7 +166,7 @@ def cycle_quantities(q: float, p: CrispParams) -> CycleQuantities:
     if not q > 0.0:
         raise DomainError(f"q > 0 violated (got {q!r})")
     eta = p.phi + p.psi
-    return CycleQuantities(t=q / p.phi, t1=q / eta, leaked=p.psi * q / eta)
+    return CycleQuantities(t=q / p.phi, t1=q / eta, leaked=q * (p.psi / eta))
 
 
 def truncated_baseline(record: SolutionRecord) -> SolutionRecord:

@@ -8,59 +8,69 @@ closed forms it validates.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from .errors import DomainError, QuadratureError
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_DEPTH = 60
+# Evaluations one integration may spend; zeta's cuts take up to ~1e5 near their pole.
+EVALUATION_BUDGET = 250_000
+_MAX_DEPTH = 60  # bisections of a panel; keeps the recursion inside Python's stack
 
 
 def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_depth: int = DEFAULT_MAX_DEPTH,
+    f: Callable[[float], float], a: float, b: float, *, tol: float = DEFAULT_TOL
 ) -> float:
-    """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``.
+    """Integrate ``f`` over ``[a, b]`` to tolerance ``tol``.
 
     Classic recursive bisection with Richardson extrapolation: a panel is
     accepted when refining it moves the Simpson estimate by at most
     ``15 * tol``, and the extrapolated value is returned.  Each half
-    inherits half the budget, so the accepted panels sum to within ``tol``
-    overall.
+    inherits half the tolerance, so the accepted panels sum to within
+    ``tol`` overall.  ``tol`` is absolute, but multiplied by
+    ``M = (b - a) |f((a + b) / 2)|`` when that is above 1, so rounding
+    noise in a large integrand cannot keep every panel refining (Gander &
+    Gautschi, BIT 40, 2000).  ``M`` uses the midpoint alone because an
+    integrable pole at an end would inflate a Simpson estimate.
 
     Raises:
-        QuadratureError: if some panel still fails its acceptance test
-            after ``max_depth`` bisections.
+        QuadratureError: if the tolerance is not reached within
+            ``EVALUATION_BUDGET`` integrand evaluations and 60 bisections.
     """
     if a == b:
         return 0.0
     if not a < b:
         raise DomainError(f"a <= b violated (got a={a!r}, b={b!r})")
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-    return _refine(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    size = (b - a) * abs(fm)
+    if 1.0 < size < math.inf:  # NaN and inf leave tol absolute
+        tol *= size
+    remaining = EVALUATION_BUDGET - 5  # the 3 points above and the first refinement's 2
 
-
-def _refine(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
-    right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
-    err = left + right - whole
-    # NaN fails this comparison and falls through to the depth check.
-    if abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    if depth <= 0:
-        raise QuadratureError(
-            f"tolerance {tol:g} not reached on [{a:g}, {b:g}]; depth budget exhausted"
+    def refine(a, b, fa, fm, fb, whole, tol, depth):
+        nonlocal remaining
+        m = 0.5 * (a + b)
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm, frm = f(lm), f(rm)
+        left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
+        right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
+        err = left + right - whole
+        # NaN fails this comparison and falls through to the limits.
+        if abs(err) <= 15.0 * tol:
+            return left + right + err / 15.0
+        if depth <= 0:
+            raise QuadratureError(
+                f"tolerance {tol:g} not reached on [{a:g}, {b:g}] after {_MAX_DEPTH} bisections")
+        remaining -= 4  # the two halves evaluate two points each
+        if remaining < 0:
+            raise QuadratureError(f"tolerance {tol:g} not reached on [{a:g}, {b:g}] within "
+                                  f"the budget of {EVALUATION_BUDGET} integrand evaluations")
+        half = 0.5 * tol
+        return refine(a, m, fa, flm, fm, left, half, depth - 1) + refine(
+            m, b, fm, frm, fb, right, half, depth - 1
         )
-    half = 0.5 * tol
-    return _refine(f, a, m, fa, flm, fm, left, half, depth - 1) + _refine(
-        f, m, b, fm, frm, fb, right, half, depth - 1
-    )
+
+    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
+    return refine(a, b, fa, fm, fb, whole, tol, _MAX_DEPTH)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import time
 
 import pytest
 
@@ -68,6 +69,12 @@ class TestCrisp:
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
         assert err == "error: phi + psi must be finite (got inf)\n"
+
+    def test_huge_rates_solve(self, capsys):
+        # the cost term psi * q * h overflowed, giving exit 2 on a valid problem
+        code, out, err = run(capsys, ["crisp", "--phi", "1e300", "--psi", "1e300"])
+        assert (code, err) == (0, "")
+        assert "cost: 5.47722557505e+151" in out
 
 
 class TestFuzzy:
@@ -150,6 +157,30 @@ class TestFuzzy:
         closed = payload["zeta_closed_form"]
         assert math.isfinite(closed)
         assert math.isclose(closed, payload["zeta_quadrature"], rel_tol=1e-12)
+
+    @pytest.mark.parametrize("d4", ["1e9", "1e10", "1e11", "1e17", "1e100"])
+    def test_huge_relaxed_upper_spread_finishes(self, capsys, d4):
+        # an absolute quadrature stop never settled on these (killed after
+        # 20 s), and at 1e100 a cut denominator cancelled to 0
+        argv = ["fuzzy", "--relax-bounds", "--d1", "1", "--d2", "1", "--d3", "1",
+                "--d4", d4, "--format", "json"]
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert math.isclose(
+            payload["zeta_quadrature"], payload["zeta_closed_form"], rel_tol=1e-12
+        )
+
+    def test_overflowing_cut_denominator_exits_2(self, capsys):
+        # phi + psi + d2 + d4 overflows; the oracle once printed 0.04545
+        # against the closed form's 0.07779
+        argv = ["fuzzy", "--phi", "1e308", "--psi", "1e307", "--h", "1", "--s", "1e-307",
+                "--d1", "1", "--d2", "1e308", "--d3", "1", "--d4", "1", "--relax-bounds"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: phi + psi + d2 + d4 must be finite (got inf)\n"
 
     def test_overflowing_lot_size_exits_2(self, capsys):
         argv = ["fuzzy", "--phi", "1e300", "--s", "1e300",

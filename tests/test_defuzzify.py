@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fuzzy_eoq.fuzzy
 from fuzzy_eoq import (
     DomainError,
     FuzzySpreads,
@@ -224,3 +225,88 @@ class TestNoCancellation:
         # the true fraction is about 0.5; with eta = inf both routes gave 0.0
         with pytest.raises(DomainError, match=r"phi \+ psi must be finite \(got inf\)"):
             route(1e308, 1e308, FuzzySpreads(1.0, 1.0, 1.0, 1.0))
+
+
+@st.composite
+def huge_upper_spread_cases(draw):
+    """Rates over nine decades, ordinary lower and demand spreads, and a
+    relaxed ``d4`` of 1 to 1e15 times ``psi``, log-uniform."""
+    phi = 10.0 ** draw(st.floats(-3.0, 6.0))
+    psi = phi * draw(st.floats(1e-3, 0.9))
+    spreads = FuzzySpreads(
+        d1=phi * draw(st.floats(0.01, 0.95)),
+        d2=phi * draw(st.floats(0.01, 0.95)),
+        d3=psi * draw(st.floats(0.01, 0.95)),
+        d4=psi * 10.0 ** draw(st.floats(0.0, 15.0)),
+    )
+    return phi, psi, spreads
+
+
+def _count_evaluations(monkeypatch):
+    """Count the integrand evaluations of every quadrature from here on."""
+    calls = []
+    plain = fuzzy_eoq.fuzzy.adaptive_simpson
+
+    def counting(f, a, b, **kwargs):
+        calls.append(0)
+
+        def g(x):
+            calls[-1] += 1
+            return f(x)
+
+        return plain(g, a, b, **kwargs)
+
+    monkeypatch.setattr(fuzzy_eoq.fuzzy, "adaptive_simpson", counting)
+    return calls
+
+
+class TestBoundedQuadrature:
+    """The oracle ends in bounded time on every valid input: its stop is
+    relative once the integral is large, and one evaluation budget covers
+    the whole integration."""
+
+    def test_reference_row_evaluation_counts(self, monkeypatch):
+        calls = _count_evaluations(monkeypatch)
+        for row in load_reference_table():
+            zeta_quadrature(600.0, 10.0, row.spreads)
+        assert calls == [65] * 6 + [129] * 10 + [137, 145]
+
+    @pytest.mark.parametrize("k", [1e-5, 1e-6, 1e-7])
+    def test_lower_spreads_at_the_pole_return_a_value(self, k):
+        # d1 and d3 a fraction k below their rates: the upper cut has a
+        # pole just left of a = 0, and about 6e4 evaluations are needed
+        # at k = 1e-7
+        sp = FuzzySpreads(600.0 * (1.0 - k), 1.0, 10.0 * (1.0 - k), 1.0)
+        assert _rel(zeta_quadrature(600.0, 10.0, sp), zeta(600.0, 10.0, sp)) <= 1e-10
+
+    @pytest.mark.parametrize("d4", [1e9, 1e10, 1e11, 1e17, 1e100])
+    def test_huge_relaxed_upper_spread_finishes(self, d4, monkeypatch):
+        calls = _count_evaluations(monkeypatch)
+        sp = FuzzySpreads(1.0, 1.0, 1.0, d4)
+        got = zeta_quadrature(600.0, 10.0, sp, relax_bounds=True)
+        assert _rel(got, zeta(600.0, 10.0, sp, relax_bounds=True)) <= 1e-12
+        assert calls[0] < 1000
+
+    @settings(max_examples=200)
+    @given(huge_upper_spread_cases())
+    def test_huge_relaxed_upper_spreads_match_within_budget(self, case):
+        phi, psi, spreads = case
+        # a QuadratureError here would be the budget or the depth running out
+        got = zeta_quadrature(phi, psi, spreads, relax_bounds=True)
+        assert _rel(got, zeta(phi, psi, spreads, relax_bounds=True)) <= 1e-12
+
+    def test_lower_cut_is_the_crisp_fraction_at_the_peak(self):
+        # (eta + d6) - d6 * a used to cancel to 0 at a = 1 once d6 swamped eta
+        sp = FuzzySpreads(1.0, 1.0, 1.0, 1e100)
+        cut_lo, cut_hi = leak_fraction_cuts(600.0, 10.0, sp, relax_bounds=True)
+        assert cut_lo(1.0) == 10.0 / 610.0
+        assert cut_lo(0.0) > 0.0 and cut_hi(0.0) > cut_hi(0.5)
+
+    @pytest.mark.parametrize("route", [zeta_quadrature, leak_fraction_cuts])
+    def test_overflowing_cut_denominator_rejected(self, route):
+        # eta + d6 overflows; integrating it gave 0.04545 against 0.07779
+        sp = FuzzySpreads(1.0, 1e308, 1.0, 1.0)
+        with pytest.raises(
+            DomainError, match=r"phi \+ psi \+ d2 \+ d4 must be finite \(got inf\)"
+        ):
+            route(1e308, 1e307, sp, relax_bounds=True)

@@ -76,6 +76,20 @@ class TestCrispCost:
         with pytest.raises(DomainError, match="q > 0"):
             crisp_total_cost(-3.0, PARAMS)
 
+    def test_is_the_fuzzy_cost_at_the_crisp_rates(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            p = random_params(rng)
+            q = rng.uniform(1.0, 500.0)
+            want = lot_cost(q, p.s, p.h, p.phi, p.psi / (p.phi + p.psi))
+            assert crisp_total_cost(q, p) == want
+
+    def test_leak_term_kept_at_huge_combined_rate(self):
+        # eta = 1.1e308: the leak term once divided by 2 * eta = inf and vanished
+        p = CrispParams(1e308, 1e307, 1.0, 1e-307)
+        want = 0.5 + 10.0 + 0.5 / 11.0
+        assert math.isclose(crisp_total_cost(1.0, p), want, rel_tol=1e-15)
+
 
 class TestCrispOptimal:
     def test_worked_example(self):
@@ -108,6 +122,15 @@ class TestCrispOptimal:
             ) / (2.0 * eps)
             # curvature 2 s phi / q^3 scales the tolerance
             assert abs(slope) < 1e-4 * p.s * p.phi / rec.q_star**2
+
+
+    def test_huge_rates_solve(self):
+        # psi * q overflowed on the way to the cost, so no baseline could be built
+        p = CrispParams(1e300, 1e300, 10.0, 100.0)
+        rec = crisp_optimal(p)
+        assert rec.q_star == math.sqrt(2.0 * 100.0 * 1e300 / (10.0 * 1.5))
+        assert math.isclose(rec.z_star, 15.0 * rec.q_star, rel_tol=1e-15)
+        assert cycle_quantities(rec.q_star, p).leaked == 0.5 * rec.q_star
 
 
 class TestCycle:

@@ -1,10 +1,22 @@
 """Tests for the adaptive Simpson integrator."""
 
 import math
+import time
 
 import pytest
 
-from fuzzy_eoq import DomainError, QuadratureError, adaptive_simpson
+from fuzzy_eoq import DomainError, QuadratureError, adaptive_simpson, quadrature
+
+
+def counted(f):
+    """``f`` wrapped to count its calls in ``.calls``."""
+
+    def g(x):
+        g.calls += 1
+        return f(x)
+
+    g.calls = 0
+    return g
 
 
 def test_exact_on_cubics():
@@ -44,12 +56,13 @@ def test_reversed_bounds_rejected():
         adaptive_simpson(math.exp, 1.0, 0.0)
 
 
-def test_depth_budget_exhaustion_raises():
+def test_evaluation_budget_exhaustion_raises(monkeypatch):
     # Around a jump the panel error shrinks no faster than the per-panel
-    # budget, so a capped depth must fail loudly instead of lying.
+    # tolerance, so a small budget must fail loudly instead of lying.
+    monkeypatch.setattr(quadrature, "EVALUATION_BUDGET", 100)
     step = lambda x: 0.0 if x < 1.0 / 3.0 else 1.0
-    with pytest.raises(QuadratureError):
-        adaptive_simpson(step, 0.0, 1.0, max_depth=20)
+    with pytest.raises(QuadratureError, match="budget of 100 integrand evaluations"):
+        adaptive_simpson(step, 0.0, 1.0)
 
 
 def test_step_function_converges_with_default_budget():
@@ -68,3 +81,32 @@ def test_nan_integrand_raises_instead_of_propagating():
 def test_loose_tolerance_is_honored():
     got = adaptive_simpson(lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, tol=1e-6)
     assert abs(got - math.pi / 4.0) < 1e-6
+
+
+def test_large_integrand_stops_relative_to_its_size():
+    # With an absolute 1e-12 stop, rounding noise in an integrand near 1e12
+    # never settles; relative to the integral's size it settles at once.
+    f = counted(lambda x: 1e12 * math.exp(x))
+    got = adaptive_simpson(f, 0.0, 1.0)
+    assert abs(got - 1e12 * (math.e - 1.0)) <= 1e-12 * got
+    assert f.calls < 1000
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: 0.0 if x < 1.0 / 3.0 else 1.0,
+    lambda x: float("nan") if 0.4 < x < 0.6 else 1.0,
+    lambda x: float("nan"),
+    lambda x: float("inf") if x == 0.25 else 1.0,
+    lambda x: math.sin(1e6 * x),
+    lambda x: 1e300 * math.sin(1e6 * x),
+    lambda x: 1.0 / math.sqrt(x) if x > 0.0 else 0.0,
+], ids=["step", "nan-patch", "nan", "inf-point", "oscillating", "huge-oscillating", "pole"])
+def test_every_integrand_ends_within_budget(f):
+    f = counted(f)
+    start = time.perf_counter()
+    try:
+        adaptive_simpson(f, 0.0, 1.0)
+    except QuadratureError:
+        pass
+    assert f.calls <= quadrature.EVALUATION_BUDGET
+    assert time.perf_counter() - start < 1.0
