@@ -12,7 +12,6 @@ spread grids, and an audit of the bundled published results table.
 from .defuzzify import (
     FuzzySpreads,
     defuzzified_rates,
-    delta_signed_demand,
     demand_fuzzy,
     leak_fraction_cuts,
     leakage_fuzzy,
@@ -34,12 +33,10 @@ from .model import (
     crisp_optimal,
     crisp_total_cost,
     cycle_quantities,
-    fuzzy_cost,
     fuzzy_optimal,
     held_baseline,
     lot_cost,
     optimal_lot_size,
-    rel_metrics,
     solve_against,
     truncated_baseline,
 )
@@ -85,9 +82,7 @@ __all__ = [
     "crisp_total_cost",
     "cycle_quantities",
     "defuzzified_rates",
-    "delta_signed_demand",
     "demand_fuzzy",
-    "fuzzy_cost",
     "fuzzy_optimal",
     "held_baseline",
     "leak_fraction_cuts",
@@ -95,7 +90,6 @@ __all__ = [
     "load_reference_table",
     "lot_cost",
     "optimal_lot_size",
-    "rel_metrics",
     "run_sweep",
     "signed_distance_quadrature",
     "solve_against",

@@ -31,6 +31,7 @@ from .model import (
 )
 from .sensitivity import (
     AUDIT_COLUMNS,
+    DEVIATION_FLOOR,
     REFERENCE_PARAMS,
     SweepSpec,
     audit_table,
@@ -54,6 +55,7 @@ _AUDIT_HEADER = [
     "zeta_sign_contradiction",
 ]
 _spread_values = attrgetter(*_SPREAD_KEYS)
+_record_values = attrgetter(*_RECORD_KEYS)
 
 
 class _Result(NamedTuple):
@@ -84,7 +86,7 @@ def _pairs(obj: object, keys: tuple[str, ...]) -> str:
 
 
 def _solution_cells(spreads: FuzzySpreads, record: SolutionRecord) -> list[str]:
-    return _cells((*_spread_values(spreads), *record.to_dict().values()))
+    return _cells((*_spread_values(spreads), *_record_values(record)))
 
 
 def _render_csv(result: _Result) -> str:
@@ -182,7 +184,8 @@ def _crisp(args: argparse.Namespace) -> _Result:
     cycle = cycle_quantities(record.q_star, p)
     params, cycle_fields = _fields(p, _PARAM_KEYS), _fields(cycle, _CYCLE_KEYS)
     return _Result(
-        json=lambda: {"params": params, "record": record.to_dict(), "cycle": cycle_fields},
+        json=lambda: {"params": params, "record": _fields(record, _RECORD_KEYS),
+                      "cycle": cycle_fields},
         table=lambda: (
             [*params, "q_star", "z_star", *cycle_fields],
             [_cells((*params.values(), record.q_star, record.z_star, *cycle_fields.values()))],
@@ -214,7 +217,7 @@ def _fuzzy(args: argparse.Namespace) -> _Result:
             "zeta_closed_form": record.zeta,
             "zeta_quadrature": z_quad,
             "baseline": _fields(baseline, ("q_star", "z_star")),
-            "record": record.to_dict(),
+            "record": _fields(record, _RECORD_KEYS),
         },
         table=lambda: (_SOLUTION_HEADER, [_solution_cells(sp, record)]),
         lines=lambda: [
@@ -263,7 +266,7 @@ def _sweep(args: argparse.Namespace) -> _Result:
             "paper_baseline": args.paper_baseline,
             "relax_bounds": args.relax_bounds,
             "rows": [{"row": row.index + 1, "spreads": _fields(row.spreads, _SPREAD_KEYS),
-                      **row.record.to_dict()} for row in solved],
+                      **_fields(row.record, _RECORD_KEYS)} for row in solved],
             "errors": [{"row": row.index + 1, "error": row.error} for row in failed],
         },
         table=lambda: (_SOLUTION_HEADER, (_solution_cells(r.spreads, r.record) for r in solved)),
@@ -302,7 +305,7 @@ def _verify_table(args: argparse.Namespace) -> _Result:
             cells = [row.cell(column) for row in audit.rows]
             max_abs = _fmt(max(cell.abs_dev for cell in cells))
             if cells[0].tolerance is None:
-                above = sum(cell.abs_dev > 1e-9 for cell in cells)
+                above = sum(cell.abs_dev > DEVIATION_FLOOR for cell in cells)
                 yield (f"    {column:<7} informational: max abs dev {max_abs} "
                        f"({above}/{len(cells)} rows deviate)")
             else:

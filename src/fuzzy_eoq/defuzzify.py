@@ -4,25 +4,25 @@ The inventory model replaces its crisp demand and leakage rates with
 triangular fuzzy numbers spread around them.  Exactly two scalars carry
 the fuzziness into the cost function:
 
-* ``delta_signed_demand``, the signed distance of the fuzzy demand rate,
-  which collapses to ``phi + (d2 - d1) / 4``;
+* ``delta``, the signed distance of the fuzzy demand rate, which
+  collapses to ``phi + (d2 - d1) / 4``;
 * ``zeta``, the signed distance of the fuzzy leakage fraction
   ``leakage / (demand + leakage)``, an exact antiderivative in logarithms
   arranged so that nothing cancels.
 
+``defuzzified_rates`` returns both for one spread row and validates the
+spreads once; the solver uses it.  ``zeta`` returns the second alone.
 ``zeta_quadrature`` integrates the quotient's alpha-cut endpoints
 adaptively instead.  It shares no code with ``zeta``: it is the
 independent oracle that tests and the CLI report check the closed form
 against, and no solve calls it.
-``defuzzified_rates`` returns both scalars for one spread row and
-validates the spreads once; the solver uses it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import DomainError
 from .fuzzy import TriangularFuzzyNumber, _require_finite, signed_distance_quadrature
@@ -64,13 +64,7 @@ class FuzzySpreads:
         """Combined upward spread of demand plus leakage."""
         return self.d2 + self.d4
 
-    def validate_against(
-        self,
-        phi: Optional[float] = None,
-        psi: Optional[float] = None,
-        *,
-        relax_bounds: bool = False,
-    ) -> None:
+    def validate_against(self, phi: float, psi: float, *, relax_bounds: bool = False) -> None:
         """Check the spread bounds against the crisp rates.
 
         The lower-spread bounds ``d1 < phi`` and ``d3 < psi`` keep every
@@ -79,16 +73,14 @@ class FuzzySpreads:
         and ``d4 < psi`` belong to the model statement but are not
         mathematically necessary; ``relax_bounds`` lifts exactly those.
         """
-        if phi is not None:
-            if not self.d1 < phi:
-                raise DomainError(f"d1 < phi violated (d1={self.d1!r}, phi={phi!r})")
-            if not relax_bounds and not self.d2 < phi:
-                raise DomainError(f"d2 < phi violated (d2={self.d2!r}, phi={phi!r})")
-        if psi is not None:
-            if not self.d3 < psi:
-                raise DomainError(f"d3 < psi violated (d3={self.d3!r}, psi={psi!r})")
-            if not relax_bounds and not self.d4 < psi:
-                raise DomainError(f"d4 < psi violated (d4={self.d4!r}, psi={psi!r})")
+        if not self.d1 < phi:
+            raise DomainError(f"d1 < phi violated (d1={self.d1!r}, phi={phi!r})")
+        if not relax_bounds and not self.d2 < phi:
+            raise DomainError(f"d2 < phi violated (d2={self.d2!r}, phi={phi!r})")
+        if not self.d3 < psi:
+            raise DomainError(f"d3 < psi violated (d3={self.d3!r}, psi={psi!r})")
+        if not relax_bounds and not self.d4 < psi:
+            raise DomainError(f"d4 < psi violated (d4={self.d4!r}, psi={psi!r})")
 
 
 def demand_fuzzy(phi: float, spreads: FuzzySpreads) -> TriangularFuzzyNumber:
@@ -111,19 +103,7 @@ def _validate_rates(
     _require_finite("phi", phi)
     _require_finite("psi", psi)
     _require_finite("phi + psi", phi + psi)
-    spreads.validate_against(phi=phi, psi=psi, relax_bounds=relax_bounds)
-
-
-def delta_signed_demand(
-    phi: float,
-    spreads: FuzzySpreads,
-    *,
-    relax_bounds: bool = False,
-) -> float:
-    """Signed distance of the fuzzy demand rate: phi + (d2 - d1) / 4."""
-    _require_finite("phi", phi)
-    spreads.validate_against(phi=phi, relax_bounds=relax_bounds)
-    return _signed_demand(phi, spreads)
+    spreads.validate_against(phi, psi, relax_bounds=relax_bounds)
 
 
 def leak_fraction_cuts(
@@ -149,7 +129,7 @@ def leak_fraction_cuts(
     # the largest sum either endpoint forms
     _require_finite("phi + psi + d2 + d4", eta + d6)
     hi_num = psi + d4
-    hi_den = eta - d5
+    hi_den = (phi - spreads.d1) + (psi - d3)  # eta - d5 without its cancellation
 
     def cut_lo(a: float) -> float:
         t = 1.0 - a
@@ -182,7 +162,14 @@ def _closed_form(phi: float, psi: float, spreads: FuzzySpreads) -> float:
     eta = phi + psi
     d5, d6 = spreads.d5, spreads.d6
     gx = _g(d6 / eta)
-    gy = _g(-d5 / eta)
+    y = d5 / eta
+    if y < 0.5:
+        gy = _g(-y)
+    else:
+        # 1 - y cancels as d1 -> phi and d3 -> psi; each residual is one
+        # rounding of exact inputs (exact there, by Sterbenz), and the
+        # bounds keep their sum positive
+        gy = math.log(((phi - spreads.d1) + (psi - spreads.d3)) / eta) / -y - 1.0
     return 0.5 * (psi / eta * (2.0 + gx + gy) + spreads.d3 / d6 * gx + spreads.d4 / d5 * gy)
 
 
@@ -229,7 +216,7 @@ def defuzzified_rates(
     *,
     relax_bounds: bool = False,
 ) -> tuple[float, float]:
-    """``delta_signed_demand`` and ``zeta`` together, validating the spreads
-    once against both rates."""
+    """``delta`` and ``zeta`` together, validating the spreads once against
+    both rates."""
     _validate_rates(phi, psi, spreads, relax_bounds)
     return _signed_demand(phi, spreads), _closed_form(phi, psi, spreads)

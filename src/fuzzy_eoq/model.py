@@ -93,16 +93,6 @@ class SolutionRecord:
         if not self.z_star > 0.0:
             raise DomainError(f"z_star > 0 violated (got {self.z_star!r})")
 
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "delta": self.delta,
-            "zeta": self.zeta,
-            "q_star": self.q_star,
-            "z_star": self.z_star,
-            "rel_q": self.rel_q,
-            "rel_z": self.rel_z,
-        }
-
 
 def crisp_total_cost(q: float, p: CrispParams) -> float:
     """Average cost per unit time of ordering crisp lots of size q: the
@@ -113,9 +103,8 @@ def crisp_total_cost(q: float, p: CrispParams) -> float:
 def lot_cost(q: float, s: float, h: float, delta: float, zeta_value: float) -> float:
     """Cost per unit time of lot size q given defuzzified inputs.
 
-    ``delta`` and ``zeta_value`` normally come from the defuzzify module
-    but may be replayed from any external source; see ``fuzzy_cost`` for
-    the spread-driven wrapper.
+    ``delta`` and ``zeta_value`` normally come from ``defuzzified_rates``
+    but may be replayed from any external source.
     """
     _require_finite("q", q)
     if not q > 0.0:
@@ -186,33 +175,9 @@ def truncated_baseline(record: SolutionRecord) -> SolutionRecord:
     )
 
 
-def rel_metrics(fuzzy: SolutionRecord, crisp: SolutionRecord) -> tuple[float, float]:
-    """Percent deviations of a fuzzy optimum from a crisp baseline."""
-    if not crisp.q_star > 0.0:
-        raise DomainError(f"crisp.q_star > 0 violated (got {crisp.q_star!r})")
-    if not crisp.z_star > 0.0:
-        raise DomainError(f"crisp.z_star > 0 violated (got {crisp.z_star!r})")
-    return (
-        percent_deviation(fuzzy.q_star, crisp.q_star),
-        percent_deviation(fuzzy.z_star, crisp.z_star),
-    )
-
-
 def percent_deviation(value: float, base: float) -> float:
     """Deviation of ``value`` from ``base`` in percent of ``base``."""
     return (value - base) / base * 100.0
-
-
-def fuzzy_cost(
-    q: float,
-    p: CrispParams,
-    spreads: FuzzySpreads,
-    *,
-    relax_bounds: bool = False,
-) -> float:
-    """Defuzzified cost per unit time of lot size q under fuzzy rates."""
-    d, z = defuzzified_rates(p.phi, p.psi, spreads, relax_bounds=relax_bounds)
-    return lot_cost(q, p.s, p.h, d, z)
 
 
 def crisp_baseline(p: CrispParams, paper_baseline: bool = False) -> SolutionRecord:

@@ -120,11 +120,6 @@ class ReferenceRow:
     def spreads(self) -> FuzzySpreads:
         return FuzzySpreads(self.d1, self.d2, self.d3, self.d4)
 
-    def value(self, column: str) -> float:
-        if column not in AUDIT_COLUMNS:
-            raise DomainError(f"unknown audit column {column!r}")
-        return getattr(self, column)
-
 
 @lru_cache(maxsize=1)
 def load_reference_table() -> tuple[ReferenceRow, ...]:

@@ -16,9 +16,10 @@ from fuzzy_eoq import (
     Interval,
     audit_table,
     crisp_optimal,
-    fuzzy_cost,
+    defuzzified_rates,
     fuzzy_optimal,
     load_reference_table,
+    lot_cost,
     optimal_lot_size,
     signed_distance_quadrature,
     truncated_baseline,
@@ -174,7 +175,7 @@ def test_criterion_6_lot_rule_optimality():
         q_star = record.q_star
         step = q_star / 999.0
         qs = [0.5 * q_star + i * step for i in range(1000)]
-        costs = [fuzzy_cost(q, p, sp) for q in qs]
+        costs = [lot_cost(q, p.s, p.h, *defuzzified_rates(p.phi, p.psi, sp)) for q in qs]
         best = qs[costs.index(min(costs))]
         steps_off = abs(best - q_star) / step
         worst_steps = max(worst_steps, steps_off)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import dataclasses
 import json
 import math
 import time
@@ -95,7 +96,7 @@ class TestFuzzy:
         assert code == 0
         payload = json.loads(out)
         rec = fuzzy_optimal(REFERENCE_PARAMS, FuzzySpreads(100, 100, 1, 1))
-        assert payload["record"] == rec.to_dict()
+        assert payload["record"] == dataclasses.asdict(rec)
         assert payload["zeta_closed_form"] == rec.zeta
         assert math.isclose(rec.zeta, payload["zeta_quadrature"], rel_tol=1e-12)
         assert "zeta_route" not in payload
@@ -353,7 +354,7 @@ class TestConfigHandling:
         code, out, _ = run(capsys, ["fuzzy", "--config", str(config), "--format", "json"])
         assert code == 0
         rec = fuzzy_optimal(REFERENCE_PARAMS, FuzzySpreads(100, 100, 1, 1))
-        assert json.loads(out)["record"] == rec.to_dict()
+        assert json.loads(out)["record"] == dataclasses.asdict(rec)
 
     def test_spread_flag_overrides_config(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"
@@ -382,6 +383,19 @@ class TestRuntimeFailures:
         code, out, err = run(capsys, ["fuzzy", *ROW1_FLAGS])
         assert (code, out) == (2, "")
         assert err == "error: quadrature failed: budget exhausted\n"
+
+    def test_lower_spreads_one_ulp_below_both_bounds(self, capsys):
+        # d1 + d3 rounds to phi + psi: the solve is finite, and the oracle
+        # printed beside it fails next to its pole with one error line
+        argv = ["fuzzy", "--phi", "1", "--psi", "1e-16", "--h", "1", "--s", "1",
+                "--d1", "0.9999999999999999", "--d2", "0.5",
+                "--d3", "9.999999999999999e-17", "--d4", "5e-17"]
+        sp = FuzzySpreads(0.9999999999999999, 0.5, 9.999999999999999e-17, 5e-17)
+        assert math.isfinite(fuzzy_optimal(CrispParams(1.0, 1e-16, 1.0, 1.0), sp).zeta)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: quadrature failed: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
     def test_unwritable_out_exits_2(self, capsys, tmp_path, fmt):

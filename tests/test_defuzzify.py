@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ import fuzzy_eoq.fuzzy
 from fuzzy_eoq import (
     DomainError,
     FuzzySpreads,
-    delta_signed_demand,
+    defuzzified_rates,
     demand_fuzzy,
     leak_fraction_cuts,
     leakage_fuzzy,
@@ -56,20 +57,20 @@ class TestSpreads:
 
     def test_bounds_against_rates(self):
         sp = FuzzySpreads(100.0, 100.0, 1.0, 1.0)
-        sp.validate_against(phi=600.0, psi=10.0)
+        sp.validate_against(600.0, 10.0)
         with pytest.raises(DomainError, match="d1 < phi"):
-            FuzzySpreads(700.0, 100.0, 1.0, 1.0).validate_against(phi=600.0)
+            FuzzySpreads(700.0, 100.0, 1.0, 1.0).validate_against(600.0, 10.0)
         with pytest.raises(DomainError, match="d3 < psi"):
-            FuzzySpreads(100.0, 100.0, 15.0, 1.0).validate_against(phi=600.0, psi=10.0)
+            FuzzySpreads(100.0, 100.0, 15.0, 1.0).validate_against(600.0, 10.0)
 
     def test_relax_bounds_lifts_only_upper_spreads(self):
         high_up = FuzzySpreads(100.0, 900.0, 1.0, 12.0)
         with pytest.raises(DomainError, match="d2 < phi"):
-            high_up.validate_against(phi=600.0, psi=10.0)
-        high_up.validate_against(phi=600.0, psi=10.0, relax_bounds=True)
+            high_up.validate_against(600.0, 10.0)
+        high_up.validate_against(600.0, 10.0, relax_bounds=True)
         low_down = FuzzySpreads(100.0, 100.0, 15.0, 1.0)
         with pytest.raises(DomainError, match="d3 < psi"):
-            low_down.validate_against(phi=600.0, psi=10.0, relax_bounds=True)
+            low_down.validate_against(600.0, 10.0, relax_bounds=True)
 
     def test_fuzzy_rate_constructors(self):
         sp = FuzzySpreads(100.0, 100.0, 1.0, 1.0)
@@ -77,19 +78,24 @@ class TestSpreads:
         assert leakage_fuzzy(10.0, sp).signed_distance() == 10.0
 
 
+def _delta(spreads):
+    """delta at the reference rates phi = 600, psi = 10."""
+    return defuzzified_rates(600.0, 10.0, spreads)[0]
+
+
 class TestDelta:
     def test_reference_blocks(self):
-        assert delta_signed_demand(600.0, FuzzySpreads(100, 100, 1, 1)) == 600.0
-        assert delta_signed_demand(600.0, FuzzySpreads(150, 200, 1, 1)) == 612.5
-        assert delta_signed_demand(600.0, FuzzySpreads(200, 300, 1, 1)) == 625.0
+        assert _delta(FuzzySpreads(100, 100, 1, 1)) == 600.0
+        assert _delta(FuzzySpreads(150, 200, 1, 1)) == 612.5
+        assert _delta(FuzzySpreads(200, 300, 1, 1)) == 625.0
 
     def test_equals_signed_distance_of_fuzzy_demand(self):
         sp = FuzzySpreads(150.0, 200.0, 1.0, 1.0)
-        assert delta_signed_demand(600.0, sp) == demand_fuzzy(600.0, sp).signed_distance()
+        assert _delta(sp) == demand_fuzzy(600.0, sp).signed_distance()
 
     def test_bound_violation_raises(self):
         with pytest.raises(DomainError, match="d1 < phi"):
-            delta_signed_demand(600.0, FuzzySpreads(700.0, 100.0, 1.0, 1.0))
+            _delta(FuzzySpreads(700.0, 100.0, 1.0, 1.0))
 
 
 class TestZetaRoutes:
@@ -225,6 +231,77 @@ class TestNoCancellation:
         # the true fraction is about 0.5; with eta = inf both routes gave 0.0
         with pytest.raises(DomainError, match=r"phi \+ psi must be finite \(got inf\)"):
             route(1e308, 1e308, FuzzySpreads(1.0, 1.0, 1.0, 1.0))
+
+
+def _zeta_decimal(phi, psi, spreads):
+    """zeta from the same antiderivative in 60-digit stdlib decimal, taken
+    from the exact binary64 inputs: a route binary64 rounding cannot reach."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        phi, psi, d1, d2, d3, d4 = map(
+            Decimal, (phi, psi, spreads.d1, spreads.d2, spreads.d3, spreads.d4)
+        )
+        eta = phi + psi
+        d5, d6 = d1 + d3, d2 + d4
+        x, y = d6 / eta, d5 / eta
+        gx = ((eta + d6) / eta).ln() / x - 1
+        gy = (((phi - d1) + (psi - d3)) / eta).ln() / -y - 1
+        return float((psi / eta * (2 + gx + gy) + d3 / d6 * gx + d4 / d5 * gy) / 2)
+
+
+@st.composite
+def near_lower_bound_cases(draw):
+    """Rates over nine decades with d1 = phi (1 - k1) and d3 = psi (1 - k3),
+    k1 and k3 log-uniform in 1e-15..1e-1, and ordinary upper spreads."""
+    phi = 10.0 ** draw(st.floats(-3.0, 6.0))
+    psi = phi * draw(st.floats(1e-3, 0.9))
+    spreads = FuzzySpreads(
+        d1=phi * (1.0 - 10.0 ** draw(st.floats(-15.0, -1.0))),
+        d2=phi * draw(st.floats(0.01, 0.95)),
+        d3=psi * (1.0 - 10.0 ** draw(st.floats(-15.0, -1.0))),
+        d4=psi * draw(st.floats(0.01, 0.95)),
+    )
+    return phi, psi, spreads
+
+
+# d1 and d3 one ulp below their rates, at ordinary, tiny, huge and
+# subnormal rates; the first is the input whose d1 + d3 rounds to phi + psi
+ONE_ULP_BELOW_BOTH_BOUNDS = [
+    (phi, psi, FuzzySpreads(
+        math.nextafter(phi, 0.0), 0.5 * phi, math.nextafter(psi, 0.0), 0.5 * psi))
+    for phi, psi in [(1.0, 1e-16), (600.0, 10.0), (1e-300, 1e-300), (1e300, 1e299),
+                     (3.5e-323, 1.5e-323)]
+]
+
+
+class TestNearLowerBounds:
+    """Lower spreads next to their bounds d1 < phi and d3 < psi, where
+    1 - (d1 + d3) / (phi + psi) cancels; the decimal route is the reference."""
+
+    def test_decimal_reference_matches_frozen_values(self):
+        sp = FuzzySpreads(100.0, 100.0, 1.0, 1.0)
+        assert _rel(_zeta_decimal(600.0, 10.0, sp), ZETA_100_100_1_1) <= 1e-15
+        sp = FuzzySpreads(150.0, 200.0, 1.0, 1.0)
+        assert _rel(_zeta_decimal(600.0, 10.0, sp), ZETA_150_200_1_1) <= 1e-15
+
+    @settings(max_examples=300)
+    @given(near_lower_bound_cases())
+    def test_matches_decimal_reference(self, case):
+        phi, psi, spreads = case
+        assert _rel(zeta(phi, psi, spreads), _zeta_decimal(phi, psi, spreads)) <= 1e-14
+
+    @pytest.mark.parametrize("phi, psi, spreads", ONE_ULP_BELOW_BOTH_BOUNDS)
+    def test_one_ulp_below_both_bounds(self, phi, psi, spreads):
+        got = zeta(phi, psi, spreads)
+        assert math.isfinite(got)
+        assert _rel(got, _zeta_decimal(phi, psi, spreads)) <= 1e-14
+
+    def test_cut_denominator_positive_one_ulp_below_both_bounds(self):
+        # d1 + d3 rounds to phi + psi here, so eta - d5 would be 0
+        phi, psi, spreads = ONE_ULP_BELOW_BOTH_BOUNDS[0]
+        assert spreads.d5 == phi + psi
+        cut_lo, cut_hi = leak_fraction_cuts(phi, psi, spreads)
+        assert math.isfinite(cut_hi(0.0)) and cut_hi(0.0) > cut_lo(0.0)
 
 
 @st.composite

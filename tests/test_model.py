@@ -13,13 +13,13 @@ from fuzzy_eoq import (
     crisp_optimal,
     crisp_total_cost,
     cycle_quantities,
-    fuzzy_cost,
+    defuzzified_rates,
     fuzzy_optimal,
     lot_cost,
     optimal_lot_size,
-    rel_metrics,
     truncated_baseline,
 )
+from fuzzy_eoq.model import percent_deviation
 
 from conftest import random_params, random_spreads
 
@@ -186,6 +186,11 @@ class TestLotFormulas:
             lot_cost(0.0, 100.0, 10.0, 600.0, 0.1)
 
 
+def fuzzy_cost(q, p, spreads):
+    """The defuzzified cost of lot size q at the spreads' delta and zeta."""
+    return lot_cost(q, p.s, p.h, *defuzzified_rates(p.phi, p.psi, spreads))
+
+
 class TestFuzzyCost:
     def test_frozen_value(self):
         got = fuzzy_cost(108.64, PARAMS, ROW1)
@@ -292,18 +297,17 @@ class TestBaselines:
 
     def test_rel_metrics_identity_is_zero(self):
         rec = crisp_optimal(PARAMS)
-        assert rel_metrics(rec, rec) == (0.0, 0.0)
+        assert percent_deviation(rec.q_star, rec.q_star) == 0.0
+        assert percent_deviation(rec.z_star, rec.z_star) == 0.0
 
     def test_rel_metrics_replayed_reference_row(self):
         # replay the first published row's zeta, compare against the
         # truncated baseline: both printed rel columns come back
         q = optimal_lot_size(100.0, 10.0, 600.0, 0.00162)
         z = lot_cost(q, 100.0, 10.0, 600.0, 0.00162)
-        fuzzy_like = SolutionRecord(
-            delta=600.0, zeta=0.00162, q_star=q, z_star=z, rel_q=0.0, rel_z=0.0
-        )
         base = truncated_baseline(crisp_optimal(PARAMS))
-        rel_q, rel_z = rel_metrics(fuzzy_like, base)
+        rel_q = percent_deviation(q, base.q_star)
+        rel_z = percent_deviation(z, base.z_star)
         assert abs(rel_q - 1.3478) < 1e-3
         assert abs(rel_z - (-0.6943)) < 1e-3
 
@@ -312,7 +316,3 @@ class TestBaselines:
             SolutionRecord(600.0, 0.1, 0.0, 10.0, 0.0, 0.0)
         with pytest.raises(DomainError, match="z_star > 0"):
             SolutionRecord(600.0, 0.1, 10.0, -1.0, 0.0, 0.0)
-
-    def test_record_round_trips_to_dict(self):
-        rec = crisp_optimal(PARAMS)
-        assert SolutionRecord(**rec.to_dict()) == rec

@@ -1,0 +1,22 @@
+"""The package root exports one name per quantity, and nothing else."""
+
+import fuzzy_eoq
+
+PUBLIC_NAMES = {
+    "AUDIT_COLUMNS", "AlphaLevel", "AuditCell", "AuditRow", "CrispParams",
+    "CycleQuantities", "DomainError", "FuzzySpreads", "Interval", "QuadratureError",
+    "REFERENCE_PARAMS", "ReferenceRow", "SolutionRecord", "SweepRow", "SweepSpec",
+    "TableAudit", "TriangularFuzzyNumber", "__version__", "adaptive_simpson",
+    "audit_table", "crisp_baseline", "crisp_optimal", "crisp_total_cost",
+    "cycle_quantities", "defuzzified_rates", "demand_fuzzy", "fuzzy_optimal",
+    "held_baseline", "leak_fraction_cuts", "leakage_fuzzy", "load_reference_table",
+    "lot_cost", "optimal_lot_size", "run_sweep", "signed_distance_quadrature",
+    "solve_against", "truncated_baseline", "zeta", "zeta_quadrature",
+}
+
+
+def test_all_is_exactly_the_public_names():
+    assert len(fuzzy_eoq.__all__) == len(PUBLIC_NAMES) == 39
+    assert set(fuzzy_eoq.__all__) == PUBLIC_NAMES
+    for name in fuzzy_eoq.__all__:
+        assert getattr(fuzzy_eoq, name) is not None

@@ -17,17 +17,16 @@ from fuzzy_eoq import (
     SweepSpec,
     audit_table,
     crisp_optimal,
-    delta_signed_demand,
+    defuzzified_rates,
     fuzzy_optimal,
     load_reference_table,
     lot_cost,
     optimal_lot_size,
-    rel_metrics,
     run_sweep,
     truncated_baseline,
-    zeta,
     zeta_quadrature,
 )
+from fuzzy_eoq.model import percent_deviation
 
 NEGATIVE_ZETA_ROWS = (2, 3, 4, 5, 6, 9, 10, 11, 12, 15, 16, 17, 18)  # 1-based
 
@@ -51,25 +50,18 @@ class TestReferenceTable:
         assert table[5].rel_q == 2.8410
         assert table[17].z_star == 1114.12
 
-    def test_column_accessor(self):
-        row = load_reference_table()[0]
-        assert row.value("q_star") == row.q_star
-        with pytest.raises(DomainError):
-            row.value("nope")
-
 
 def _reference_solve(p, spreads, paper_baseline, relax_bounds):
     """One row solved from the public pieces, in the order a lone solve
     checks them: spreads, lot rule, then the baseline."""
-    d = delta_signed_demand(p.phi, spreads, relax_bounds=relax_bounds)
-    z = zeta(p.phi, p.psi, spreads, relax_bounds=relax_bounds)
+    d, z = defuzzified_rates(p.phi, p.psi, spreads, relax_bounds=relax_bounds)
     q = optimal_lot_size(p.s, p.h, d, z)
     z_star = lot_cost(q, p.s, p.h, d, z)
     base = crisp_optimal(p)
     if paper_baseline:
         base = truncated_baseline(base)
-    partial = SolutionRecord(d, z, q, z_star, 0.0, 0.0)
-    rel_q, rel_z = rel_metrics(partial, base)
+    rel_q = percent_deviation(q, base.q_star)
+    rel_z = percent_deviation(z_star, base.z_star)
     return SolutionRecord(d, z, q, z_star, rel_q, rel_z)
 
 
