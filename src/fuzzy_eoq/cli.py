@@ -11,13 +11,11 @@ failed quadrature, or when ``--out`` cannot be written.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .defuzzify import FuzzySpreads, zeta_quadrature
 from .errors import DomainError, QuadratureError
@@ -41,6 +39,7 @@ from .sensitivity import (
 
 _PARAM_KEYS = ("phi", "psi", "h", "s")
 _SPREAD_KEYS = ("d1", "d2", "d3", "d4")
+_SPREAD_SET = frozenset(_SPREAD_KEYS)
 _RECORD_KEYS = ("delta", "zeta", "q_star", "z_star", "rel_q", "rel_z")
 _CYCLE_KEYS = ("t", "t1", "leaked")
 _CELL_KEYS = (
@@ -56,25 +55,43 @@ _AUDIT_HEADER = [
 ]
 _spread_values = attrgetter(*_SPREAD_KEYS)
 _record_values = attrgetter(*_RECORD_KEYS)
+# json writes this as "\u0000", quotes included: text that no other part of a
+# payload can hold, as json escapes every quote inside a string
+_SLOT = "\x00"
+_SWEEP_ROW = {"row": _SLOT, "spreads": dict.fromkeys(_SPREAD_KEYS, _SLOT),
+              **dict.fromkeys(_RECORD_KEYS, _SLOT)}
 
 
 class _Result(NamedTuple):
     """What one command produced: a lazy builder per output form, and the exit code.
-    Only the requested builder runs, so a large csv sweep builds no JSON dicts."""
+    Only the requested builder runs, so a large csv sweep builds no JSON payload.
+    Table cells never need csv quoting: they are float reprs, integers, names,
+    true, false or empty."""
 
     json: Callable[[], dict]
-    table: Callable[[], tuple[list[str], Iterable[list[str]]]]
+    table: Callable[[], tuple[list[str], Iterable[Iterable[str]]]]
     lines: Callable[[], Iterable[str]]
     code: int = 0
+
+
+class _Rows(NamedTuple):
+    """The objects of one shape under a JSON payload's ``rows``, written from one
+    template instead of one dict each.  ``shape`` is a sample object with
+    ``_SLOT`` at every leaf; each of ``values`` holds one row's leaves in that
+    order, all finite ints or floats, whose ``repr`` is json's own text."""
+
+    shape: dict
+    values: Sequence[tuple]
 
 
 def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _cells(values: Iterable[float]) -> list[str]:
-    # shortest digit string that round-trips binary64
-    return [repr(float(value)) for value in values]
+def _cells(values: Iterable[float]) -> Iterable[str]:
+    # shortest digit string that round-trips binary64: every value is a float,
+    # as the config and flag parsers convert numbers
+    return map(repr, values)
 
 
 def _fields(obj: object, keys: tuple[str, ...]) -> dict:
@@ -85,23 +102,36 @@ def _pairs(obj: object, keys: tuple[str, ...]) -> str:
     return " ".join(f"{key}={_fmt(getattr(obj, key))}" for key in keys)
 
 
-def _solution_cells(spreads: FuzzySpreads, record: SolutionRecord) -> list[str]:
-    return _cells((*_spread_values(spreads), *_record_values(record)))
+def _solution_values(spreads: FuzzySpreads, record: SolutionRecord) -> tuple:
+    return (*_spread_values(spreads), *_record_values(record))
 
 
 def _render_csv(result: _Result) -> str:
     header, rows = result.table()
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    lines = [",".join(header)]
+    lines += map(",".join, rows)
+    return "\n".join(lines) + "\n"
+
+
+def _render_json(result: _Result) -> str:
+    payload = result.json()
+    rows = payload.get("rows")
+    if not isinstance(rows, _Rows):
+        return json.dumps(payload, indent=2) + "\n"
+    if not rows.values:
+        return json.dumps({**payload, "rows": []}, indent=2) + "\n"
+    # json lays out two slots where the rows go: the text around and between them
+    slot = json.dumps(_SLOT)
+    head, sep, tail = json.dumps({**payload, "rows": [_SLOT, _SLOT]}, indent=2).split(slot)
+    newline = sep[sep.index("\n"):]  # with the indent of the list's items
+    row = json.dumps(rows.shape, indent=2).replace("\n", newline).replace(slot, "%r")
+    return f"{head}{sep.join([row % values for values in rows.values])}{tail}\n"
 
 
 _RENDERERS: dict[str, Callable[[_Result], str]] = {
     "human": lambda result: "\n".join(result.lines()) + "\n",
     "csv": _render_csv,
-    "json": lambda result: json.dumps(result.json(), indent=2) + "\n",
+    "json": _render_json,
 }
 
 
@@ -120,7 +150,7 @@ def _load_config(path: str) -> dict:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise DomainError(f"config: cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise DomainError(f"config: {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError(f"config: top level of {path!r} must be an object")
@@ -130,7 +160,18 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _merged(cfg: dict, args: Optional[argparse.Namespace], section: str,
+def _number(value: object, section: str, key: str) -> float:
+    """A config number as a float; ``section`` and ``key`` name it in errors."""
+    if type(value) not in (int, float):  # json gives these exact types; a bool is no number
+        raise DomainError(f"config: {section}.{key} must be a number (got {value!r})")
+    try:
+        return float(value)
+    except OverflowError:  # json reads any integer literal exactly
+        raise DomainError(f"config: {section}.{key} is out of the float range "
+                          f"(got an integer of {len(str(abs(value)))} digits)") from None
+
+
+def _merged(cfg: dict, args: argparse.Namespace, section: str,
             keys: tuple[str, ...], defaults: dict) -> dict:
     """``defaults``, then the numbers under ``cfg[section]``, then every flag
     in ``keys`` that was given.  The result is empty or holds every key."""
@@ -141,9 +182,7 @@ def _merged(cfg: dict, args: Optional[argparse.Namespace], section: str,
     for key, value in values.items():
         if key not in keys:
             raise DomainError(f"config: unknown {section} key {key!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DomainError(f"config: {section}.{key} must be a number (got {value!r})")
-        merged[key] = float(value)
+        merged[key] = _number(value, section, key)
     for key in keys:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -167,12 +206,12 @@ def _sweep_rows(cfg: dict, args: argparse.Namespace) -> tuple[FuzzySpreads, ...]
     rows = []
     for i, entry in enumerate(section):
         where = f"sweep[{i}]"
-        if not isinstance(entry, dict) or set(entry) != set(_SPREAD_KEYS):
+        if not isinstance(entry, dict) or entry.keys() != _SPREAD_SET:
             raise DomainError(f"config: {where} must be an object with exactly d1, d2, d3, d4")
         # in d1..d4 order, so a row with several bad values names the first of them
-        values = {where: {key: entry[key] for key in _SPREAD_KEYS}}
+        values = [_number(entry[key], where, key) for key in _SPREAD_KEYS]
         try:
-            rows.append(FuzzySpreads(**_merged(values, None, where, _SPREAD_KEYS, {})))
+            rows.append(FuzzySpreads(*values))
         except DomainError as exc:
             raise DomainError(f"config: {where}: {exc}") from exc
     return tuple(rows)
@@ -219,7 +258,7 @@ def _fuzzy(args: argparse.Namespace) -> _Result:
             "baseline": _fields(baseline, ("q_star", "z_star")),
             "record": _fields(record, _RECORD_KEYS),
         },
-        table=lambda: (_SOLUTION_HEADER, [_solution_cells(sp, record)]),
+        table=lambda: (_SOLUTION_HEADER, [_cells(_solution_values(sp, record))]),
         lines=lambda: [
             "fuzzy solve",
             f"  params: {_pairs(p, _PARAM_KEYS)}",
@@ -243,8 +282,7 @@ def _sweep(args: argparse.Namespace) -> _Result:
     results = run_sweep(spec, paper_baseline=args.paper_baseline, relax_bounds=args.relax_bounds)
     solved = [row for row in results if row.record is not None]
     failed = [row for row in results if row.record is None]
-    for row in failed:
-        print(f"row {row.index + 1}: {row.error}", file=sys.stderr)
+    sys.stderr.write("".join(f"row {row.index + 1}: {row.error}\n" for row in failed))
 
     def lines() -> Iterable[str]:
         yield f"sweep ({_pairs(args.params, _PARAM_KEYS)})"
@@ -265,11 +303,12 @@ def _sweep(args: argparse.Namespace) -> _Result:
             "params": _fields(args.params, _PARAM_KEYS),
             "paper_baseline": args.paper_baseline,
             "relax_bounds": args.relax_bounds,
-            "rows": [{"row": row.index + 1, "spreads": _fields(row.spreads, _SPREAD_KEYS),
-                      **_fields(row.record, _RECORD_KEYS)} for row in solved],
+            "rows": _Rows(_SWEEP_ROW, [(row.index + 1, *_solution_values(row.spreads, row.record))
+                                       for row in solved]),
             "errors": [{"row": row.index + 1, "error": row.error} for row in failed],
         },
-        table=lambda: (_SOLUTION_HEADER, (_solution_cells(r.spreads, r.record) for r in solved)),
+        table=lambda: (_SOLUTION_HEADER,
+                       (_cells(_solution_values(row.spreads, row.record)) for row in solved)),
         lines=lines,
         code=1 if failed else 0,
     )

@@ -104,6 +104,9 @@ def _validate_rates(
     _require_finite("psi", psi)
     _require_finite("phi + psi", phi + psi)
     spreads.validate_against(phi, psi, relax_bounds=relax_bounds)
+    # the largest sum the oracle's cut endpoints form, checked here so that
+    # zeta and the oracle reject the same inputs
+    _require_finite("phi + psi + d2 + d4", phi + psi + spreads.d6)
 
 
 def leak_fraction_cuts(
@@ -126,8 +129,6 @@ def leak_fraction_cuts(
     eta = phi + psi
     d3, d4 = spreads.d3, spreads.d4
     d5, d6 = spreads.d5, spreads.d6
-    # the largest sum either endpoint forms
-    _require_finite("phi + psi + d2 + d4", eta + d6)
     hi_num = psi + d4
     hi_den = (phi - spreads.d1) + (psi - d3)  # eta - d5 without its cancellation
 
@@ -158,7 +159,8 @@ def _closed_form(phi: float, psi: float, spreads: FuzzySpreads) -> float:
     # Only w g(x) > -w and (d3/d6) g(x) > -w/2 are negative, against
     # w (2 + g(-y)) >= 2w, so the bracket stays above w/2 and at most a
     # couple of bits cancel.  Nothing is squared, so tiny or huge rates do
-    # not underflow or overflow on the way.
+    # not underflow or overflow on the way; only relaxed upper spreads that
+    # dwarf tiny rates can overflow d6/eta or d4/d5, and that is rejected.
     eta = phi + psi
     d5, d6 = spreads.d5, spreads.d6
     gx = _g(d6 / eta)
@@ -170,7 +172,9 @@ def _closed_form(phi: float, psi: float, spreads: FuzzySpreads) -> float:
         # rounding of exact inputs (exact there, by Sterbenz), and the
         # bounds keep their sum positive
         gy = math.log(((phi - spreads.d1) + (psi - spreads.d3)) / eta) / -y - 1.0
-    return 0.5 * (psi / eta * (2.0 + gx + gy) + spreads.d3 / d6 * gx + spreads.d4 / d5 * gy)
+    value = 0.5 * (psi / eta * (2.0 + gx + gy) + spreads.d3 / d6 * gx + spreads.d4 / d5 * gy)
+    _require_finite("zeta", value)
+    return value
 
 
 def zeta_quadrature(

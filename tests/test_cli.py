@@ -1,31 +1,87 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
+import random
 import time
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fuzzy_eoq import (
     REFERENCE_PARAMS,
     CrispParams,
     FuzzySpreads,
     QuadratureError,
+    SweepSpec,
     crisp_optimal,
     fuzzy_optimal,
+    run_sweep,
     zeta_quadrature,
 )
 from fuzzy_eoq.cli import main
 
 ROW1_FLAGS = ["--d1", "100", "--d2", "100", "--d3", "1", "--d4", "1"]
+SPREAD_KEYS = ("d1", "d2", "d3", "d4")
+RECORD_KEYS = ("delta", "zeta", "q_star", "z_star", "rel_q", "rel_z")
 
 
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_captured(argv):
+    """``main(argv)`` with its output captured, for tests that take no capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def generic_sweep_outputs(entries, paper, relax):
+    """Exit code, JSON, CSV and stderr of a config sweep, written the generic
+    way: a dict per row through ``json.dumps(indent=2)``, and ``csv.writer``
+    over ``repr(float(value))`` cells."""
+    spreads = tuple(FuzzySpreads(*(float(e[k]) for k in SPREAD_KEYS)) for e in entries)
+    results = run_sweep(SweepSpec(REFERENCE_PARAMS, spreads), paper_baseline=paper,
+                        relax_bounds=relax)
+    solved = [r for r in results if r.record is not None]
+    failed = [r for r in results if r.record is None]
+    payload = {
+        "params": dataclasses.asdict(REFERENCE_PARAMS),
+        "paper_baseline": paper,
+        "relax_bounds": relax,
+        "rows": [{"row": r.index + 1, "spreads": dataclasses.asdict(r.spreads),
+                  **dataclasses.asdict(r.record)} for r in solved],
+        "errors": [{"row": r.index + 1, "error": r.error} for r in failed],
+    }
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([*SPREAD_KEYS, *RECORD_KEYS])
+    writer.writerows(
+        [repr(float(v)) for v in (*dataclasses.astuple(r.spreads), *dataclasses.astuple(r.record))]
+        for r in solved
+    )
+    err = "".join(f"row {r.index + 1}: {r.error}\n" for r in failed)
+    return 1 if failed else 0, json.dumps(payload, indent=2) + "\n", buf.getvalue(), err
+
+
+# spread values across the domain: ordinary, int-valued, subnormal, and huge
+# enough that the relaxed upper spreads overflow phi + psi + d2 + d4
+SPREAD_VALUES = st.one_of(
+    st.floats(1e-3, 700.0),
+    st.integers(1, 700),
+    st.sampled_from([5e-324, 2.5e-320, 2.2250738585072014e-308, 1e300, 1.7976931348623157e308]),
+)
+VALID_ROW = {"d1": 100, "d2": 100.5, "d3": 1, "d4": 1e-310}
+FAILING_ROW = {"d1": 700.0, "d2": 1, "d3": 1, "d4": 1}
 
 
 class TestCrisp:
@@ -279,6 +335,60 @@ class TestSweep:
         assert len(rows) == 18
 
 
+class TestSweepOutputBytes:
+    """The sweep writes its solved rows from one template per format; the
+    bytes equal those of the generic renderers."""
+
+    @given(
+        entries=st.lists(st.fixed_dictionaries({k: SPREAD_VALUES for k in SPREAD_KEYS}),
+                         min_size=1, max_size=8),
+        paper=st.booleans(),
+        relax=st.booleans(),
+    )
+    @example(entries=[VALID_ROW, VALID_ROW], paper=False, relax=False)  # no errors
+    @example(entries=[FAILING_ROW], paper=True, relax=True)  # "rows": []
+    def test_json_and_csv_equal_the_generic_route(self, tmp_path_factory, entries, paper, relax):
+        config = tmp_path_factory.mktemp("sweep") / "sweep.json"
+        config.write_text(json.dumps({"sweep": entries}))
+        flags = ["--paper-baseline"] * paper + ["--relax-bounds"] * relax
+        code, json_text, csv_text, err = generic_sweep_outputs(entries, paper, relax)
+        for fmt, expected in (("json", json_text), ("csv", csv_text)):
+            argv = ["sweep", "--config", str(config), *flags, "--format", fmt]
+            assert run_captured(argv) == (code, expected, err)
+
+    def test_large_config_parses_back_bit_for_bit(self, tmp_path):
+        rng = random.Random(7)
+        entries = [
+            {"d1": 600.0 * rng.uniform(1.0, 1.5) if rng.random() < 0.05
+             else 600.0 * rng.uniform(0.01, 0.95),
+             "d2": 600.0 * rng.uniform(0.01, 0.95),
+             "d3": 10.0 * rng.uniform(0.01, 0.95),
+             "d4": 10.0 * rng.uniform(0.01, 0.95)}
+            for _ in range(20_000)
+        ]
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"sweep": entries}))
+        results = run_sweep(SweepSpec(REFERENCE_PARAMS, tuple(FuzzySpreads(**e) for e in entries)))
+        solved = [r for r in results if r.record is not None]
+        failed = [r.index + 1 for r in results if r.record is None]
+        expected = [[*dataclasses.astuple(r.spreads), *dataclasses.astuple(r.record)]
+                    for r in solved]
+        assert solved and failed
+
+        code, out, err = run_captured(["sweep", "--config", str(config), "--format", "csv"])
+        assert code == 1 and len(err.splitlines()) == len(failed)
+        table = list(csv.reader(out.splitlines()))
+        assert table[0] == [*SPREAD_KEYS, *RECORD_KEYS]
+        assert [[float(cell) for cell in line] for line in table[1:]] == expected
+
+        code, out, _ = run_captured(["sweep", "--config", str(config), "--format", "json"])
+        payload = json.loads(out)
+        assert code == 1 and [e["row"] for e in payload["errors"]] == failed
+        assert [row["row"] for row in payload["rows"]] == [r.index + 1 for r in solved]
+        assert [[*row["spreads"].values(), *(row[k] for k in RECORD_KEYS)]
+                for row in payload["rows"]] == expected
+
+
 class TestVerifyTable:
     def test_default_mode_exits_1_with_deviations(self, capsys):
         code, out, _ = run(capsys, ["verify-table"])
@@ -365,6 +475,34 @@ class TestConfigHandling:
         )
         assert code == 0
         assert json.loads(out)["spreads"]["d2"] == 200.0
+
+    @pytest.mark.parametrize(
+        "command, section, where",
+        [
+            ("crisp", {"params": {"phi": 10**400}}, "params.phi"),
+            ("fuzzy", {"spreads": {"d1": 10**400, "d2": 1, "d3": 1, "d4": 1}}, "spreads.d1"),
+            ("sweep", {"sweep": [{"d1": 1, "d2": 1, "d3": 1, "d4": 1},
+                                 {"d1": -(10**400), "d2": 1, "d3": 1, "d4": 1}]},
+             "sweep[1].d1"),
+        ],
+    )
+    def test_integer_past_the_float_range_rejected(self, capsys, tmp_path, command, section, where):
+        # json reads the literal exactly; float() of it once raised OverflowError
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(section))
+        code, out, err = run(capsys, [command, "--config", str(config)])
+        assert (code, out) == (2, "")
+        assert err == (f"error: config: {where} is out of the float range "
+                       f"(got an integer of 401 digits)\n")
+
+    def test_integer_past_the_digit_limit_rejected(self, capsys, tmp_path):
+        # json refuses to convert it; the ValueError once escaped as a traceback
+        config = tmp_path / "cfg.json"
+        config.write_text('{"params": {"phi": 1' + "0" * 5000 + "}}")
+        code, out, err = run(capsys, ["crisp", "--config", str(config)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config: {str(config)!r} is not valid JSON: ")
+        assert err.count("\n") == 1
 
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

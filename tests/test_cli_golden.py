@@ -69,6 +69,7 @@ ERRORS = {
     "error-config-invalid-json": ["crisp", "--config", "configs/invalid.json"],
     "error-config-missing-file": ["crisp", "--config", "configs/missing.json"],
     "error-config-row-value": ["sweep", "--config", "configs/bad-row-value.json"],
+    "error-config-row-non-number": ["sweep", "--config", "configs/row-non-number.json"],
     "error-config-row-keys": ["sweep", "--config", "configs/bad-row-keys.json"],
     "error-config-sweep-not-list": ["sweep", "--config", "configs/sweep-not-list.json"],
 }

@@ -387,3 +387,22 @@ class TestBoundedQuadrature:
             DomainError, match=r"phi \+ psi \+ d2 \+ d4 must be finite \(got inf\)"
         ):
             route(1e308, 1e307, sp, relax_bounds=True)
+
+    @pytest.mark.parametrize(
+        "route", [zeta, defuzzified_rates, zeta_quadrature, leak_fraction_cuts]
+    )
+    def test_overflowing_upper_spreads_rejected_by_every_route(self, route):
+        # d2 + d4 overflows; zeta gave nan (g(inf) is inf/inf) with no error
+        sp = FuzzySpreads(0.5, 1e308, 0.5, 1e308)
+        with pytest.raises(
+            DomainError, match=r"phi \+ psi \+ d2 \+ d4 must be finite \(got inf\)"
+        ):
+            route(1.0, 1.0, sp, relax_bounds=True)
+
+    @pytest.mark.parametrize("route", [zeta, defuzzified_rates])
+    def test_overflowing_spread_ratio_rejected(self, route):
+        # every sum is finite, but d6/eta and d4/d5 overflow: zeta gave nan
+        lower = math.nextafter(1e-300, 0.0)
+        sp = FuzzySpreads(lower, 1.0, lower, 1e300)
+        with pytest.raises(DomainError, match=r"zeta must be finite \(got nan\)"):
+            route(1e-300, 1e-300, sp, relax_bounds=True)
