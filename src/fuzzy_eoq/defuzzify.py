@@ -12,10 +12,10 @@ the fuzziness into the cost function:
 
 ``defuzzified_rates`` returns both for one spread row and validates the
 spreads once; the solver uses it.  ``zeta`` returns the second alone.
-``zeta_quadrature`` integrates the quotient's alpha-cut endpoints
-adaptively instead.  It shares no code with ``zeta``: it is the
-independent oracle that tests and the CLI report check the closed form
-against, and no solve calls it.
+``zeta_quadrature`` integrates the alpha-cut endpoints of that quotient,
+built from ``demand_fuzzy`` and ``leakage_fuzzy``, adaptively instead.
+It shares no code with ``zeta``: it is the independent oracle that tests
+and the CLI report check the closed form against, and no solve calls it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError
-from .fuzzy import TriangularFuzzyNumber, _require_finite, signed_distance_quadrature
+from .fuzzy import (TriangularFuzzyNumber, _quotient_cuts, _require_finite,
+                    signed_distance_quadrature)
 
 # Below this |t|, log1p(t)/t - 1 is summed as a series: computed directly
 # it would subtract two nearly equal numbers.
@@ -116,30 +117,11 @@ def leak_fraction_cuts(
     *,
     relax_bounds: bool = False,
 ) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """Alpha-cut endpoint functions of the fuzzy leakage fraction.
-
-    The fraction is the positive interval quotient of the leakage cut by
-    the combined-rate cut, so its lower endpoint divides the leakage lower
-    endpoint by the combined upper endpoint, and vice versa.  The lower one
-    is written in ``t = 1 - a``, so it never cancels and is exactly
-    ``psi / eta`` at ``a = 1``; the upper one keeps ``a``, which is exact
-    next to its pole at ``a = 0``, where ``1 - a`` would round.
-    """
+    """Alpha-cut endpoint functions of the fuzzy leakage fraction
+    ``leakage / (demand + leakage)``, the quotient of the fuzzy rates."""
     _validate_rates(phi, psi, spreads, relax_bounds)
-    eta = phi + psi
-    d3, d4 = spreads.d3, spreads.d4
-    d5, d6 = spreads.d5, spreads.d6
-    hi_num = psi + d4
-    hi_den = (phi - spreads.d1) + (psi - d3)  # eta - d5 without its cancellation
-
-    def cut_lo(a: float) -> float:
-        t = 1.0 - a
-        return (psi - d3 * t) / (eta + d6 * t)
-
-    def cut_hi(a: float) -> float:
-        return (hi_num - d4 * a) / (hi_den + d5 * a)
-
-    return cut_lo, cut_hi
+    leakage = leakage_fuzzy(psi, spreads)
+    return _quotient_cuts(leakage, demand_fuzzy(phi, spreads) + leakage)
 
 
 def _g(t: float) -> float:

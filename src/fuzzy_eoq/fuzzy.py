@@ -115,10 +115,9 @@ class Interval:
 class TriangularFuzzyNumber:
     """Fuzzy quantity (beta1, beta2, beta3): support ends around a peak.
 
-    The parameters are ordinarily strictly increasing.  The fully
-    collapsed case ``beta1 == beta2 == beta3`` is also accepted and models
-    a crisp value as a fuzzy point (see ``is_degenerate``); mixed
-    equalities are rejected because neither reading applies to them.
+    Any finite ``beta1 <= beta2 <= beta3`` is accepted.  A flank may
+    collapse onto the peak, and ``beta1 == beta3`` models a crisp value as
+    a fuzzy point (see ``is_degenerate``).
     """
 
     beta1: float
@@ -126,14 +125,11 @@ class TriangularFuzzyNumber:
     beta3: float
 
     def __post_init__(self) -> None:
-        _require_finite("beta1", self.beta1)
-        _require_finite("beta2", self.beta2)
-        _require_finite("beta3", self.beta3)
-        strict = self.beta1 < self.beta2 < self.beta3
-        point = self.beta1 == self.beta2 == self.beta3
-        if not (strict or point):
+        for name in ("beta1", "beta2", "beta3"):
+            _require_finite(name, getattr(self, name))
+        if not self.beta1 <= self.beta2 <= self.beta3:
             raise DomainError(
-                "beta1 < beta2 < beta3 violated and not a fuzzy point "
+                "beta1 <= beta2 <= beta3 violated "
                 f"(got ({self.beta1!r}, {self.beta2!r}, {self.beta3!r}))"
             )
 
@@ -149,25 +145,23 @@ class TriangularFuzzyNumber:
     def membership(self, y: float) -> float:
         """Membership grade of ``y``: 0 outside the support, 1 at the
         peak, linear on each flank."""
-        if self.is_degenerate:
-            return 1.0 if y == self.beta2 else 0.0
         if y < self.beta1 or y > self.beta3:
             return 0.0
-        if y <= self.beta2:
+        if y < self.beta2:
             return (y - self.beta1) / (self.beta2 - self.beta1)
-        return (self.beta3 - y) / (self.beta3 - self.beta2)
+        if y > self.beta2:
+            return (self.beta3 - y) / (self.beta3 - self.beta2)
+        return 1.0
 
     def alpha_cut(self, level: Union[float, AlphaLevel]) -> Interval:
-        """Closed interval of values whose membership is at least ``level``."""
-        alpha = level if isinstance(level, AlphaLevel) else AlphaLevel(level)
-        a = alpha.alpha
-        lo = self.beta1 + (self.beta2 - self.beta1) * a
-        hi = self.beta3 - (self.beta3 - self.beta2) * a
-        if lo > hi:
-            # binary64 overshoot possible only as alpha -> 1, where both
-            # endpoints equal beta2 exactly.
-            lo = hi = self.beta2
-        return Interval(lo, hi)
+        """Closed interval of values whose membership is at least ``level``:
+        ``[beta1 + (beta2 - beta1) a, beta2 + (beta3 - beta2) (1 - a)]``,
+        each a parameter plus a nonnegative term, so neither cancels on
+        positive numbers.  The lower end is capped at ``beta2``, which a
+        rounded-up ``beta2 - beta1`` can pass below a negative peak."""
+        a = (level if isinstance(level, AlphaLevel) else AlphaLevel(level)).alpha
+        return Interval(min(self.beta1 + (self.beta2 - self.beta1) * a, self.beta2),
+                        self.beta2 + (self.beta3 - self.beta2) * (1.0 - a))
 
     def signed_distance(self) -> float:
         """Signed distance to the zero fuzzy point: (b1 + 2 b2 + b3) / 4.
@@ -214,6 +208,25 @@ class TriangularFuzzyNumber:
         if isinstance(k, (int, float)):
             return self.scale(k)
         return NotImplemented
+
+
+def _quotient_cuts(
+    num: TriangularFuzzyNumber, den: TriangularFuzzyNumber
+) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """Alpha-cut endpoint functions of ``num / den`` for positive operands:
+    ``alpha_cut``'s ends, the quotient's lower end taking the numerator's
+    lower over the denominator's upper and vice versa.  The coefficients
+    are composed once, so an evaluation makes no call."""
+    n1, n_rise, n2, n_fall = num.beta1, num.beta2 - num.beta1, num.beta2, num.beta3 - num.beta2
+    d1, d_rise, d2, d_fall = den.beta1, den.beta2 - den.beta1, den.beta2, den.beta3 - den.beta2
+
+    def cut_lo(a: float) -> float:
+        return (n1 + n_rise * a) / (d2 + d_fall * (1.0 - a))
+
+    def cut_hi(a: float) -> float:
+        return (n2 + n_fall * (1.0 - a)) / (d1 + d_rise * a)
+
+    return cut_lo, cut_hi
 
 
 def signed_distance_quadrature(

@@ -14,8 +14,9 @@ from typing import Callable
 from .errors import DomainError, QuadratureError
 
 DEFAULT_TOL = 1e-12
-# Evaluations one integration may spend; zeta's cuts take up to ~1e5 near their pole.
+# Evaluations one integration may spend; zeta's cuts take up to ~1.5e5 near their pole.
 EVALUATION_BUDGET = 250_000
+_ROUNDING = 64 * 2.0**-52  # 64 ulps, relative to a panel's estimate
 _MAX_DEPTH = 60  # bisections of a panel; keeps the recursion inside Python's stack
 
 
@@ -28,11 +29,14 @@ def adaptive_simpson(
     accepted when refining it moves the Simpson estimate by at most
     ``15 * tol``, and the extrapolated value is returned.  Each half
     inherits half the tolerance, so the accepted panels sum to within
-    ``tol`` overall.  ``tol`` is absolute, but multiplied by
-    ``M = (b - a) |f((a + b) / 2)|`` when that is above 1, so rounding
+    ``tol`` overall.  ``tol`` is absolute, but multiplied by ``M / 2``,
+    ``M = (b - a) |f((a + b) / 2)|``, when ``M`` is above 1, so rounding
     noise in a large integrand cannot keep every panel refining (Gander &
     Gautschi, BIT 40, 2000).  ``M`` uses the midpoint alone because an
-    integrable pole at an end would inflate a Simpson estimate.
+    integrable pole at an end would inflate a Simpson estimate; the half
+    covers a steep end that the midpoint underrates.  A panel is also
+    accepted when the change is within 64 ulps of its estimate: its
+    correction ``err / 15`` is then rounding, whatever its share of ``tol``.
 
     Raises:
         QuadratureError: if the tolerance is not reached within
@@ -45,7 +49,7 @@ def adaptive_simpson(
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     size = (b - a) * abs(fm)
     if 1.0 < size < math.inf:  # NaN and inf leave tol absolute
-        tol *= size
+        tol *= 0.5 * size
     remaining = EVALUATION_BUDGET - 5  # the 3 points above and the first refinement's 2
 
     def refine(a, b, fa, fm, fb, whole, tol, depth):
@@ -57,8 +61,8 @@ def adaptive_simpson(
         left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
         right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
         err = left + right - whole
-        # NaN fails this comparison and falls through to the limits.
-        if abs(err) <= 15.0 * tol:
+        # NaN fails these comparisons and falls through to the limits.
+        if abs(err) <= 15.0 * tol or abs(err) <= _ROUNDING * abs(left + right):
             return left + right + err / 15.0
         if depth <= 0:
             raise QuadratureError(

@@ -17,11 +17,8 @@ settings.load_profile("package")
 
 
 def random_tfn(rng: random.Random, lo: float = -500.0, hi: float = 500.0) -> TriangularFuzzyNumber:
-    """A strict triangular fuzzy number with peaks in [lo, hi].
-
-    Side gaps stay well above the rounding floor so that scaled copies
-    keep strictly ordered parameters.
-    """
+    """A triangular fuzzy number with peaks in [lo, hi] and side gaps
+    well above the rounding floor."""
     peak = rng.uniform(lo, hi)
     left = rng.uniform(1e-3, 0.25 * (hi - lo))
     right = rng.uniform(1e-3, 0.25 * (hi - lo))

@@ -196,6 +196,17 @@ class TestFuzzy:
             payload["zeta_closed_form"], payload["zeta_quadrature"], rel_tol=1e-12
         )
 
+    def test_lower_spreads_next_to_the_bounds_solve(self, capsys):
+        # d1 and d3 a fraction about 1e-9 below their rates: per-panel
+        # tolerances fell below rounding noise and the oracle exited 2
+        argv = ["fuzzy", "--d1", "599.999999", "--d2", "1", "--d3", "9.99999999", "--d4", "1"]
+        code, out, err = run(capsys, [*argv, "--format", "json"])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert math.isclose(
+            payload["zeta_quadrature"], payload["zeta_closed_form"], rel_tol=1e-12
+        )
+
     # At rates near 1e300 the crisp baseline's cost term psi * q * h
     # overflows for the default h and s, so the two large-rate inputs set
     # h = 1 and a tiny s to keep the baseline in range.

@@ -5,13 +5,14 @@ import random
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fuzzy_eoq.fuzzy
 from fuzzy_eoq import (
     DomainError,
     FuzzySpreads,
+    TriangularFuzzyNumber,
     defuzzified_rates,
     demand_fuzzy,
     leak_fraction_cuts,
@@ -76,6 +77,14 @@ class TestSpreads:
         sp = FuzzySpreads(100.0, 100.0, 1.0, 1.0)
         assert demand_fuzzy(600.0, sp).signed_distance() == 600.0
         assert leakage_fuzzy(10.0, sp).signed_distance() == 10.0
+
+    def test_spread_below_an_ulp_of_its_rate(self):
+        # psi - d3 rounds to psi: the fuzzy leakage has a collapsed lower
+        # flank, and the oracle built from it still solves the row
+        sp = FuzzySpreads(100.0, 100.0, 1e-17, 1.0)
+        assert leakage_fuzzy(10.0, sp) == TriangularFuzzyNumber(10.0, 10.0, 11.0)
+        assert zeta(600.0, 10.0, sp) == 0.01699820800965739
+        assert _rel(zeta_quadrature(600.0, 10.0, sp), zeta(600.0, 10.0, sp)) <= 1e-12
 
 
 def _delta(spreads):
@@ -356,6 +365,14 @@ class TestBoundedQuadrature:
         sp = FuzzySpreads(600.0 * (1.0 - k), 1.0, 10.0 * (1.0 - k), 1.0)
         assert _rel(zeta_quadrature(600.0, 10.0, sp), zeta(600.0, 10.0, sp)) <= 1e-10
 
+    @settings(max_examples=25)
+    @given(near_lower_bound_cases())
+    def test_lower_spreads_next_to_the_bounds_match(self, case):
+        # next to the pole at a = 0 the panels' shares of the tolerance fall
+        # below their rounding noise; those panels must still be accepted
+        phi, psi, spreads = case
+        assert _rel(zeta_quadrature(phi, psi, spreads), zeta(phi, psi, spreads)) <= 1e-12
+
     @pytest.mark.parametrize("d4", [1e9, 1e10, 1e11, 1e17, 1e100])
     def test_huge_relaxed_upper_spread_finishes(self, d4, monkeypatch):
         calls = _count_evaluations(monkeypatch)
@@ -366,6 +383,9 @@ class TestBoundedQuadrature:
 
     @settings(max_examples=200)
     @given(huge_upper_spread_cases())
+    # a relative stop of M, not M / 2, left these 1.07e-12 and 1.09e-12 off
+    @example(case=(1.0, 0.5, FuzzySpreads(0.01, 0.5, 0.005859375, 8891397050.194614)))
+    @example(case=(1.0, 0.0078125, FuzzySpreads(0.01, 0.5, 0.0009765625, 138928078.90929085)))
     def test_huge_relaxed_upper_spreads_match_within_budget(self, case):
         phi, psi, spreads = case
         # a QuadratureError here would be the budget or the depth running out

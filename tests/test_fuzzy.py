@@ -46,10 +46,21 @@ class TestConstruction:
         assert b.is_degenerate
         assert b == TriangularFuzzyNumber(3.0, 3.0, 3.0)
 
-    @pytest.mark.parametrize(
-        "triple",
-        [(2.0, 1.0, 3.0), (1.0, 3.0, 2.0), (1.0, 1.0, 2.0), (1.0, 2.0, 2.0), (3.0, 2.0, 1.0)],
-    )
+    @pytest.mark.parametrize("triple, half_cut", [
+        ((1.0, 1.0, 2.0), Interval(1.0, 1.5)),
+        ((1.0, 2.0, 2.0), Interval(1.5, 2.0)),
+    ])
+    def test_collapsed_flank_accepted(self, triple, half_cut):
+        b = TriangularFuzzyNumber(*triple)
+        assert not b.is_degenerate
+        assert b.membership(b.beta2) == 1.0
+        assert b.membership(1.5) == 0.5
+        assert b.membership(0.5) == b.membership(2.5) == 0.0
+        assert b.alpha_cut(0.0) == Interval(1.0, 2.0)
+        assert b.alpha_cut(0.5) == half_cut
+        assert b.alpha_cut(1.0) == Interval(b.beta2, b.beta2)
+
+    @pytest.mark.parametrize("triple", [(2.0, 1.0, 3.0), (1.0, 3.0, 2.0), (3.0, 2.0, 1.0)])
     def test_partial_or_reversed_ordering_rejected(self, triple):
         with pytest.raises(DomainError):
             TriangularFuzzyNumber(*triple)
@@ -91,6 +102,18 @@ class TestAlphaCut:
         assert b.alpha_cut(0.0) == Interval(500.0, 700.0)
         assert b.alpha_cut(0.5) == Interval(550.0, 650.0)
         assert b.alpha_cut(1.0) == Interval(600.0, 600.0)
+
+    def test_upper_end_does_not_cancel(self):
+        # beta3 - (beta3 - beta2) a gave 16.0 here
+        b = TriangularFuzzyNumber(0.0, 1.0, 1e17)
+        assert b.alpha_cut(1.0 - 2.0**-53).hi == 12.102230246251565
+
+    def test_lower_end_capped_at_the_peak(self):
+        # beta2 - beta1 rounds up by more than an ulp of beta2, so
+        # beta1 + (beta2 - beta1) overshoots beta2 at a = 1
+        b = TriangularFuzzyNumber(-31.344, 7.243, 8.0)
+        assert b.beta1 + (b.beta2 - b.beta1) > b.beta2
+        assert b.alpha_cut(1.0) == Interval(7.243, 7.243)
 
     def test_accepts_alpha_level_instances(self):
         b = TriangularFuzzyNumber(1.0, 2.0, 4.0)
