@@ -60,7 +60,10 @@ class TestConstruction:
         assert b.alpha_cut(0.5) == half_cut
         assert b.alpha_cut(1.0) == Interval(b.beta2, b.beta2)
 
-    @pytest.mark.parametrize("triple", [(2.0, 1.0, 3.0), (1.0, 3.0, 2.0), (3.0, 2.0, 1.0)])
+    @pytest.mark.parametrize(
+        "triple",
+        [(2.0, 1.0, 3.0), (1.0, 3.0, 2.0), (2.0, 2.0, 1.0), (2.0, 1.0, 1.0), (3.0, 2.0, 1.0)],
+    )
     def test_partial_or_reversed_ordering_rejected(self, triple):
         with pytest.raises(DomainError):
             TriangularFuzzyNumber(*triple)
