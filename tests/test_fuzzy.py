@@ -122,12 +122,18 @@ class TestAlphaCut:
         b = TriangularFuzzyNumber(1.0, 2.0, 4.0)
         assert b.alpha_cut(AlphaLevel(0.5)) == b.alpha_cut(0.5)
 
+    LEVEL_ERRORS = {
+        -0.1: r"^0 <= alpha <= 1 violated \(got -0\.1\)$",
+        1.1: r"^0 <= alpha <= 1 violated \(got 1\.1\)$",
+    }
+
     @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan])
     def test_out_of_range_level_rejected(self, bad):
         b = TriangularFuzzyNumber(1.0, 2.0, 4.0)
-        with pytest.raises(DomainError):
+        message = self.LEVEL_ERRORS.get(bad, r"^alpha must be finite \(got nan\)$")
+        with pytest.raises(DomainError, match=message):
             b.alpha_cut(bad)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=message):
             AlphaLevel(bad)
 
     @given(dyadic_tfns(), dyadic_alphas, dyadic_alphas)

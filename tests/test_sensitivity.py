@@ -16,6 +16,7 @@ from fuzzy_eoq import (
     SolutionRecord,
     SweepSpec,
     audit_table,
+    crisp_baseline,
     crisp_optimal,
     defuzzified_rates,
     fuzzy_optimal,
@@ -265,6 +266,51 @@ class TestAuditPaperBaselineMode:
         assert len(audit.deviations) == 36  # zeta and rel_z cells
         columns = {column for _, column in audit.deviations}
         assert columns == {"zeta", "rel_z"}
+
+
+class TestAuditCells:
+    """Every cell against the public pieces, at params beyond the goldens."""
+
+    # (tolerance, relative) per column, as the README states them
+    TOLERANCES = {
+        False: {
+            "delta": (1e-9, False), "zeta": (None, False), "q_star": (None, False),
+            "z_star": (None, False), "rel_q": (None, False), "rel_z": (None, False),
+        },
+        True: {
+            "delta": (1e-9, False), "zeta": (None, False), "q_star": (0.005, True),
+            "z_star": (0.005, True), "rel_q": (0.01, False), "rel_z": (None, False),
+        },
+    }
+
+    @pytest.mark.parametrize("paper_baseline", [False, True])
+    @pytest.mark.parametrize(
+        "p",
+        [REFERENCE_PARAMS, CrispParams(900.0, 30.0, 2.5, 40.0), CrispParams(1e6, 50.0, 1e-3, 1e4)],
+    )
+    def test_cells_are_the_lot_rule_against_the_baseline(self, p, paper_baseline):
+        # paper mode replays the published zeta through the lot rule
+        base = crisp_baseline(p, paper_baseline)
+        audit = audit_table(p, paper_baseline=paper_baseline)
+        assert audit.params == p and audit.paper_baseline == paper_baseline
+        for ref, row in zip(load_reference_table(), audit.rows, strict=True):
+            d, z = defuzzified_rates(p.phi, p.psi, ref.spreads)
+            zeta_value = ref.zeta if paper_baseline else z
+            q = optimal_lot_size(p.s, p.h, d, zeta_value)
+            z_star = lot_cost(q, p.s, p.h, d, zeta_value)
+            want = (
+                d, z, q, z_star,
+                percent_deviation(q, base.q_star), percent_deviation(z_star, base.z_star),
+            )
+            assert [cell.recomputed.hex() for cell in row.cells] == [v.hex() for v in want]
+            assert [cell.paper for cell in row.cells] == [
+                getattr(ref, column) for column in AUDIT_COLUMNS
+            ]
+            assert {
+                cell.column: (cell.tolerance, cell.relative) for cell in row.cells
+            } == self.TOLERANCES[paper_baseline]
+            assert row.spreads == ref.spreads
+            assert row.zeta_sign_contradiction == (ref.zeta <= 0.0)
 
 
 class TestAuditErrors:
