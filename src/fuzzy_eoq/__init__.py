@@ -20,7 +20,6 @@ from .defuzzify import (
 )
 from .errors import DomainError, QuadratureError
 from .fuzzy import (
-    AlphaLevel,
     Interval,
     TriangularFuzzyNumber,
     signed_distance_quadrature,
@@ -58,7 +57,6 @@ from .sensitivity import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaLevel",
     "AuditCell",
     "AuditRow",
     "AUDIT_COLUMNS",

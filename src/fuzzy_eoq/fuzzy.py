@@ -2,8 +2,11 @@
 
 A triangular fuzzy number collects three ordered parameters: left support
 end, peak, right support end.  Its alpha-cuts are closed intervals that
-shrink linearly from the full support at level 0 to the peak at level 1,
-and all fuzzy arithmetic here is carried out on those intervals.
+shrink linearly from the full support at level 0 to the peak at level 1.
+Addition, subtraction and ``scale`` act on the three parameters, and each
+commutes with taking cuts: the cut of a sum is the sum of the cuts.  A
+quotient is not triangular, so it is carried on the cuts alone, by the
+interval rule for positive operands.
 
 Ranking uses the signed distance to the zero fuzzy point: the mean of the
 cut midpoints over all membership levels.  For triangular shapes it
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 from .errors import DomainError
 from .quadrature import adaptive_simpson
@@ -24,18 +27,6 @@ from .quadrature import adaptive_simpson
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite (got {value!r})")
-
-
-@dataclass(frozen=True)
-class AlphaLevel:
-    """A membership threshold in [0, 1]."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        _require_finite("alpha", self.alpha)
-        if not 0.0 <= self.alpha <= 1.0:
-            raise DomainError(f"0 <= alpha <= 1 violated (got {self.alpha!r})")
 
 
 @dataclass(frozen=True)
@@ -83,22 +74,15 @@ class Interval:
             return Interval(k * self.hi, k * self.lo)
         return Interval(0.0, 0.0)
 
-    def __mul__(self, other: Union["Interval", float]) -> "Interval":
-        if isinstance(other, Interval):
-            if not (self.lo > 0.0 and other.lo > 0.0):
-                raise DomainError(
-                    "interval multiplication requires lo > 0 on both operands "
-                    f"(got lo={self.lo!r} and lo={other.lo!r})"
-                )
-            return Interval(self.lo * other.lo, self.hi * other.hi)
-        if isinstance(other, (int, float)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other: float) -> "Interval":
-        if isinstance(other, (int, float)):
-            return self.scale(other)
-        return NotImplemented
+    def __mul__(self, other: "Interval") -> "Interval":
+        if not isinstance(other, Interval):
+            return NotImplemented
+        if not (self.lo > 0.0 and other.lo > 0.0):
+            raise DomainError(
+                "interval multiplication requires lo > 0 on both operands "
+                f"(got lo={self.lo!r} and lo={other.lo!r})"
+            )
+        return Interval(self.lo * other.lo, self.hi * other.hi)
 
     def __truediv__(self, other: "Interval") -> "Interval":
         if not isinstance(other, Interval):
@@ -153,13 +137,15 @@ class TriangularFuzzyNumber:
             return (self.beta3 - y) / (self.beta3 - self.beta2)
         return 1.0
 
-    def alpha_cut(self, level: Union[float, AlphaLevel]) -> Interval:
-        """Closed interval of values whose membership is at least ``level``:
+    def alpha_cut(self, a: float) -> Interval:
+        """Closed interval of values whose membership is at least ``a`` in [0, 1]:
         ``[beta1 + (beta2 - beta1) a, beta2 + (beta3 - beta2) (1 - a)]``,
         each a parameter plus a nonnegative term, so neither cancels on
         positive numbers.  The lower end is capped at ``beta2``, which a
         rounded-up ``beta2 - beta1`` can pass below a negative peak."""
-        a = (level if isinstance(level, AlphaLevel) else AlphaLevel(level)).alpha
+        _require_finite("alpha", a)
+        if not 0.0 <= a <= 1.0:
+            raise DomainError(f"0 <= alpha <= 1 violated (got {a!r})")
         return Interval(min(self.beta1 + (self.beta2 - self.beta1) * a, self.beta2),
                         self.beta2 + (self.beta3 - self.beta2) * (1.0 - a))
 
@@ -198,16 +184,6 @@ class TriangularFuzzyNumber:
         if k < 0.0:
             return TriangularFuzzyNumber(k * self.beta3, k * self.beta2, k * self.beta1)
         return TriangularFuzzyNumber.point(0.0)
-
-    def __mul__(self, k: float) -> "TriangularFuzzyNumber":
-        if isinstance(k, (int, float)):
-            return self.scale(k)
-        return NotImplemented
-
-    def __rmul__(self, k: float) -> "TriangularFuzzyNumber":
-        if isinstance(k, (int, float)):
-            return self.scale(k)
-        return NotImplemented
 
 
 def _quotient_cuts(

@@ -205,6 +205,24 @@ def held_baseline(
         return exc
 
 
+def _lot_rule(
+    p: CrispParams,
+    delta: float,
+    zeta_value: float,
+    baseline: SolutionRecord | DomainError,
+) -> tuple[float, float, float, float]:
+    """Optimal lot size at (delta, zeta_value), its cost, and their percent
+    deviations from ``baseline``: the step every fuzzy row and both audit
+    modes take.  A held baseline error is raised after the rule's checks."""
+    q = optimal_lot_size(p.s, p.h, delta, zeta_value)
+    z_star = lot_cost(q, p.s, p.h, delta, zeta_value)
+    if isinstance(baseline, DomainError):
+        # a fresh error per row: re-raising one instance would chain tracebacks
+        raise DomainError(str(baseline)) from baseline
+    rel_q = percent_deviation(q, baseline.q_star)
+    return q, z_star, rel_q, percent_deviation(z_star, baseline.z_star)
+
+
 def solve_against(
     p: CrispParams,
     spreads: FuzzySpreads,
@@ -218,19 +236,7 @@ def solve_against(
     same params; building it once serves every spread row.
     """
     d, z = defuzzified_rates(p.phi, p.psi, spreads, relax_bounds=relax_bounds)
-    q = optimal_lot_size(p.s, p.h, d, z)
-    z_star = lot_cost(q, p.s, p.h, d, z)
-    if isinstance(baseline, DomainError):
-        # a fresh error per row: re-raising one instance would chain tracebacks
-        raise DomainError(str(baseline)) from baseline
-    return SolutionRecord(
-        delta=d,
-        zeta=z,
-        q_star=q,
-        z_star=z_star,
-        rel_q=percent_deviation(q, baseline.q_star),
-        rel_z=percent_deviation(z_star, baseline.z_star),
-    )
+    return SolutionRecord(d, z, *_lot_rule(p, d, z, baseline))
 
 
 def fuzzy_optimal(

@@ -37,11 +37,9 @@ from .errors import DomainError
 from .model import (
     CrispParams,
     SolutionRecord,
+    _lot_rule,
     crisp_baseline,
     held_baseline,
-    lot_cost,
-    optimal_lot_size,
-    percent_deviation,
     solve_against,
 )
 
@@ -52,9 +50,14 @@ AUDIT_COLUMNS = ("delta", "zeta", "q_star", "z_star", "rel_q", "rel_z")
 # Informational cells count as deviations above this floor.
 DEVIATION_FLOOR = 1e-9
 
-_DELTA_TOL = 1e-9
-_REPLAY_REL_TOL = 0.005
-_REL_Q_TOL = 0.01
+# Per audit mode: the zeta the lot rule runs at, from the published row and
+# the recomputed zeta; then, per AUDIT_COLUMNS entry, the cell's tolerance
+# (None: informational) and whether it bounds the relative deviation.
+_AUDIT_MODES = {
+    False: (lambda ref, z: z, (1e-9, None, None, None, None, None), (False,) * 6),
+    True: (lambda ref, z: ref.zeta, (1e-9, None, 0.005, 0.005, 0.01, None),
+           (False, False, True, True, False, False)),
+}
 
 
 @dataclass(frozen=True)
@@ -225,47 +228,20 @@ def audit_table(
 
     The defuzzified-demand column must reproduce to 1e-9 in every mode.
     With ``paper_baseline`` the published zeta values are replayed through
-    the lot-size and cost formulas and those columns, plus the relative
-    lot-size column against the truncated baseline, become hard checks.
-    The zeta column itself is always informational: it does not reproduce
-    from the spreads, and each non-positive published value is flagged as
-    a sign contradiction (the recomputed fraction is strictly positive).
+    the lot rule, and its lot size, cost and relative lot size against the
+    truncated baseline become hard checks.  The zeta column itself is always
+    informational, and each non-positive published value is flagged as a
+    sign contradiction (the recomputed fraction is strictly positive).
     """
     p = REFERENCE_PARAMS if params is None else params
     baseline = crisp_baseline(p, paper_baseline)
+    lot_zeta, tolerances, relative = _AUDIT_MODES[paper_baseline]
     audit_rows = []
     for i, ref in enumerate(load_reference_table()):
         spreads = ref.spreads
-        if paper_baseline:
-            d, z = defuzzified_rates(p.phi, p.psi, spreads)
-            q = optimal_lot_size(p.s, p.h, d, ref.zeta)
-            z_star = lot_cost(q, p.s, p.h, d, ref.zeta)
-            rel_q = percent_deviation(q, baseline.q_star)
-            rel_z = percent_deviation(z_star, baseline.z_star)
-            cells = (
-                AuditCell("delta", d, ref.delta, _DELTA_TOL, False),
-                AuditCell("zeta", z, ref.zeta, None, False),
-                AuditCell("q_star", q, ref.q_star, _REPLAY_REL_TOL, True),
-                AuditCell("z_star", z_star, ref.z_star, _REPLAY_REL_TOL, True),
-                AuditCell("rel_q", rel_q, ref.rel_q, _REL_Q_TOL, False),
-                AuditCell("rel_z", rel_z, ref.rel_z, None, False),
-            )
-        else:
-            rec = solve_against(p, spreads, baseline)
-            cells = (
-                AuditCell("delta", rec.delta, ref.delta, _DELTA_TOL, False),
-                AuditCell("zeta", rec.zeta, ref.zeta, None, False),
-                AuditCell("q_star", rec.q_star, ref.q_star, None, False),
-                AuditCell("z_star", rec.z_star, ref.z_star, None, False),
-                AuditCell("rel_q", rec.rel_q, ref.rel_q, None, False),
-                AuditCell("rel_z", rec.rel_z, ref.rel_z, None, False),
-            )
-        audit_rows.append(
-            AuditRow(
-                index=i,
-                spreads=spreads,
-                cells=cells,
-                zeta_sign_contradiction=ref.zeta <= 0.0,
-            )
-        )
+        d, z = defuzzified_rates(p.phi, p.psi, spreads)
+        recomputed = (d, z, *_lot_rule(p, d, lot_zeta(ref, z), baseline))
+        published = (ref.delta, ref.zeta, ref.q_star, ref.z_star, ref.rel_q, ref.rel_z)
+        cells = tuple(map(AuditCell, AUDIT_COLUMNS, recomputed, published, tolerances, relative))
+        audit_rows.append(AuditRow(i, spreads, cells, zeta_sign_contradiction=ref.zeta <= 0.0))
     return TableAudit(params=p, paper_baseline=paper_baseline, rows=tuple(audit_rows))

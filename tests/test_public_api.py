@@ -3,7 +3,7 @@
 import fuzzy_eoq
 
 PUBLIC_NAMES = {
-    "AUDIT_COLUMNS", "AlphaLevel", "AuditCell", "AuditRow", "CrispParams",
+    "AUDIT_COLUMNS", "AuditCell", "AuditRow", "CrispParams",
     "CycleQuantities", "DomainError", "FuzzySpreads", "Interval", "QuadratureError",
     "REFERENCE_PARAMS", "ReferenceRow", "SolutionRecord", "SweepRow", "SweepSpec",
     "TableAudit", "TriangularFuzzyNumber", "__version__", "adaptive_simpson",
@@ -16,7 +16,7 @@ PUBLIC_NAMES = {
 
 
 def test_all_is_exactly_the_public_names():
-    assert len(fuzzy_eoq.__all__) == len(PUBLIC_NAMES) == 39
+    assert len(fuzzy_eoq.__all__) == len(PUBLIC_NAMES) == 38
     assert set(fuzzy_eoq.__all__) == PUBLIC_NAMES
     for name in fuzzy_eoq.__all__:
         assert getattr(fuzzy_eoq, name) is not None
