@@ -206,10 +206,7 @@ def held_baseline(
 
 
 def _lot_rule(
-    p: CrispParams,
-    delta: float,
-    zeta_value: float,
-    baseline: SolutionRecord | DomainError,
+    p: CrispParams, delta: float, zeta_value: float, baseline: SolutionRecord | DomainError
 ) -> tuple[float, float, float, float]:
     """Optimal lot size at (delta, zeta_value), its cost, and their percent
     deviations from ``baseline``: the step every fuzzy row and both audit

@@ -230,8 +230,9 @@ def audit_table(
     With ``paper_baseline`` the published zeta values are replayed through
     the lot rule, and its lot size, cost and relative lot size against the
     truncated baseline become hard checks.  The zeta column itself is always
-    informational, and each non-positive published value is flagged as a
-    sign contradiction (the recomputed fraction is strictly positive).
+    informational: it does not reproduce from the spreads, and each
+    non-positive published value is flagged as a sign contradiction (the
+    recomputed fraction is strictly positive).
     """
     p = REFERENCE_PARAMS if params is None else params
     baseline = crisp_baseline(p, paper_baseline)
