@@ -4,7 +4,11 @@ Every case runs ``main(argv)`` in-process from ``tests/golden`` (so the
 config paths under ``configs/`` appear in messages as written here) and
 checks stdout, stderr and the exit code against the committed files:
 ``golden/<case>.out`` holds stdout, ``golden/status.json`` the exit code
-and stderr of every case.
+and stderr of the first cases, and ``golden/status-added.json`` those of
+the cases added since, so that a new case leaves every existing file
+byte-identical.  argparse ends ``--help`` and a bad command line with
+``SystemExit``; its code is recorded as the exit code, and ``COLUMNS`` is
+fixed so the usage and help text wrap the same on every terminal.
 
 An output change is intended only with a named correctness fix.  After
 such a fix, ``python tests/test_cli_golden.py`` rewrites the files from
@@ -24,6 +28,8 @@ from fuzzy_eoq.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 STATUS = GOLDEN / "status.json"
+ADDED_STATUS = GOLDEN / "status-added.json"
+COLUMNS = "80"
 
 ROW1 = ["--d1", "100", "--d2", "100", "--d3", "1", "--d4", "1"]
 
@@ -74,6 +80,19 @@ ERRORS = {
     "error-config-sweep-not-list": ["sweep", "--config", "configs/sweep-not-list.json"],
 }
 
+# outcomes argparse decides before any solve: help exits 0, the rest 2
+ARGPARSE = {
+    "argparse-help": ["--help"],
+    "argparse-crisp-help": ["crisp", "--help"],
+    "argparse-no-command": [],
+    "argparse-crisp-bogus": ["crisp", "--bogus"],
+    "argparse-crisp-format-xml": ["crisp", "--format", "xml"],
+    "argparse-fuzzy-d1-abc": ["fuzzy", "--d1", "abc"],
+}
+
+# the cases whose status is in ADDED_STATUS
+ADDED = {**ARGPARSE}
+
 
 def _cases() -> dict[str, list[str]]:
     cases = {
@@ -83,6 +102,7 @@ def _cases() -> dict[str, list[str]]:
         for flags in FLAGS
     }
     cases.update(ERRORS)
+    cases.update(ADDED)
     return cases
 
 
@@ -92,13 +112,16 @@ CASES = _cases()
 def _run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="module")
 def status() -> dict:
-    return json.loads(STATUS.read_text())
+    return {**json.loads(STATUS.read_text()), **json.loads(ADDED_STATUS.read_text())}
 
 
 def test_every_case_has_a_golden_file(status):
@@ -109,6 +132,7 @@ def test_every_case_has_a_golden_file(status):
 @pytest.mark.parametrize("name", list(CASES))
 def test_output_matches_golden(name, status, monkeypatch):
     monkeypatch.chdir(GOLDEN)
+    monkeypatch.setenv("COLUMNS", COLUMNS)
     code, out, err = _run(CASES[name])
     assert out == (GOLDEN / f"{name}.out").read_text()
     assert err == status[name]["stderr"]
@@ -119,6 +143,7 @@ def _regenerate() -> None:
     import os
 
     os.chdir(GOLDEN)
+    os.environ["COLUMNS"] = COLUMNS
     for stale in GOLDEN.glob("*.out"):
         stale.unlink()
     status = {}
@@ -126,7 +151,9 @@ def _regenerate() -> None:
         code, out, err = _run(argv)
         (GOLDEN / f"{name}.out").write_text(out)
         status[name] = {"code": code, "stderr": err}
-    STATUS.write_text(json.dumps(status, indent=1, sort_keys=True) + "\n")
+    for path, names in ((STATUS, status.keys() - ADDED), (ADDED_STATUS, ADDED)):
+        part = {name: status[name] for name in names}
+        path.write_text(json.dumps(part, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
