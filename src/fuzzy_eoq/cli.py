@@ -1,7 +1,9 @@
 """Command-line front end: crisp solves, fuzzy solves, sweeps, table audit.
 
 ``main`` merges the config file and the flags once; each command returns one
-``_Result``, and one renderer per output format turns it into text.
+``_Result``, and one renderer per output format turns it into text.  The
+argument parser is built on the first call and reused by every later one, so
+``main(argv)`` may be called many times in one process.
 
 Exit codes: 0 on success, 1 when a sweep had failing rows or the table
 audit found deviations, 2 on invalid parameters, spreads, or config, on a
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -404,7 +407,9 @@ _COMMANDS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # parse_args keeps nothing in the parser between calls, so one serves them all
     description = "Lot sizing for leaky inventories with fuzzy demand and leakage rates."
     parser = argparse.ArgumentParser(prog="fuzzy-eoq", description=description)
     commands = parser.add_subparsers(dest="command", required=True)

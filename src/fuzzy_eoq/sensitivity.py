@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Optional
 
@@ -106,7 +106,8 @@ def run_sweep(
 
 @dataclass(frozen=True)
 class ReferenceRow:
-    """One published table row, exactly as printed."""
+    """One published table row, exactly as printed.  Its ``spreads`` are built
+    on first use and kept, so the cached table serves every audit and sweep."""
 
     d1: float
     d2: float
@@ -119,7 +120,7 @@ class ReferenceRow:
     rel_q: float
     rel_z: float
 
-    @property
+    @cached_property
     def spreads(self) -> FuzzySpreads:
         return FuzzySpreads(self.d1, self.d2, self.d3, self.d4)
 

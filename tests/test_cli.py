@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -24,7 +25,7 @@ from fuzzy_eoq import (
     run_sweep,
     zeta_quadrature,
 )
-from fuzzy_eoq.cli import main
+from fuzzy_eoq.cli import _build_parser, main
 
 ROW1_FLAGS = ["--d1", "100", "--d2", "100", "--d3", "1", "--d4", "1"]
 SPREAD_KEYS = ("d1", "d2", "d3", "d4")
@@ -554,3 +555,42 @@ class TestRuntimeFailures:
         assert err.startswith(f"error: cannot write {str(target)!r}: ")
         assert err.count("\n") == 1
         assert not target.parent.exists()
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and carries nothing from
+    one call into the next."""
+
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        _build_parser.cache_clear()
+        try:
+            assert run(capsys, ["crisp"])[0] == 0
+            # the top-level parser and one per subcommand
+            assert built == ["fuzzy-eoq", *(f"fuzzy-eoq {name}" for name in
+                                            ("crisp", "fuzzy", "sweep", "verify-table"))]
+            built.clear()
+            assert run(capsys, ["fuzzy", *ROW1_FLAGS, "--format", "json"])[0] == 0
+            assert run(capsys, ["verify-table", "--paper-baseline"])[0] == 1
+            assert built == []
+        finally:
+            _build_parser.cache_clear()
+
+    def test_spreads_do_not_carry_over(self, capsys):
+        assert run(capsys, ["fuzzy", *ROW1_FLAGS])[0] == 0
+        code, out, err = run(capsys, ["fuzzy"])
+        assert (code, out) == (2, "")
+        assert err == ("error: fuzzy solve requires spreads d1, d2, d3, d4 "
+                       "(flags or config)\n")
+
+    def test_flags_do_not_carry_over(self, capsys):
+        first = run(capsys, ["crisp", "--format", "json"])
+        run(capsys, ["crisp", "--s", "200", "--paper-baseline", "--format", "csv"])
+        assert run(capsys, ["crisp", "--format", "json"]) == first

@@ -1,5 +1,6 @@
 """Tests for the sweep runner and the reference-table audit."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -13,6 +14,7 @@ from fuzzy_eoq import (
     CrispParams,
     DomainError,
     FuzzySpreads,
+    ReferenceRow,
     SolutionRecord,
     SweepSpec,
     audit_table,
@@ -50,6 +52,29 @@ class TestReferenceTable:
         assert table[0].q_star == 109.456
         assert table[5].rel_q == 2.8410
         assert table[17].z_star == 1114.12
+
+    def test_spreads_built_once_per_row(self):
+        for row in load_reference_table():
+            spreads = row.spreads
+            assert spreads == FuzzySpreads(row.d1, row.d2, row.d3, row.d4)
+            assert row.spreads is spreads
+            assert load_reference_table()[0].spreads is load_reference_table()[0].spreads
+
+    def test_rows_are_still_plain_values(self):
+        fields = (100.0, 100.0, 1.0, 1.0, 600.0, 0.00162, 109.456, 1099.76, 1.3478, -0.6943)
+        row = load_reference_table()[0]
+        row.spreads  # the kept spreads are no field: nothing below sees them
+        fresh = ReferenceRow(*fields)
+        assert row == fresh and hash(row) == hash(fresh)
+        assert repr(row) == repr(fresh) == (
+            "ReferenceRow(d1=100.0, d2=100.0, d3=1.0, d4=1.0, delta=600.0, zeta=0.00162, "
+            "q_star=109.456, z_star=1099.76, rel_q=1.3478, rel_z=-0.6943)")
+        assert dataclasses.astuple(row) == fields
+        assert dataclasses.asdict(row) == dict(zip(
+            ("d1", "d2", "d3", "d4", "delta", "zeta", "q_star", "z_star", "rel_q", "rel_z"),
+            fields))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.d1 = 1.0
 
 
 def _reference_solve(p, spreads, paper_baseline, relax_bounds):
