@@ -11,7 +11,8 @@ the fuzziness into the cost function:
   arranged so that nothing cancels.
 
 ``defuzzified_rates`` returns both for one spread row and validates the
-spreads once; the solver uses it.  ``zeta`` returns the second alone.
+spreads once; the solver takes the same step without re-checking the rates
+its ``CrispParams`` already checked.  ``zeta`` returns the second alone.
 ``zeta_quadrature`` integrates the alpha-cut endpoints of that quotient,
 built from ``demand_fuzzy`` and ``leakage_fuzzy``, adaptively instead.
 It shares no code with ``zeta``: it is the independent oracle that tests
@@ -104,6 +105,13 @@ def _validate_rates(
     _require_finite("phi", phi)
     _require_finite("psi", psi)
     _require_finite("phi + psi", phi + psi)
+    _validate_spreads(phi, psi, spreads, relax_bounds)
+
+
+def _validate_spreads(
+    phi: float, psi: float, spreads: FuzzySpreads, relax_bounds: bool
+) -> None:
+    """The checks of ``_validate_rates`` that ``CrispParams`` does not make."""
     spreads.validate_against(phi, psi, relax_bounds=relax_bounds)
     # the largest sum the oracle's cut endpoints form, checked here so that
     # zeta and the oracle reject the same inputs
@@ -205,4 +213,13 @@ def defuzzified_rates(
     """``delta`` and ``zeta`` together, validating the spreads once against
     both rates."""
     _validate_rates(phi, psi, spreads, relax_bounds)
+    return _signed_demand(phi, spreads), _closed_form(phi, psi, spreads)
+
+
+def _defuzzify(
+    phi: float, psi: float, spreads: FuzzySpreads, relax_bounds: bool
+) -> tuple[float, float]:
+    """``defuzzified_rates`` for the rates of a ``CrispParams``, which are
+    already checked: only the spreads are validated."""
+    _validate_spreads(phi, psi, spreads, relax_bounds)
     return _signed_demand(phi, spreads), _closed_form(phi, psi, spreads)

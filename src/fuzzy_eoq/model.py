@@ -20,11 +20,15 @@ terms against the ordering term.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .defuzzify import FuzzySpreads, defuzzified_rates
+from .defuzzify import FuzzySpreads, _defuzzify
 from .errors import DomainError
 from .fuzzy import _require_finite
+
+_MIN_NORMAL = sys.float_info.min
+_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -117,15 +121,44 @@ def optimal_lot_size(s: float, h: float, delta: float, zeta_value: float) -> flo
 
     Stationary point of ``lot_cost`` in q; the second derivative
     2 s delta / q^3 is strictly positive there, so it is the minimum.
+    Every lot size that binary64 can hold is returned, also when
+    2 s delta or h (1 + zeta) alone cannot be held; a larger one is inf.
     """
-    for name, value in (("s", s), ("h", h), ("delta", delta)):
-        _require_finite(name, value)
-        if not value > 0.0:
-            raise DomainError(f"{name} > 0 violated (got {value!r})")
+    for name, value in (("s", s), ("h", h)):
+        _require_positive(name, value)
+    return _lot_size(s, h, delta, zeta_value)
+
+
+def _require_positive(name: str, value: float) -> None:
+    _require_finite(name, value)
+    if not value > 0.0:
+        raise DomainError(f"{name} > 0 violated (got {value!r})")
+
+
+def _lot_size(s: float, h: float, delta: float, zeta_value: float) -> float:
+    """``optimal_lot_size`` for the ``s`` and ``h`` of a ``CrispParams``,
+    which are already checked."""
+    _require_positive("delta", delta)
     _require_finite("zeta", zeta_value)
-    if not 1.0 + zeta_value > 0.0:
+    w = 1.0 + zeta_value
+    if not w > 0.0:
         raise DomainError(f"1 + zeta > 0 violated (got zeta={zeta_value!r})")
-    return math.sqrt(2.0 * s * delta / (h * (1.0 + zeta_value)))
+    num, den = 2.0 * s * delta, h * w
+    ratio = num / den
+    if num >= _MIN_NORMAL and den >= _MIN_NORMAL and _MIN_NORMAL <= ratio <= _MAX:
+        return math.sqrt(ratio)  # each step rounded once, none left the normal range
+    # Some step overflowed or lost digits below the normal range: take the
+    # quotient of the significands, which lies in (0.5, 8), and halve the
+    # exponent on its own.  It rounds as often as the line above.
+    (ms, es), (md, ed) = math.frexp(s), math.frexp(delta)
+    (mh, eh), (mw, ew) = math.frexp(h), math.frexp(w)
+    m, e = 2.0 * ms * md / (mh * mw), es + ed - eh - ew
+    if e % 2:
+        m, e = 2.0 * m, e - 1
+    try:
+        return math.ldexp(math.sqrt(m), e // 2)
+    except OverflowError:
+        return math.inf
 
 
 def crisp_optimal(p: CrispParams) -> SolutionRecord:
@@ -211,7 +244,7 @@ def _lot_rule(
     """Optimal lot size at (delta, zeta_value), its cost, and their percent
     deviations from ``baseline``: the step every fuzzy row and both audit
     modes take.  A held baseline error is raised after the rule's checks."""
-    q = optimal_lot_size(p.s, p.h, delta, zeta_value)
+    q = _lot_size(p.s, p.h, delta, zeta_value)
     z_star = lot_cost(q, p.s, p.h, delta, zeta_value)
     if isinstance(baseline, DomainError):
         # a fresh error per row: re-raising one instance would chain tracebacks
@@ -232,7 +265,7 @@ def solve_against(
     ``baseline`` comes from ``crisp_baseline`` or ``held_baseline`` for the
     same params; building it once serves every spread row.
     """
-    d, z = defuzzified_rates(p.phi, p.psi, spreads, relax_bounds=relax_bounds)
+    d, z = _defuzzify(p.phi, p.psi, spreads, relax_bounds)
     return SolutionRecord(d, z, *_lot_rule(p, d, z, baseline))
 
 

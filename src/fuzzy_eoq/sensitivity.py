@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Optional
 
-from .defuzzify import FuzzySpreads, defuzzified_rates
+from .defuzzify import FuzzySpreads, _defuzzify
 from .errors import DomainError
 from .model import (
     CrispParams,
@@ -241,7 +241,7 @@ def audit_table(
     audit_rows = []
     for i, ref in enumerate(load_reference_table()):
         spreads = ref.spreads
-        d, z = defuzzified_rates(p.phi, p.psi, spreads)
+        d, z = _defuzzify(p.phi, p.psi, spreads, False)
         recomputed = (d, z, *_lot_rule(p, d, lot_zeta(ref, z), baseline))
         published = (ref.delta, ref.zeta, ref.q_star, ref.z_star, ref.rel_q, ref.rel_z)
         cells = tuple(map(AuditCell, AUDIT_COLUMNS, recomputed, published, tolerances, relative))

@@ -128,6 +128,16 @@ class TestCrisp:
         assert (code, out) == (2, "")
         assert err == "error: phi + psi must be finite (got inf)\n"
 
+    def test_huge_setup_cost_solves(self, capsys):
+        # 2 s phi overflows; q* is about 3.4e154 and its cost about 3.5e154
+        code, out, err = run(capsys, ["crisp", "--s", "1e306", "--h", "1", "--format", "json"])
+        assert (code, err) == (0, "")
+        record = json.loads(out)["record"]
+        p = CrispParams(600.0, 10.0, 1.0, 1e306)
+        assert record == dataclasses.asdict(crisp_optimal(p))
+        q_star = math.sqrt(1200.0 / (1.0 + 10.0 / 610.0)) * 1e153
+        assert math.isclose(record["q_star"], q_star, rel_tol=1e-15)
+
     def test_huge_rates_solve(self, capsys):
         # the cost term psi * q * h overflowed, giving exit 2 on a valid problem
         code, out, err = run(capsys, ["crisp", "--phi", "1e300", "--psi", "1e300"])
@@ -252,12 +262,24 @@ class TestFuzzy:
         assert err == "error: phi + psi + d2 + d4 must be finite (got inf)\n"
 
     def test_overflowing_lot_size_exits_2(self, capsys):
-        argv = ["fuzzy", "--phi", "1e300", "--s", "1e300",
+        # q* = sqrt(2 * 1e300 * 1e300 / 1e-300) is about 1.4e450
+        argv = ["fuzzy", "--phi", "1e300", "--s", "1e300", "--h", "1e-300",
                 "--d1", "1", "--d2", "1", "--d3", "1", "--d4", "1"]
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""
         assert err == "error: q must be finite (got inf)\n"
+
+    def test_lot_size_past_an_overflowing_product_solves(self, capsys):
+        # 2 s delta overflows, but q* = sqrt(2e600 / 10) = sqrt(0.2) 1e300
+        argv = ["fuzzy", "--phi", "1e300", "--s", "1e300",
+                "--d1", "1", "--d2", "1", "--d3", "1", "--d4", "1", "--format", "json"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        record = json.loads(out)["record"]
+        q_star = math.sqrt(0.2) * 1e300
+        assert math.isclose(record["q_star"], q_star, rel_tol=1e-15)
+        assert math.isclose(record["z_star"], 10.0 * q_star, rel_tol=1e-12)
 
 
 class TestSweep:

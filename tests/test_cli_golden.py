@@ -90,8 +90,13 @@ ARGPARSE = {
     "argparse-fuzzy-d1-abc": ["fuzzy", "--d1", "abc"],
 }
 
+# 2 s delta overflows, yet q* (about 3.4e154) and its cost are finite
+SOLVES = {
+    "crisp-huge-setup-cost": ["crisp", "--s", "1e306", "--h", "1", "--format", "json"],
+}
+
 # the cases whose status is in ADDED_STATUS
-ADDED = {**ARGPARSE}
+ADDED = {**ARGPARSE, **SOLVES}
 
 
 def _cases() -> dict[str, list[str]]:

@@ -426,3 +426,21 @@ class TestBoundedQuadrature:
         sp = FuzzySpreads(lower, 1.0, lower, 1e300)
         with pytest.raises(DomainError, match=r"zeta must be finite \(got nan\)"):
             route(1e-300, 1e-300, sp, relax_bounds=True)
+
+
+class TestPublicChecks:
+    """The public routes check the rates before the spreads, with the same
+    messages, although the solver skips the rate checks ``CrispParams``
+    already made."""
+
+    @pytest.mark.parametrize("route", [defuzzified_rates, zeta, zeta_quadrature,
+                                       leak_fraction_cuts])
+    @pytest.mark.parametrize("phi, psi, d1, message", [
+        (math.nan, math.nan, 700.0, r"^phi must be finite \(got nan\)$"),
+        (600.0, math.inf, 700.0, r"^psi must be finite \(got inf\)$"),
+        (1e308, 1e308, 700.0, r"^phi \+ psi must be finite \(got inf\)$"),
+        (600.0, 10.0, 700.0, r"^d1 < phi violated \(d1=700.0, phi=600.0\)$"),
+    ])
+    def test_rates_checked_before_spreads(self, route, phi, psi, d1, message):
+        with pytest.raises(DomainError, match=message):
+            route(phi, psi, FuzzySpreads(d1, 100.0, 1.0, 1.0))

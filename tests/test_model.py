@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -184,6 +186,82 @@ class TestLotFormulas:
             optimal_lot_size(100.0, 10.0, 0.0, 0.1)
         with pytest.raises(DomainError, match="q > 0"):
             lot_cost(0.0, 100.0, 10.0, 600.0, 0.1)
+
+
+def _lot_size_decimal(s, h, delta, zeta_value):
+    """sqrt(2 s delta / (h (1 + zeta))) in 60-digit stdlib decimal, taken from
+    the exact binary64 inputs, where no step overflows or underflows."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        s, h, delta, zeta_value = map(Decimal, (s, h, delta, zeta_value))
+        return (2 * s * delta / (h * (1 + zeta_value))).sqrt()
+
+
+class TestLotSizeRange:
+    """Every lot size binary64 can hold is returned, whatever 2 s delta and
+    h (1 + zeta) do on the way."""
+
+    @pytest.mark.parametrize("args, message", [
+        ((math.nan, math.nan, math.nan, math.nan), r"^s must be finite \(got nan\)$"),
+        ((0.0, math.nan, math.nan, math.nan), r"^s > 0 violated \(got 0.0\)$"),
+        ((1.0, math.inf, math.nan, math.nan), r"^h must be finite \(got inf\)$"),
+        ((1.0, -1.0, math.nan, math.nan), r"^h > 0 violated \(got -1.0\)$"),
+        ((1.0, 1.0, math.nan, math.nan), r"^delta must be finite \(got nan\)$"),
+        ((1.0, 1.0, 0.0, math.nan), r"^delta > 0 violated \(got 0.0\)$"),
+        ((1.0, 1.0, 1.0, -math.inf), r"^zeta must be finite \(got -inf\)$"),
+        ((1.0, 1.0, 1.0, -1.0), r"^1 \+ zeta > 0 violated \(got zeta=-1.0\)$"),
+    ])
+    def test_checks_in_order(self, args, message):
+        with pytest.raises(DomainError, match=message):
+            optimal_lot_size(*args)
+
+    @pytest.mark.parametrize("s, h, delta, zeta_value", [
+        (1e306, 1.0, 600.0, 10.0 / 610.0),  # 2 s delta overflows
+        (1.7976931348623157e308, 1e-300, 1e-300, 0.5),  # so does s / h
+        (1e300, 1e300, 1e300, 0.0),  # h (1 + zeta) stays finite, 2 s delta does not
+        (1e308, 1.5e308, 2.0, 1.0),  # h (1 + zeta) overflows
+        (1e-320, 1e-300, 612.3456, 0.01),  # 2 s delta is subnormal
+        (1e-200, 1e-200, 1e-200, 0.25),  # so is the quotient
+        (1e-300, 5e-324, 1e-10, 0.0),  # and h (1 + zeta)
+    ])
+    def test_representable_lot_size_solves(self, s, h, delta, zeta_value):
+        q = optimal_lot_size(s, h, delta, zeta_value)
+        want = _lot_size_decimal(s, h, delta, zeta_value)
+        assert abs(Decimal(q) - want) <= Decimal("1e-15") * want
+
+    def test_lot_size_beyond_binary64_is_inf(self):
+        assert optimal_lot_size(1.7976931348623157e308, 5e-324, 1e10, 0.0) == math.inf
+
+    def test_matches_decimal_reference_across_the_range(self):
+        # s and h log-uniform over 1e-323..1e308; below the normal range
+        # binary64 keeps fewer digits, so there the bound is one spacing
+        rng = random.Random(20261018)
+        largest, tiny = Decimal(sys.float_info.max), Decimal(sys.float_info.min)
+        for _ in range(20_000):
+            s, h = (10.0 ** rng.uniform(-323.0, 308.0) for _ in range(2))
+            delta, zeta_value = 10.0 ** rng.uniform(-3.0, 6.0), rng.uniform(0.0, 1.0)
+            q = optimal_lot_size(s, h, delta, zeta_value)
+            want = _lot_size_decimal(s, h, delta, zeta_value)
+            if want > largest:
+                assert q == math.inf
+            elif want >= tiny:
+                assert abs(Decimal(q) - want) <= Decimal("1e-15") * want, (s, h, delta, zeta_value)
+            else:
+                assert abs(Decimal(q) - want) <= Decimal(2) ** -1074, (s, h, delta, zeta_value)
+
+    def test_plain_formula_kept_inside_the_normal_range(self):
+        # wherever 2 s delta, h (1 + zeta) and their quotient are normal
+        # numbers, the lot size is the plain formula bit for bit
+        rng = random.Random(7)
+        kept = 0
+        for _ in range(20_000):
+            s, h = (10.0 ** rng.uniform(-323.0, 308.0) for _ in range(2))
+            delta, zeta_value = 10.0 ** rng.uniform(-3.0, 6.0), rng.uniform(-0.5, 1.0)
+            num, den = 2.0 * s * delta, h * (1.0 + zeta_value)
+            if all(sys.float_info.min <= x <= sys.float_info.max for x in (num, den, num / den)):
+                kept += 1
+                assert optimal_lot_size(s, h, delta, zeta_value) == math.sqrt(num / den)
+        assert kept > 10_000
 
 
 def fuzzy_cost(q, p, spreads):
