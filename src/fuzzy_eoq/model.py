@@ -98,6 +98,12 @@ class SolutionRecord:
             raise DomainError(f"z_star > 0 violated (got {self.z_star!r})")
 
 
+def _require_positive(name: str, value: float) -> None:
+    _require_finite(name, value)
+    if not value > 0.0:
+        raise DomainError(f"{name} > 0 violated (got {value!r})")
+
+
 def crisp_total_cost(q: float, p: CrispParams) -> float:
     """Average cost per unit time of ordering crisp lots of size q: the
     fuzzy ``lot_cost`` at delta = phi and zeta = psi / (phi + psi)."""
@@ -110,9 +116,7 @@ def lot_cost(q: float, s: float, h: float, delta: float, zeta_value: float) -> f
     ``delta`` and ``zeta_value`` normally come from ``defuzzified_rates``
     but may be replayed from any external source.
     """
-    _require_finite("q", q)
-    if not q > 0.0:
-        raise DomainError(f"q > 0 violated (got {q!r})")
+    _require_positive("q", q)
     return q * h / 2.0 + (s / q) * delta + (q * h / 2.0) * zeta_value
 
 
@@ -124,15 +128,9 @@ def optimal_lot_size(s: float, h: float, delta: float, zeta_value: float) -> flo
     Every lot size that binary64 can hold is returned, also when
     2 s delta or h (1 + zeta) alone cannot be held; a larger one is inf.
     """
-    for name, value in (("s", s), ("h", h)):
-        _require_positive(name, value)
+    _require_positive("s", s)
+    _require_positive("h", h)
     return _lot_size(s, h, delta, zeta_value)
-
-
-def _require_positive(name: str, value: float) -> None:
-    _require_finite(name, value)
-    if not value > 0.0:
-        raise DomainError(f"{name} > 0 violated (got {value!r})")
 
 
 def _lot_size(s: float, h: float, delta: float, zeta_value: float) -> float:
@@ -184,9 +182,7 @@ def crisp_optimal(p: CrispParams) -> SolutionRecord:
 
 def cycle_quantities(q: float, p: CrispParams) -> CycleQuantities:
     """Cycle length, exhaustion time, and leaked stock for lot size q."""
-    _require_finite("q", q)
-    if not q > 0.0:
-        raise DomainError(f"q > 0 violated (got {q!r})")
+    _require_positive("q", q)
     eta = p.phi + p.psi
     return CycleQuantities(t=q / p.phi, t1=q / eta, leaked=q * (p.psi / eta))
 
