@@ -99,19 +99,18 @@ def _signed_demand(phi: float, spreads: FuzzySpreads) -> float:
     return phi + (spreads.d2 - spreads.d1) / 4.0
 
 
-def _validate_rates(
-    phi: float, psi: float, spreads: FuzzySpreads, relax_bounds: bool
-) -> None:
+def _require_rates(phi: float, psi: float) -> None:
+    """The rate checks that ``CrispParams`` also makes."""
     _require_finite("phi", phi)
     _require_finite("psi", psi)
     _require_finite("phi + psi", phi + psi)
-    _validate_spreads(phi, psi, spreads, relax_bounds)
 
 
 def _validate_spreads(
     phi: float, psi: float, spreads: FuzzySpreads, relax_bounds: bool
 ) -> None:
-    """The checks of ``_validate_rates`` that ``CrispParams`` does not make."""
+    """The checks of the spreads against the rates, which ``CrispParams``
+    does not make; they follow ``_require_rates``."""
     spreads.validate_against(phi, psi, relax_bounds=relax_bounds)
     # the largest sum the oracle's cut endpoints form, checked here so that
     # zeta and the oracle reject the same inputs
@@ -127,7 +126,8 @@ def leak_fraction_cuts(
 ) -> tuple[Callable[[float], float], Callable[[float], float]]:
     """Alpha-cut endpoint functions of the fuzzy leakage fraction
     ``leakage / (demand + leakage)``, the quotient of the fuzzy rates."""
-    _validate_rates(phi, psi, spreads, relax_bounds)
+    _require_rates(phi, psi)
+    _validate_spreads(phi, psi, spreads, relax_bounds)
     leakage = leakage_fuzzy(psi, spreads)
     return _quotient_cuts(leakage, demand_fuzzy(phi, spreads) + leakage)
 
@@ -199,7 +199,8 @@ def zeta(
     near-degenerate spreads up to the bounds and at both ends of the
     binary64 range.
     """
-    _validate_rates(phi, psi, spreads, relax_bounds)
+    _require_rates(phi, psi)
+    _validate_spreads(phi, psi, spreads, relax_bounds)
     return _closed_form(phi, psi, spreads)
 
 
@@ -212,8 +213,8 @@ def defuzzified_rates(
 ) -> tuple[float, float]:
     """``delta`` and ``zeta`` together, validating the spreads once against
     both rates."""
-    _validate_rates(phi, psi, spreads, relax_bounds)
-    return _signed_demand(phi, spreads), _closed_form(phi, psi, spreads)
+    _require_rates(phi, psi)
+    return _defuzzify(phi, psi, spreads, relax_bounds)
 
 
 def _defuzzify(
