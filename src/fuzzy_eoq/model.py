@@ -20,16 +20,11 @@ terms against the ordering term.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .defuzzify import FuzzySpreads, _defuzzify
 from .errors import DomainError
 from .fuzzy import _require_finite
-
-_MIN_NORMAL = sys.float_info.min
-_MAX = sys.float_info.max
-
 
 @dataclass(frozen=True)
 class CrispParams:
@@ -141,13 +136,10 @@ def _lot_size(s: float, h: float, delta: float, zeta_value: float) -> float:
     w = 1.0 + zeta_value
     if not w > 0.0:
         raise DomainError(f"1 + zeta > 0 violated (got zeta={zeta_value!r})")
-    num, den = 2.0 * s * delta, h * w
-    ratio = num / den
-    if num >= _MIN_NORMAL and den >= _MIN_NORMAL and _MIN_NORMAL <= ratio <= _MAX:
-        return math.sqrt(ratio)  # each step rounded once, none left the normal range
-    # Some step overflowed or lost digits below the normal range: take the
-    # quotient of the significands, which lies in (0.5, 8), and halve the
-    # exponent on its own.  It rounds as often as the line above.
+    # sqrt(2 s delta / (h w)) from the quotient of the significands, which
+    # lies in (0.5, 8), and half the exponent: no step overflows or
+    # underflows.  Scaling by powers of two does not move a rounding, so
+    # where every step of the plain formula stays normal the bits are its.
     (ms, es), (md, ed) = math.frexp(s), math.frexp(delta)
     (mh, eh), (mw, ew) = math.frexp(h), math.frexp(w)
     m, e = 2.0 * ms * md / (mh * mw), es + ed - eh - ew
