@@ -20,11 +20,16 @@ terms against the ordering term.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .defuzzify import FuzzySpreads, _defuzzify
 from .errors import DomainError
 from .fuzzy import _require_finite
+
+_MIN_NORMAL = sys.float_info.min
+_MAX = sys.float_info.max
+
 
 @dataclass(frozen=True)
 class CrispParams:
@@ -136,10 +141,20 @@ def _lot_size(s: float, h: float, delta: float, zeta_value: float) -> float:
     w = 1.0 + zeta_value
     if not w > 0.0:
         raise DomainError(f"1 + zeta > 0 violated (got zeta={zeta_value!r})")
-    # sqrt(2 s delta / (h w)) from the quotient of the significands, which
-    # lies in (0.5, 8), and half the exponent: no step overflows or
-    # underflows.  Scaling by powers of two does not move a rounding, so
-    # where every step of the plain formula stays normal the bits are its.
+    num, den = 2.0 * s * delta, h * w
+    ratio = num / den
+    if num >= _MIN_NORMAL and den >= _MIN_NORMAL and _MIN_NORMAL <= ratio <= _MAX:
+        # for speed only: ``_scaled_lot_size`` gives the same bits here, at
+        # more than twice the cost of this line
+        return math.sqrt(ratio)
+    return _scaled_lot_size(s, h, delta, w)
+
+
+def _scaled_lot_size(s: float, h: float, delta: float, w: float) -> float:
+    """sqrt(2 s delta / (h w)) from the quotient of the significands, which
+    lies in (0.5, 8), and half the exponent, so no step overflows or
+    underflows.  Scaling by powers of two does not move a rounding, so
+    where every step of the plain formula stays normal the bits are its."""
     (ms, es), (md, ed) = math.frexp(s), math.frexp(delta)
     (mh, eh), (mw, ew) = math.frexp(h), math.frexp(w)
     m, e = 2.0 * ms * md / (mh * mw), es + ed - eh - ew

@@ -21,7 +21,7 @@ from fuzzy_eoq import (
     optimal_lot_size,
     truncated_baseline,
 )
-from fuzzy_eoq.model import percent_deviation
+from fuzzy_eoq.model import _scaled_lot_size, percent_deviation
 
 from conftest import random_params, random_spreads
 
@@ -249,18 +249,19 @@ class TestLotSizeRange:
             else:
                 assert abs(Decimal(q) - want) <= Decimal(2) ** -1074, (s, h, delta, zeta_value)
 
-    def test_plain_formula_kept_inside_the_normal_range(self):
+    def test_scaled_form_is_the_plain_formula_inside_the_normal_range(self):
         # wherever 2 s delta, h (1 + zeta) and their quotient are normal
-        # numbers, the lot size is the plain formula bit for bit
+        # numbers, the significand form gives the plain formula bit for bit,
+        # so the lot size may take either
         rng = random.Random(7)
         kept = 0
         for _ in range(20_000):
             s, h = (10.0 ** rng.uniform(-323.0, 308.0) for _ in range(2))
-            delta, zeta_value = 10.0 ** rng.uniform(-3.0, 6.0), rng.uniform(-0.5, 1.0)
-            num, den = 2.0 * s * delta, h * (1.0 + zeta_value)
+            delta, w = 10.0 ** rng.uniform(-3.0, 6.0), 1.0 + rng.uniform(-0.5, 1.0)
+            num, den = 2.0 * s * delta, h * w
             if all(sys.float_info.min <= x <= sys.float_info.max for x in (num, den, num / den)):
                 kept += 1
-                assert optimal_lot_size(s, h, delta, zeta_value) == math.sqrt(num / den)
+                assert _scaled_lot_size(s, h, delta, w) == math.sqrt(num / den)
         assert kept > 10_000
 
 
