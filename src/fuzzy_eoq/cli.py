@@ -1,9 +1,10 @@
 """Command-line front end: crisp solves, fuzzy solves, sweeps, table audit.
 
 ``main`` merges the config file and the flags once; each command returns one
-``_Result``, and one renderer per output format turns it into text.  The
-argument parser is built on the first call and reused by every later one, so
-``main(argv)`` may be called many times in one process.
+``_Result``, and one renderer per output format turns it into text.  JSON is
+written into a layout made once per payload shape, and the argument parser is
+built on the first call; both are reused by every later call, so ``main(argv)``
+may be called many times in one process.
 
 Exit codes: 0 on success, 1 when a sweep had failing rows or the table
 audit found deviations, 2 on invalid parameters, spreads, or config, on a
@@ -14,77 +15,104 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import cache
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .defuzzify import FuzzySpreads, zeta_quadrature
 from .errors import DomainError, QuadratureError
-from .model import (
-    CrispParams,
-    SolutionRecord,
-    crisp_optimal,
-    cycle_quantities,
-    held_baseline,
-    solve_against,
-)
-from .sensitivity import (
-    AUDIT_COLUMNS,
-    DEVIATION_FLOOR,
-    REFERENCE_PARAMS,
-    SweepSpec,
-    audit_table,
-    load_reference_table,
-    run_sweep,
-)
+from .model import (CrispParams, SolutionRecord, crisp_optimal, cycle_quantities, held_baseline,
+                    solve_against)
+from .sensitivity import (AUDIT_COLUMNS, DEVIATION_FLOOR, REFERENCE_PARAMS, AuditCell, SweepSpec,
+                          audit_table, load_reference_table, run_sweep)
 
 _PARAM_KEYS = ("phi", "psi", "h", "s")
 _SPREAD_KEYS = ("d1", "d2", "d3", "d4")
 _SPREAD_SET = frozenset(_SPREAD_KEYS)
 _RECORD_KEYS = ("delta", "zeta", "q_star", "z_star", "rel_q", "rel_z")
 _CYCLE_KEYS = ("t", "t1", "leaked")
-_CELL_KEYS = (
-    "column", "recomputed", "paper", "abs_dev", "rel_dev", "tolerance", "relative", "passed",
-)
 _SOLUTION_HEADER = [*_SPREAD_KEYS, *_RECORD_KEYS]
 # per audit column: the recomputed and published values, both deviations, the verdict
-_AUDIT_HEADER = [
-    "row", *_SPREAD_KEYS,
-    *(name.format(column) for column in AUDIT_COLUMNS
-      for name in ("{}", "paper_{}", "{}_abs_dev", "{}_rel_dev", "{}_pass")),
-    "zeta_sign_contradiction",
-]
+_AUDIT_HEADER = ["row", *_SPREAD_KEYS, *(name.format(column) for column in AUDIT_COLUMNS for name
+                 in ("{}", "paper_{}", "{}_abs_dev", "{}_rel_dev", "{}_pass")),
+                 "zeta_sign_contradiction"]
+_param_values = attrgetter(*_PARAM_KEYS)
 _spread_values = attrgetter(*_SPREAD_KEYS)
 _record_values = attrgetter(*_RECORD_KEYS)
-# json writes this as "\u0000", quotes included: text that no other part of a
-# payload can hold, as json escapes every quote inside a string
-_SLOT = "\x00"
-_SWEEP_ROW = {"row": _SLOT, "spreads": dict.fromkeys(_SPREAD_KEYS, _SLOT),
-              **dict.fromkeys(_RECORD_KEYS, _SLOT)}
+_cycle_values = attrgetter(*_CYCLE_KEYS)
+# marks in a payload's shape, which json writes as "\u0000", "\u0001" and "\u0002",
+# quotes included: text no other part of a payload can hold, as json escapes quotes
+_NUMBER, _TEXT, _LIST = "\x00", "\x01", "\x02"
+# a list laid out in place with _LIST first: its indent, and the item after _LIST
+_LISTS = re.compile(r'\[\n( *)  "\\u0002",\n\1  (.*?)\n\1\]', re.DOTALL)
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _leaf(value: object) -> str:
+    """The JSON text of a ``_TEXT`` leaf: true, false, null, a quoted string, or
+    the repr of an int or float, which is json's own text for a finite number."""
+    if type(value) in (int, float):
+        return repr(value)
+    return json.dumps(value) if type(value) is str else _JSON_CONSTANTS[value]
+
+
+def _list_layout(indent: str, item: str) -> Callable[[list], str]:
+    head, sep, tail = f"[\n{indent}  ", f",\n{indent}  ", f"\n{indent}]"
+    return lambda leaves: head + sep.join([item % v for v in leaves]) + tail if leaves else "[]"
+
+
+def _shape(sample: dict) -> Callable[[], tuple[str, list[Callable[[list], str]]]]:
+    """The layout of payloads shaped like ``sample``, made on first use and kept, as the
+    parser is.  ``sample`` holds ``_NUMBER`` or ``_TEXT`` at each leaf and ``[_LIST,
+    item]`` at each list of any number of ``item``-shaped objects.  The layout is its
+    indented JSON with ``%r`` at each number, ``%s`` at each text leaf and each list,
+    and what lays out each list in turn."""
+
+    def layout() -> tuple[str, list[Callable[[list], str]]]:
+        text = json.dumps(sample, indent=2).replace("%", "%%")
+        text = text.replace(json.dumps(_NUMBER), "%r").replace(json.dumps(_TEXT), "%s")
+        parts = _LISTS.split(text)  # text, then per list its indent, its item and text
+        return "%s".join(parts[::3]), list(map(_list_layout, parts[1::3], parts[2::3]))
+
+    return cache(layout)
+
+
+_PARAMS, _SPREADS = dict.fromkeys(_PARAM_KEYS, _NUMBER), dict.fromkeys(_SPREAD_KEYS, _NUMBER)
+_RECORD, _CYCLE = dict.fromkeys(_RECORD_KEYS, _NUMBER), dict.fromkeys(_CYCLE_KEYS, _NUMBER)
+_FLAGS = {"paper_baseline": _TEXT, "relax_bounds": _TEXT}
+_CRISP_JSON = _shape({"params": _PARAMS, "record": _RECORD, "cycle": _CYCLE})
+_FUZZY_JSON = _shape({
+    "params": _PARAMS, "spreads": _SPREADS, **_FLAGS, "zeta_closed_form": _NUMBER,
+    "zeta_quadrature": _NUMBER, "baseline": {"q_star": _NUMBER, "z_star": _NUMBER},
+    "record": _RECORD,
+})
+_SWEEP_JSON = _shape({"params": _PARAMS, **_FLAGS,
+                      "rows": [_LIST, {"row": _NUMBER, "spreads": _SPREADS, **_RECORD}],
+                      "errors": [_LIST, {"row": _NUMBER, "error": _TEXT}]})
+_AUDIT_CELL = {"column": _TEXT, "recomputed": _NUMBER, "paper": _NUMBER, "abs_dev": _NUMBER,
+               "rel_dev": _NUMBER, "tolerance": _TEXT, "relative": _TEXT, "passed": _TEXT}
+_AUDIT_JSON = _shape({
+    "params": _PARAMS, "mode": _TEXT, "hard_pass": _TEXT, "deviation_count": _NUMBER,
+    "sign_contradiction_rows": [_LIST, _NUMBER],
+    "rows": [_LIST, {"row": _NUMBER, "spreads": _SPREADS, "zeta_sign_contradiction": _TEXT,
+                     "cells": [_AUDIT_CELL] * len(AUDIT_COLUMNS)}],
+})
 
 
 class _Result(NamedTuple):
     """What one command produced: a lazy builder per output form, and the exit code.
     Only the requested builder runs, so a large csv sweep builds no JSON payload.
-    Table cells never need csv quoting: they are float reprs, integers, names,
-    true, false or empty."""
+    The json builder gives a layout and its leaves in slot order.  Table cells need
+    no csv quoting: they are float reprs, integers, names, true, false or empty."""
 
-    json: Callable[[], dict]
+    json: Callable[[], tuple[tuple[str, list[Callable[[list], str]]], tuple]]
     table: Callable[[], tuple[list[str], Iterable[Iterable[str]]]]
     lines: Callable[[], Iterable[str]]
     code: int = 0
-
-
-class _Rows(NamedTuple):
-    """The objects of one shape under a JSON payload's ``rows``, written from one
-    template instead of one dict each.  ``shape`` is a sample object with
-    ``_SLOT`` at every leaf; each of ``values`` holds one row's leaves in that
-    order, all finite ints or floats, whose ``repr`` is json's own text."""
-
-    shape: dict
-    values: Sequence[tuple]
 
 
 def _fmt(value: float) -> str:
@@ -95,10 +123,6 @@ def _cells(values: Iterable[float]) -> Iterable[str]:
     # shortest digit string that round-trips binary64: every value is a float,
     # as the config and flag parsers convert numbers
     return map(repr, values)
-
-
-def _fields(obj: object, keys: tuple[str, ...]) -> dict:
-    return {key: getattr(obj, key) for key in keys}
 
 
 def _pairs(obj: object, keys: tuple[str, ...]) -> str:
@@ -116,19 +140,15 @@ def _render_csv(result: _Result) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cell_values(cell: AuditCell) -> tuple:
+    return (_leaf(cell.column), cell.recomputed, cell.paper, cell.abs_dev, cell.rel_dev,
+            _leaf(cell.tolerance), _leaf(cell.relative), _leaf(cell.passed))
+
+
 def _render_json(result: _Result) -> str:
-    payload = result.json()
-    rows = payload.get("rows")
-    if not isinstance(rows, _Rows):
-        return json.dumps(payload, indent=2) + "\n"
-    if not rows.values:
-        return json.dumps({**payload, "rows": []}, indent=2) + "\n"
-    # json lays out two slots where the rows go: the text around and between them
-    slot = json.dumps(_SLOT)
-    head, sep, tail = json.dumps({**payload, "rows": [_SLOT, _SLOT]}, indent=2).split(slot)
-    newline = sep[sep.index("\n"):]  # with the indent of the list's items
-    row = json.dumps(rows.shape, indent=2).replace("\n", newline).replace(slot, "%r")
-    return f"{head}{sep.join([row % values for values in rows.values])}{tail}\n"
+    (text, lists), leaves = result.json()
+    lists = iter(lists)
+    return text % tuple(next(lists)(v) if type(v) is list else v for v in leaves) + "\n"
 
 
 _RENDERERS: dict[str, Callable[[_Result], str]] = {
@@ -224,14 +244,11 @@ def _crisp(args: argparse.Namespace) -> _Result:
     p = args.params
     record = crisp_optimal(p)
     cycle = cycle_quantities(record.q_star, p)
-    params, cycle_fields = _fields(p, _PARAM_KEYS), _fields(cycle, _CYCLE_KEYS)
+    params, cycle_values = _param_values(p), _cycle_values(cycle)
     return _Result(
-        json=lambda: {"params": params, "record": _fields(record, _RECORD_KEYS),
-                      "cycle": cycle_fields},
-        table=lambda: (
-            [*params, "q_star", "z_star", *cycle_fields],
-            [_cells((*params.values(), record.q_star, record.z_star, *cycle_fields.values()))],
-        ),
+        json=lambda: (_CRISP_JSON(), (*params, *_record_values(record), *cycle_values)),
+        table=lambda: ([*_PARAM_KEYS, "q_star", "z_star", *_CYCLE_KEYS],
+                       [_cells((*params, record.q_star, record.z_star, *cycle_values))]),
         lines=lambda: [
             "crisp solve",
             f"  params: {_pairs(p, _PARAM_KEYS)}",
@@ -251,16 +268,10 @@ def _fuzzy(args: argparse.Namespace) -> _Result:
     z_quad = zeta_quadrature(p.phi, p.psi, sp, relax_bounds=args.relax_bounds)
     baseline_label = "baseline (truncated)" if args.paper_baseline else "baseline (crisp)"
     return _Result(
-        json=lambda: {
-            "params": _fields(p, _PARAM_KEYS),
-            "spreads": _fields(sp, _SPREAD_KEYS),
-            "paper_baseline": args.paper_baseline,
-            "relax_bounds": args.relax_bounds,
-            "zeta_closed_form": record.zeta,
-            "zeta_quadrature": z_quad,
-            "baseline": _fields(baseline, ("q_star", "z_star")),
-            "record": _fields(record, _RECORD_KEYS),
-        },
+        json=lambda: (_FUZZY_JSON(), (*_param_values(p), *_spread_values(sp),
+                                    _leaf(args.paper_baseline), _leaf(args.relax_bounds),
+                                    record.zeta, z_quad, baseline.q_star, baseline.z_star,
+                                    *_record_values(record))),
         table=lambda: (_SOLUTION_HEADER, [_cells(_solution_values(sp, record))]),
         lines=lambda: [
             "fuzzy solve",
@@ -302,14 +313,10 @@ def _sweep(args: argparse.Namespace) -> _Result:
         yield f"  rows solved: {len(solved)}/{len(results)}"
 
     return _Result(
-        json=lambda: {
-            "params": _fields(args.params, _PARAM_KEYS),
-            "paper_baseline": args.paper_baseline,
-            "relax_bounds": args.relax_bounds,
-            "rows": _Rows(_SWEEP_ROW, [(row.index + 1, *_solution_values(row.spreads, row.record))
-                                       for row in solved]),
-            "errors": [{"row": row.index + 1, "error": row.error} for row in failed],
-        },
+        json=lambda: (_SWEEP_JSON(), (
+            *_param_values(args.params), _leaf(args.paper_baseline), _leaf(args.relax_bounds),
+            [(row.index + 1, *_solution_values(row.spreads, row.record)) for row in solved],
+            [(row.index + 1, _leaf(row.error)) for row in failed])),
         table=lambda: (_SOLUTION_HEADER,
                        (_cells(_solution_values(row.spreads, row.record)) for row in solved)),
         lines=lines,
@@ -320,15 +327,13 @@ def _sweep(args: argparse.Namespace) -> _Result:
 def _verify_table(args: argparse.Namespace) -> _Result:
     audit = audit_table(args.params, paper_baseline=args.paper_baseline)
 
-    def table() -> tuple[list[str], Iterable[list[str]]]:
-        rows = []
+    def rows() -> Iterable[list[str]]:
         for row in audit.rows:
             fields = [str(row.index + 1), *_cells(_spread_values(row.spreads))]
             for cell in row.cells:
                 fields += _cells((cell.recomputed, cell.paper, cell.abs_dev, cell.rel_dev))
                 fields.append("" if cell.passed is None else str(cell.passed).lower())
-            rows.append([*fields, str(row.zeta_sign_contradiction).lower()])
-        return _AUDIT_HEADER, rows
+            yield [*fields, str(row.zeta_sign_contradiction).lower()]
 
     def lines() -> Iterable[str]:
         mode = ("replayed published zeta, truncated baseline" if audit.paper_baseline
@@ -365,20 +370,14 @@ def _verify_table(args: argparse.Namespace) -> _Result:
         )
 
     return _Result(
-        json=lambda: {
-            "params": _fields(audit.params, _PARAM_KEYS),
-            "mode": "paper-baseline" if audit.paper_baseline else "recomputed",
-            "hard_pass": audit.hard_pass,
-            "deviation_count": len(audit.deviations),
-            "sign_contradiction_rows": [i + 1 for i in audit.sign_contradictions],
-            "rows": [
-                {"row": row.index + 1, "spreads": _fields(row.spreads, _SPREAD_KEYS),
-                 "zeta_sign_contradiction": row.zeta_sign_contradiction,
-                 "cells": [_fields(cell, _CELL_KEYS) for cell in row.cells]}
-                for row in audit.rows
-            ],
-        },
-        table=table,
+        json=lambda: (_AUDIT_JSON(), (
+            *_param_values(audit.params),
+            _leaf("paper-baseline" if audit.paper_baseline else "recomputed"),
+            _leaf(audit.hard_pass), len(audit.deviations),
+            [i + 1 for i in audit.sign_contradictions],
+            [(row.index + 1, *_spread_values(row.spreads), _leaf(row.zeta_sign_contradiction),
+              *chain.from_iterable(map(_cell_values, row.cells))) for row in audit.rows])),
+        table=lambda: (_AUDIT_HEADER, rows()),
         lines=lines,
         code=0 if audit.hard_pass and not audit.deviations else 1,
     )
@@ -425,7 +424,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config) if args.config else {}
-        defaults = _fields(REFERENCE_PARAMS, _PARAM_KEYS)
+        defaults = dict(zip(_PARAM_KEYS, _param_values(REFERENCE_PARAMS)))
         args.params = CrispParams(**_merged(cfg, args, "params", _PARAM_KEYS, defaults))
         spreads = _merged(cfg, args, "spreads", _SPREAD_KEYS, {})
         args.spreads = FuzzySpreads(**spreads) if spreads else None

@@ -101,7 +101,7 @@ class TriangularFuzzyNumber:
 
     Any finite ``beta1 <= beta2 <= beta3`` is accepted.  A flank may
     collapse onto the peak, and ``beta1 == beta3`` models a crisp value as
-    a fuzzy point (see ``is_degenerate``).
+    a fuzzy point.
     """
 
     beta1: float
@@ -116,26 +116,6 @@ class TriangularFuzzyNumber:
                 "beta1 <= beta2 <= beta3 violated "
                 f"(got ({self.beta1!r}, {self.beta2!r}, {self.beta3!r}))"
             )
-
-    @classmethod
-    def point(cls, value: float) -> "TriangularFuzzyNumber":
-        """The fuzzy point representing a crisp value."""
-        return cls(value, value, value)
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.beta1 == self.beta3
-
-    def membership(self, y: float) -> float:
-        """Membership grade of ``y``: 0 outside the support, 1 at the
-        peak, linear on each flank."""
-        if y < self.beta1 or y > self.beta3:
-            return 0.0
-        if y < self.beta2:
-            return (y - self.beta1) / (self.beta2 - self.beta1)
-        if y > self.beta2:
-            return (self.beta3 - y) / (self.beta3 - self.beta2)
-        return 1.0
 
     def alpha_cut(self, a: float) -> Interval:
         """Closed interval of values whose membership is at least ``a`` in [0, 1]:
@@ -183,7 +163,7 @@ class TriangularFuzzyNumber:
             return TriangularFuzzyNumber(k * self.beta1, k * self.beta2, k * self.beta3)
         if k < 0.0:
             return TriangularFuzzyNumber(k * self.beta3, k * self.beta2, k * self.beta1)
-        return TriangularFuzzyNumber.point(0.0)
+        return TriangularFuzzyNumber(0.0, 0.0, 0.0)
 
 
 def _quotient_cuts(

@@ -200,7 +200,14 @@ def truncated_baseline(record: SolutionRecord) -> SolutionRecord:
     Matches the published reference values, which report the worked
     example's optimum as 108 units at cost 1104 (truncation, not
     arithmetic rounding: the exact values are 108.657 and 1104.388).
+    An optimum or cost below one unit would truncate to zero and is
+    rejected.
     """
+    if not (record.q_star >= 1.0 and record.z_star >= 1.0):
+        raise DomainError(
+            "the whole-unit baseline needs a crisp optimum and cost of at least one unit "
+            f"(got q_star={record.q_star!r}, z_star={record.z_star!r})"
+        )
     return SolutionRecord(
         delta=record.delta,
         zeta=record.zeta,

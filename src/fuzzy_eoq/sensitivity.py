@@ -185,7 +185,8 @@ class AuditRow:
 
 @dataclass(frozen=True)
 class TableAudit:
-    """Full audit: one row per published row, one cell per compared column."""
+    """Full audit: one row per published row, one cell per compared column.
+    Its summaries are computed on first use and kept."""
 
     params: CrispParams
     paper_baseline: bool
@@ -198,14 +199,14 @@ class TableAudit:
             if tuple(cell.column for cell in row.cells) != AUDIT_COLUMNS:
                 raise DomainError(f"row {row.index} does not cover {AUDIT_COLUMNS}")
 
-    @property
+    @cached_property
     def hard_pass(self) -> bool:
         return all(
             cell.passed for row in self.rows for cell in row.cells
             if cell.passed is not None
         )
 
-    @property
+    @cached_property
     def deviations(self) -> tuple[tuple[int, str], ...]:
         """(row index, column) of informational cells that do not reproduce."""
         return tuple(
@@ -215,7 +216,7 @@ class TableAudit:
             if cell.tolerance is None and cell.abs_dev > DEVIATION_FLOOR
         )
 
-    @property
+    @cached_property
     def sign_contradictions(self) -> tuple[int, ...]:
         return tuple(row.index for row in self.rows if row.zeta_sign_contradiction)
 

@@ -20,12 +20,14 @@ from fuzzy_eoq import (
     FuzzySpreads,
     QuadratureError,
     SweepSpec,
+    audit_table,
     crisp_optimal,
     fuzzy_optimal,
     run_sweep,
     zeta_quadrature,
 )
-from fuzzy_eoq.cli import _build_parser, main
+from fuzzy_eoq.cli import (_LIST, _NUMBER, _TEXT, _build_parser, _leaf, _render_json, _Result,
+                           _shape, main)
 
 ROW1_FLAGS = ["--d1", "100", "--d2", "100", "--d3", "1", "--d4", "1"]
 SPREAD_KEYS = ("d1", "d2", "d3", "d4")
@@ -421,6 +423,107 @@ class TestSweepOutputBytes:
         assert [row["row"] for row in payload["rows"]] == [r.index + 1 for r in solved]
         assert [[*row["spreads"].values(), *(row[k] for k in RECORD_KEYS)]
                 for row in payload["rows"]] == expected
+
+
+# parameters under which every command solves, the audit included: the rates
+# exceed every reference spread, and the crisp optimum and cost exceed one unit
+LAYOUT_PARAMS = st.builds(
+    CrispParams,
+    phi=st.floats(301.0, 1e5), psi=st.floats(8.0, 300.0), h=st.floats(0.1, 100.0),
+    s=st.floats(1.0, 1e4),
+)
+FLAG_SETS = ([], ["--paper-baseline"], ["--relax-bounds"], ["--paper-baseline", "--relax-bounds"])
+
+
+def as_indented_json(text):
+    """``text`` as ``json.dumps(indent=2)`` writes what it holds."""
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+class TestJsonLayout:
+    """Every JSON payload is written into a layout made once per payload shape;
+    the text is the one ``json.dumps(indent=2)`` gives for what it holds."""
+
+    @given(
+        p=LAYOUT_PARAMS,
+        fractions=st.tuples(*[st.floats(0.01, 0.95)] * 4),
+        rows=st.lists(st.booleans(), min_size=1, max_size=4),  # False: a failing row
+        flags=st.sampled_from(FLAG_SETS),
+    )
+    @example(p=REFERENCE_PARAMS, fractions=(0.5,) * 4, rows=[False], flags=[])  # "rows": []
+    @example(p=REFERENCE_PARAMS, fractions=(0.5,) * 4, rows=[True], flags=[])  # "errors": []
+    def test_every_command_writes_indented_json(self, tmp_path_factory, p, fractions, rows, flags):
+        sp = dict(zip(SPREAD_KEYS, (p.phi * fractions[0], p.phi * fractions[1],
+                                    p.psi * fractions[2], p.psi * fractions[3])))
+        config = tmp_path_factory.mktemp("layout") / "sweep.json"
+        entries = [sp if valid else {**sp, "d1": p.phi * 1.5} for valid in rows]
+        config.write_text(json.dumps({"params": dataclasses.asdict(p), "sweep": entries}))
+        params = [arg for key, value in dataclasses.asdict(p).items()
+                  for arg in (f"--{key}", repr(value))]
+        spreads = [arg for key, value in sp.items() for arg in (f"--{key}", repr(value))]
+        commands = (["crisp", *params], ["fuzzy", *params, *spreads],
+                    ["sweep", "--reference", *params], ["sweep", "--config", str(config)],
+                    ["verify-table", *params])
+        for argv in commands:
+            code, out, err = run_captured([*argv, *flags, "--format", "json"])
+            assert code in (0, 1), err
+            assert out == as_indented_json(out)
+        mode = "paper-baseline" if "--paper-baseline" in flags else "recomputed"
+        assert json.loads(out)["mode"] == mode
+
+    def test_audit_without_contradictions_writes_an_empty_list(self, monkeypatch):
+        def no_contradictions(*args, **kwargs):
+            audit = audit_table(*args, **kwargs)
+            rows = tuple(dataclasses.replace(row, zeta_sign_contradiction=False)
+                         for row in audit.rows)
+            return dataclasses.replace(audit, rows=rows)
+
+        monkeypatch.setattr("fuzzy_eoq.cli.audit_table", no_contradictions)
+        code, out, _ = run_captured(["verify-table", "--format", "json"])
+        assert code == 1
+        assert '\n  "sign_contradiction_rows": [],\n' in out
+        assert out == as_indented_json(out)
+
+    def test_layouts_are_made_once(self, monkeypatch):
+        for argv in (["crisp"], ["fuzzy", *ROW1_FLAGS], ["sweep", "--reference"], ["verify-table"]):
+            run_captured([*argv, "--format", "json"])
+        indented = []
+        dumps = json.dumps
+
+        def counting(obj, **kwargs):
+            indented.append(kwargs.get("indent"))
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting)
+        code, out, _ = run_captured(["verify-table", "--format", "json"])
+        monkeypatch.undo()
+        assert None in indented  # the slot filler's strings
+        assert [indent for indent in indented if indent is not None] == []
+        assert code == 1 and out == as_indented_json(out)
+
+    @pytest.mark.parametrize("value", [
+        True, False, None, "", 'say "hi"', "back\\slash", "100%", "%r %s %%", "nul\x00byte",
+        "\x01 \x1f \x7f", "Ωmega – ü", "\U0001f600", "\ud800",
+        0, -7, 10**20, 0.0, -0.0, 0.1, 1e-09, 5e-324, 1.7976931348623157e308,
+    ])
+    def test_slot_filler_writes_json_text(self, value):
+        assert _leaf(value) == json.dumps(value)
+
+    def test_layout_escapes_its_text_and_fills_every_slot(self):
+        layout = _shape({
+            "100%": _TEXT, "%r": [_LIST, {"text": _TEXT, "n": _NUMBER}], "empty": [_LIST, _NUMBER],
+            "fixed": [_TEXT, {"flag": _TEXT}], "nested": {"list": [_LIST, _TEXT]},
+        })
+        texts = ['q"\\%s\x00Ω', "%(x)s", "\U0001f600"]
+        payload = {
+            "100%": "a%sb", "%r": [{"text": t, "n": n} for t, n in zip(texts, (1.5, -0.0, 7))],
+            "empty": [], "fixed": [None, {"flag": False}], "nested": {"list": [1e-300, True]},
+        }
+        leaves = (_leaf("a%sb"), [(_leaf(t), n) for t, n in zip(texts, (1.5, -0.0, 7))], [],
+                  _leaf(None), _leaf(False), [_leaf(1e-300), _leaf(True)])
+        result = _Result(json=lambda: (layout(), leaves), table=None, lines=None)
+        assert _render_json(result) == json.dumps(payload, indent=2) + "\n"
+        assert layout() is layout()
 
 
 class TestVerifyTable:

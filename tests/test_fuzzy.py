@@ -38,12 +38,11 @@ dyadic_alphas = st.integers(0, 1024).map(lambda k: k / 1024.0)
 class TestConstruction:
     def test_strict_ordering_accepted(self):
         b = TriangularFuzzyNumber(1.0, 2.0, 4.0)
-        assert not b.is_degenerate
+        assert (b.beta1, b.beta2, b.beta3) == (1.0, 2.0, 4.0)
 
-    def test_point_accepted_and_flagged(self):
-        b = TriangularFuzzyNumber.point(3.0)
-        assert b.is_degenerate
-        assert b == TriangularFuzzyNumber(3.0, 3.0, 3.0)
+    def test_point_accepted(self):
+        b = TriangularFuzzyNumber(3.0, 3.0, 3.0)
+        assert b.alpha_cut(0.0) == b.alpha_cut(1.0) == Interval(3.0, 3.0)
 
     @pytest.mark.parametrize("triple, half_cut", [
         ((1.0, 1.0, 2.0), Interval(1.0, 1.5)),
@@ -51,10 +50,6 @@ class TestConstruction:
     ])
     def test_collapsed_flank_accepted(self, triple, half_cut):
         b = TriangularFuzzyNumber(*triple)
-        assert not b.is_degenerate
-        assert b.membership(b.beta2) == 1.0
-        assert b.membership(1.5) == 0.5
-        assert b.membership(0.5) == b.membership(2.5) == 0.0
         assert b.alpha_cut(0.0) == Interval(1.0, 2.0)
         assert b.alpha_cut(0.5) == half_cut
         assert b.alpha_cut(1.0) == Interval(b.beta2, b.beta2)
@@ -72,30 +67,6 @@ class TestConstruction:
             TriangularFuzzyNumber(1.0, 2.0, math.inf)
         with pytest.raises(DomainError):
             TriangularFuzzyNumber(math.nan, 2.0, 3.0)
-
-
-class TestMembership:
-    def test_flanks_peak_and_outside(self):
-        b = TriangularFuzzyNumber(1.0, 2.0, 4.0)
-        assert b.membership(0.0) == 0.0
-        assert b.membership(1.0) == 0.0
-        assert b.membership(1.5) == 0.5
-        assert b.membership(2.0) == 1.0
-        assert b.membership(3.0) == 0.5
-        assert b.membership(4.0) == 0.0
-        assert b.membership(5.0) == 0.0
-
-    def test_point_membership(self):
-        b = TriangularFuzzyNumber.point(2.0)
-        assert b.membership(2.0) == 1.0
-        assert b.membership(2.0000001) == 0.0
-
-    @given(tfns(), st.floats(-700, 700, allow_nan=False))
-    def test_range_and_support(self, b, y):
-        grade = b.membership(y)
-        assert 0.0 <= grade <= 1.0
-        if grade > 0.0:
-            assert b.beta1 <= y <= b.beta3
 
 
 class TestAlphaCut:
@@ -139,9 +110,10 @@ class TestAlphaCut:
 
     @given(dyadic_tfns(), dyadic_alphas)
     def test_cut_endpoints_have_that_membership(self, b, a):
+        # each end sits on its flank at height a: exact in this regime
         cut = b.alpha_cut(a)
-        assert b.membership(cut.lo) >= a
-        assert b.membership(cut.hi) >= a
+        assert (cut.lo - b.beta1) / (b.beta2 - b.beta1) == a
+        assert (b.beta3 - cut.hi) / (b.beta3 - b.beta2) == a
 
 
 class TestIntervalOps:
@@ -230,11 +202,11 @@ class TestTfnArithmetic:
         b = TriangularFuzzyNumber(1.0, 2.0, 4.0)
         assert b.scale(2.0) == TriangularFuzzyNumber(2.0, 4.0, 8.0)
         assert b.scale(-1.0) == TriangularFuzzyNumber(-4.0, -2.0, -1.0)
-        assert b.scale(0.0) == TriangularFuzzyNumber.point(0.0)
+        assert b.scale(0.0) == TriangularFuzzyNumber(0.0, 0.0, 0.0)
 
     def test_zero_point_is_additive_identity(self):
         b = TriangularFuzzyNumber(1.0, 2.0, 4.0)
-        assert b + TriangularFuzzyNumber.point(0.0) == b
+        assert b + TriangularFuzzyNumber(0.0, 0.0, 0.0) == b
 
     @given(dyadic_tfns(), dyadic_tfns(), dyadic_alphas)
     def test_add_cut_homomorphism_exact(self, a, b, alpha):
@@ -257,7 +229,7 @@ class TestSignedDistance:
         assert TriangularFuzzyNumber(500.0, 600.0, 700.0).signed_distance() == 600.0
         assert TriangularFuzzyNumber(1.0, 2.0, 3.0).signed_distance() == 2.0
         assert TriangularFuzzyNumber(1.0, 2.0, 4.0).signed_distance() == 2.25
-        assert TriangularFuzzyNumber.point(5.0).signed_distance() == 5.0
+        assert TriangularFuzzyNumber(5.0, 5.0, 5.0).signed_distance() == 5.0
 
     def test_quadrature_route_matches_on_examples(self):
         for triple in [(1.0, 2.0, 3.0), (1.0, 2.0, 4.0), (-3.0, 0.5, 10.0)]:

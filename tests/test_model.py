@@ -12,6 +12,7 @@ from fuzzy_eoq import (
     DomainError,
     FuzzySpreads,
     SolutionRecord,
+    crisp_baseline,
     crisp_optimal,
     crisp_total_cost,
     cycle_quantities,
@@ -373,6 +374,18 @@ class TestBaselines:
         base = truncated_baseline(crisp_optimal(PARAMS))
         assert base.q_star == 108.0
         assert base.z_star == 1104.0
+
+    @pytest.mark.parametrize("p", [
+        CrispParams(600.0, 10.0, 10.0, 1e-6),  # q* about 0.011, cost about 0.11
+        CrispParams(600.0, 10.0, 1e6, 1e-3),  # q* about 0.0011, cost about 1104
+    ])
+    def test_whole_unit_baseline_below_one_unit_rejected(self, p):
+        message = r"^the whole-unit baseline needs a crisp optimum and cost of at least one unit"
+        with pytest.raises(DomainError, match=message):
+            crisp_baseline(p, paper_baseline=True)
+        with pytest.raises(DomainError, match=message):
+            fuzzy_optimal(p, ROW1, paper_baseline=True)
+        assert crisp_baseline(p) == crisp_optimal(p)
 
     def test_rel_metrics_identity_is_zero(self):
         rec = crisp_optimal(PARAMS)

@@ -140,19 +140,23 @@ class TestSweep:
                     assert res.record == expected
 
     def test_unbuildable_baseline_reported_after_row_errors(self):
-        # the truncated baseline of these params has q* = 0 and cannot be built
+        # the crisp optimum of these params is below one unit, so the
+        # whole-unit baseline cannot be built
         p = CrispParams(600, 10, 10, 1e-6)
         rows = (FuzzySpreads(1, 1, 1, 1), FuzzySpreads(700, 1, 1, 1))
         results = run_sweep(SweepSpec(p, rows), paper_baseline=True)
+        baseline_error = ("the whole-unit baseline needs a crisp optimum and cost of at least "
+                          "one unit (got q_star=0.010865749680948491, z_star=0.11043876724898467)")
         assert [res.record for res in results] == [None, None]
         assert [res.error for res in results] == [
-            "q_star > 0 violated (got 0.0)",
+            baseline_error,
             "d1 < phi violated (d1=700, phi=600)",
         ]
         with pytest.raises(DomainError, match=r"^d1 < phi violated"):
             fuzzy_optimal(p, rows[1], paper_baseline=True)
-        with pytest.raises(DomainError, match=r"^q_star > 0 violated \(got 0.0\)$"):
+        with pytest.raises(DomainError) as raised:
             fuzzy_optimal(p, rows[0], paper_baseline=True)
+        assert str(raised.value) == baseline_error
 
     def test_tiny_rates_return_rows(self):
         # squares of these rates and spreads would underflow binary64
