@@ -338,6 +338,14 @@ class TestAuditCells:
             assert {
                 cell.column: (cell.tolerance, cell.relative) for cell in row.cells
             } == self.TOLERANCES[paper_baseline]
+            for cell in row.cells:
+                abs_dev = abs(cell.recomputed - cell.paper)
+                rel_dev = abs_dev / abs(cell.paper)  # no published value is zero
+                assert (cell.abs_dev.hex(), cell.rel_dev.hex()) == (abs_dev.hex(), rel_dev.hex())
+                tolerance, relative = self.TOLERANCES[paper_baseline][cell.column]
+                passed = None if tolerance is None else (
+                    (rel_dev if relative else abs_dev) <= tolerance)
+                assert cell.passed is passed
             assert row.spreads == ref.spreads
             assert row.zeta_sign_contradiction == (ref.zeta <= 0.0)
 
