@@ -30,7 +30,6 @@ from .model import (
     SolutionRecord,
     crisp_baseline,
     crisp_optimal,
-    crisp_total_cost,
     cycle_quantities,
     fuzzy_optimal,
     held_baseline,
@@ -77,7 +76,6 @@ __all__ = [
     "audit_table",
     "crisp_baseline",
     "crisp_optimal",
-    "crisp_total_cost",
     "cycle_quantities",
     "defuzzified_rates",
     "demand_fuzzy",

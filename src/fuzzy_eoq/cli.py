@@ -27,8 +27,8 @@ from .defuzzify import FuzzySpreads, zeta_quadrature
 from .errors import DomainError, QuadratureError
 from .model import (CrispParams, SolutionRecord, crisp_optimal, cycle_quantities, held_baseline,
                     solve_against)
-from .sensitivity import (AUDIT_COLUMNS, DEVIATION_FLOOR, REFERENCE_PARAMS, AuditCell, SweepSpec,
-                          audit_table, load_reference_table, run_sweep)
+from .sensitivity import (AUDIT_COLUMNS, REFERENCE_PARAMS, AuditCell, SweepSpec, audit_table,
+                          load_reference_table, run_sweep)
 
 _PARAM_KEYS = ("phi", "psi", "h", "s")
 _SPREAD_KEYS = ("d1", "d2", "d3", "d4")
@@ -352,7 +352,7 @@ def _verify_table(args: argparse.Namespace) -> _Result:
             cells = [row.cell(column) for row in audit.rows]
             max_abs = _fmt(max(cell.abs_dev for cell in cells))
             if cells[0].tolerance is None:
-                above = sum(cell.abs_dev > DEVIATION_FLOOR for cell in cells)
+                above = sum(deviating == column for _, deviating in audit.deviations)
                 yield (f"    {column:<7} informational: max abs dev {max_abs} "
                        f"({above}/{len(cells)} rows deviate)")
             else:

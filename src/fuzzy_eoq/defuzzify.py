@@ -74,6 +74,9 @@ class FuzzySpreads:
         level 0) and are always enforced.  The mirror bounds ``d2 < phi``
         and ``d4 < psi`` belong to the model statement but are not
         mathematically necessary; ``relax_bounds`` lifts exactly those.
+        Last, ``phi + psi + d2 + d4``, the largest sum the oracle's cut
+        endpoints form, must be finite, so ``zeta`` and the oracle reject the
+        same inputs.
         """
         if not self.d1 < phi:
             raise DomainError(f"d1 < phi violated (d1={self.d1!r}, phi={phi!r})")
@@ -83,6 +86,7 @@ class FuzzySpreads:
             raise DomainError(f"d3 < psi violated (d3={self.d3!r}, psi={psi!r})")
         if not relax_bounds and not self.d4 < psi:
             raise DomainError(f"d4 < psi violated (d4={self.d4!r}, psi={psi!r})")
+        _require_finite("phi + psi + d2 + d4", phi + psi + self.d6)
 
 
 def demand_fuzzy(phi: float, spreads: FuzzySpreads) -> TriangularFuzzyNumber:
@@ -106,17 +110,6 @@ def _require_rates(phi: float, psi: float) -> None:
     _require_finite("phi + psi", phi + psi)
 
 
-def _validate_spreads(
-    phi: float, psi: float, spreads: FuzzySpreads, relax_bounds: bool
-) -> None:
-    """The checks of the spreads against the rates, which ``CrispParams``
-    does not make; they follow ``_require_rates``."""
-    spreads.validate_against(phi, psi, relax_bounds=relax_bounds)
-    # the largest sum the oracle's cut endpoints form, checked here so that
-    # zeta and the oracle reject the same inputs
-    _require_finite("phi + psi + d2 + d4", phi + psi + spreads.d6)
-
-
 def leak_fraction_cuts(
     phi: float,
     psi: float,
@@ -127,7 +120,7 @@ def leak_fraction_cuts(
     """Alpha-cut endpoint functions of the fuzzy leakage fraction
     ``leakage / (demand + leakage)``, the quotient of the fuzzy rates."""
     _require_rates(phi, psi)
-    _validate_spreads(phi, psi, spreads, relax_bounds)
+    spreads.validate_against(phi, psi, relax_bounds=relax_bounds)
     leakage = leakage_fuzzy(psi, spreads)
     return _quotient_cuts(leakage, demand_fuzzy(phi, spreads) + leakage)
 
@@ -200,7 +193,7 @@ def zeta(
     binary64 range.
     """
     _require_rates(phi, psi)
-    _validate_spreads(phi, psi, spreads, relax_bounds)
+    spreads.validate_against(phi, psi, relax_bounds=relax_bounds)
     return _closed_form(phi, psi, spreads)
 
 
@@ -222,5 +215,5 @@ def _defuzzify(
 ) -> tuple[float, float]:
     """``defuzzified_rates`` for the rates of a ``CrispParams``, which are
     already checked: only the spreads are validated."""
-    _validate_spreads(phi, psi, spreads, relax_bounds)
+    spreads.validate_against(phi, psi, relax_bounds=relax_bounds)
     return _signed_demand(phi, spreads), _closed_form(phi, psi, spreads)

@@ -104,12 +104,6 @@ def _require_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} > 0 violated (got {value!r})")
 
 
-def crisp_total_cost(q: float, p: CrispParams) -> float:
-    """Average cost per unit time of ordering crisp lots of size q: the
-    fuzzy ``lot_cost`` at delta = phi and zeta = psi / (phi + psi)."""
-    return lot_cost(q, p.s, p.h, p.phi, p.psi / (p.phi + p.psi))
-
-
 def lot_cost(q: float, s: float, h: float, delta: float, zeta_value: float) -> float:
     """Cost per unit time of lot size q given defuzzified inputs.
 
@@ -169,19 +163,18 @@ def _scaled_lot_size(s: float, h: float, delta: float, w: float) -> float:
 def crisp_optimal(p: CrispParams) -> SolutionRecord:
     """Closed-form minimizer of the crisp cost.
 
-    Equivalent to ``optimal_lot_size`` with delta = phi and
-    zeta = psi / (phi + psi); expanding gives the familiar
+    ``optimal_lot_size`` and ``lot_cost`` at delta = phi and
+    zeta = psi / (phi + psi); expanding the lot size gives the familiar
     sqrt(2 s phi (phi + psi) / (h (phi + 2 psi))).  The relative columns
     are zero by definition: this record is its own baseline.
     """
-    eta = p.phi + p.psi
-    zeta_value = p.psi / eta
-    q = optimal_lot_size(p.s, p.h, p.phi, zeta_value)
+    zeta_value = p.psi / (p.phi + p.psi)
+    q = _lot_size(p.s, p.h, p.phi, zeta_value)
     return SolutionRecord(
         delta=p.phi,
         zeta=zeta_value,
         q_star=q,
-        z_star=crisp_total_cost(q, p),
+        z_star=lot_cost(q, p.s, p.h, p.phi, zeta_value),
         rel_q=0.0,
         rel_z=0.0,
     )

@@ -27,10 +27,11 @@ the positivity of the recomputed fraction.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .defuzzify import FuzzySpreads, _defuzzify
 from .errors import DomainError
@@ -135,14 +136,15 @@ def load_reference_table() -> tuple[ReferenceRow, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class AuditCell:
-    """One recomputed-vs-published comparison.
+class AuditCell(NamedTuple):
+    """One recomputed-vs-published comparison, with its deviations and
+    verdict as ``audit_table`` computed them.
 
     ``tolerance`` of None marks the cell informational: its deviation is
-    reported but never fails the audit.  Otherwise the tolerance applies
-    to the relative deviation when ``relative`` is set, else to the
-    absolute one.
+    reported but never fails the audit, and ``passed`` is None.  Otherwise
+    the tolerance applies to ``rel_dev`` when ``relative`` is set, else to
+    ``abs_dev``.  Against a published zero, ``rel_dev`` is 0 for an exact
+    match and inf for any other value.
     """
 
     column: str
@@ -150,23 +152,21 @@ class AuditCell:
     paper: float
     tolerance: Optional[float]
     relative: bool
+    abs_dev: float
+    rel_dev: float
+    passed: Optional[bool]
 
-    @property
-    def abs_dev(self) -> float:
-        return abs(self.recomputed - self.paper)
 
-    @property
-    def rel_dev(self) -> float:
-        if self.paper == 0.0:
-            return float("inf") if self.abs_dev > 0.0 else 0.0
-        return self.abs_dev / abs(self.paper)
-
-    @property
-    def passed(self) -> Optional[bool]:
-        if self.tolerance is None:
-            return None
-        dev = self.rel_dev if self.relative else self.abs_dev
-        return dev <= self.tolerance
+def _audit_cell(
+    column: str, recomputed: float, paper: float, tolerance: Optional[float], relative: bool
+) -> AuditCell:
+    abs_dev = abs(recomputed - paper)
+    if paper == 0.0:
+        rel_dev = math.inf if abs_dev > 0.0 else 0.0
+    else:
+        rel_dev = abs_dev / abs(paper)
+    passed = None if tolerance is None else (rel_dev if relative else abs_dev) <= tolerance
+    return AuditCell(column, recomputed, paper, tolerance, relative, abs_dev, rel_dev, passed)
 
 
 @dataclass(frozen=True)
@@ -245,6 +245,6 @@ def audit_table(
         d, z = _defuzzify(p.phi, p.psi, spreads, False)
         recomputed = (d, z, *_lot_rule(p, d, lot_zeta(ref, z), baseline))
         published = (ref.delta, ref.zeta, ref.q_star, ref.z_star, ref.rel_q, ref.rel_z)
-        cells = tuple(map(AuditCell, AUDIT_COLUMNS, recomputed, published, tolerances, relative))
+        cells = tuple(map(_audit_cell, AUDIT_COLUMNS, recomputed, published, tolerances, relative))
         audit_rows.append(AuditRow(i, spreads, cells, zeta_sign_contradiction=ref.zeta <= 0.0))
     return TableAudit(params=p, paper_baseline=paper_baseline, rows=tuple(audit_rows))

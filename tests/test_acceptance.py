@@ -8,8 +8,6 @@ import math
 import random
 import time
 
-import numpy as np
-
 from fuzzy_eoq import (
     REFERENCE_PARAMS,
     CrispParams,
@@ -47,9 +45,10 @@ def test_criterion_1_crisp_worked_example():
     record = crisp_optimal(CrispParams(600.0, 10.0, 10.0, 100.0))
     in_range = 108.0 <= record.q_star <= 109.5
     # independent brute-force oracle over the crisp cost expression
-    qs = np.arange(50.0, 200.0 + 1e-9, 1e-3)
-    costs = qs * 10.0 / 2.0 + 600.0 * 100.0 / qs + 10.0 * qs * 10.0 / (2.0 * 610.0)
-    grid_min = float(costs.min())
+    qs = [50.0 + i * 1e-3 for i in range(150_001)]  # 50 to 200 in steps of 1e-3
+    grid_min = min(
+        q * 10.0 / 2.0 + 600.0 * 100.0 / q + 10.0 * q * 10.0 / (2.0 * 610.0) for q in qs
+    )
     cost_close = abs(record.z_star - grid_min) / grid_min < 1e-3
     rounded = truncated_baseline(record)
     whole_units = rounded.q_star == 108.0 and rounded.z_star == 1104.0

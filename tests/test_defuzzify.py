@@ -408,9 +408,11 @@ class TestBoundedQuadrature:
         ):
             route(1e308, 1e307, sp, relax_bounds=True)
 
-    @pytest.mark.parametrize(
-        "route", [zeta, defuzzified_rates, zeta_quadrature, leak_fraction_cuts]
-    )
+    @pytest.mark.parametrize("route", [
+        zeta, defuzzified_rates, zeta_quadrature, leak_fraction_cuts,
+        pytest.param(lambda phi, psi, sp, **kw: sp.validate_against(phi, psi, **kw),
+                     id="validate_against"),
+    ])
     def test_overflowing_upper_spreads_rejected_by_every_route(self, route):
         # d2 + d4 overflows; zeta gave nan (g(inf) is inf/inf) with no error
         sp = FuzzySpreads(0.5, 1e308, 0.5, 1e308)

@@ -14,7 +14,6 @@ from fuzzy_eoq import (
     SolutionRecord,
     crisp_baseline,
     crisp_optimal,
-    crisp_total_cost,
     cycle_quantities,
     defuzzified_rates,
     fuzzy_optimal,
@@ -66,32 +65,41 @@ class TestParams:
             CrispParams(1e308, 1e308, 1.0, 1e-320)
 
 
+def crisp_cost(q, p):
+    """The crisp cost of lot size q: the fuzzy cost at delta = phi and
+    zeta = psi / (phi + psi)."""
+    return lot_cost(q, p.s, p.h, p.phi, p.psi / (p.phi + p.psi))
+
+
 class TestCrispCost:
     def test_worked_values(self):
-        assert math.isclose(crisp_total_cost(1.0, PARAMS), TC_AT_1, rel_tol=1e-12)
+        assert math.isclose(crisp_cost(1.0, PARAMS), TC_AT_1, rel_tol=1e-12)
         assert math.isclose(
-            crisp_total_cost(108.657, PARAMS), TC_AT_108_657, rel_tol=1e-12
+            crisp_cost(108.657, PARAMS), TC_AT_108_657, rel_tol=1e-12
         )
 
     def test_nonpositive_lot_rejected(self):
         with pytest.raises(DomainError, match="q > 0"):
-            crisp_total_cost(0.0, PARAMS)
+            crisp_cost(0.0, PARAMS)
         with pytest.raises(DomainError, match="q > 0"):
-            crisp_total_cost(-3.0, PARAMS)
+            crisp_cost(-3.0, PARAMS)
 
     def test_is_the_fuzzy_cost_at_the_crisp_rates(self):
+        # crisp_optimal takes the fuzzy lot rule at delta = phi, bit for bit
         rng = random.Random(5)
         for _ in range(50):
             p = random_params(rng)
-            q = rng.uniform(1.0, 500.0)
-            want = lot_cost(q, p.s, p.h, p.phi, p.psi / (p.phi + p.psi))
-            assert crisp_total_cost(q, p) == want
+            rec = crisp_optimal(p)
+            zeta_value = p.psi / (p.phi + p.psi)
+            assert rec.zeta == zeta_value
+            assert rec.q_star == optimal_lot_size(p.s, p.h, p.phi, zeta_value)
+            assert rec.z_star == crisp_cost(rec.q_star, p)
 
     def test_leak_term_kept_at_huge_combined_rate(self):
         # eta = 1.1e308: the leak term once divided by 2 * eta = inf and vanished
         p = CrispParams(1e308, 1e307, 1.0, 1e-307)
         want = 0.5 + 10.0 + 0.5 / 11.0
-        assert math.isclose(crisp_total_cost(1.0, p), want, rel_tol=1e-15)
+        assert math.isclose(crisp_cost(1.0, p), want, rel_tol=1e-15)
 
 
 class TestCrispOptimal:
@@ -111,7 +119,7 @@ class TestCrispOptimal:
     def test_is_a_minimum(self):
         rec = crisp_optimal(PARAMS)
         for factor in (0.9, 0.99, 1.01, 1.1):
-            assert crisp_total_cost(factor * rec.q_star, PARAMS) > rec.z_star
+            assert crisp_cost(factor * rec.q_star, PARAMS) > rec.z_star
 
     def test_random_instances_satisfy_first_order_condition(self):
         rng = random.Random(7)
@@ -120,8 +128,8 @@ class TestCrispOptimal:
             rec = crisp_optimal(p)
             eps = 1e-6 * rec.q_star
             slope = (
-                crisp_total_cost(rec.q_star + eps, p)
-                - crisp_total_cost(rec.q_star - eps, p)
+                crisp_cost(rec.q_star + eps, p)
+                - crisp_cost(rec.q_star - eps, p)
             ) / (2.0 * eps)
             # curvature 2 s phi / q^3 scales the tolerance
             assert abs(slope) < 1e-4 * p.s * p.phi / rec.q_star**2
@@ -280,7 +288,7 @@ class TestFuzzyCost:
         sp = FuzzySpreads(6e-4, 6e-4, 1e-5, 1e-5)
         for q in (50.0, 108.657, 200.0):
             assert math.isclose(
-                fuzzy_cost(q, PARAMS, sp), crisp_total_cost(q, PARAMS), rel_tol=1e-6
+                fuzzy_cost(q, PARAMS, sp), crisp_cost(q, PARAMS), rel_tol=1e-6
             )
 
     def test_convex_away_from_optimum(self):

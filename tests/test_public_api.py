@@ -7,7 +7,7 @@ PUBLIC_NAMES = {
     "CycleQuantities", "DomainError", "FuzzySpreads", "Interval", "QuadratureError",
     "REFERENCE_PARAMS", "ReferenceRow", "SolutionRecord", "SweepRow", "SweepSpec",
     "TableAudit", "TriangularFuzzyNumber", "__version__", "adaptive_simpson",
-    "audit_table", "crisp_baseline", "crisp_optimal", "crisp_total_cost",
+    "audit_table", "crisp_baseline", "crisp_optimal",
     "cycle_quantities", "defuzzified_rates", "demand_fuzzy", "fuzzy_optimal",
     "held_baseline", "leak_fraction_cuts", "leakage_fuzzy", "load_reference_table",
     "lot_cost", "optimal_lot_size", "run_sweep", "signed_distance_quadrature",
@@ -16,7 +16,7 @@ PUBLIC_NAMES = {
 
 
 def test_all_is_exactly_the_public_names():
-    assert len(fuzzy_eoq.__all__) == len(PUBLIC_NAMES) == 38
+    assert len(fuzzy_eoq.__all__) == len(PUBLIC_NAMES) == 37
     assert set(fuzzy_eoq.__all__) == PUBLIC_NAMES
     for name in fuzzy_eoq.__all__:
         assert getattr(fuzzy_eoq, name) is not None

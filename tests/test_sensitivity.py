@@ -30,6 +30,7 @@ from fuzzy_eoq import (
     zeta_quadrature,
 )
 from fuzzy_eoq.model import percent_deviation
+from fuzzy_eoq.sensitivity import _audit_cell
 
 NEGATIVE_ZETA_ROWS = (2, 3, 4, 5, 6, 9, 10, 11, 12, 15, 16, 17, 18)  # 1-based
 
@@ -348,6 +349,13 @@ class TestAuditCells:
                 assert cell.passed is passed
             assert row.spreads == ref.spreads
             assert row.zeta_sign_contradiction == (ref.zeta <= 0.0)
+
+    def test_relative_deviation_from_a_published_zero(self):
+        # the bundled table has no zero, so the rule is pinned on the cell itself
+        assert _audit_cell("rel_z", 0.0, 0.0, None, False)[5:] == (0.0, 0.0, None)
+        assert _audit_cell("q_star", 0.0, -0.0, 0.005, True)[5:] == (0.0, 0.0, True)
+        assert _audit_cell("q_star", 1e-300, 0.0, 0.005, True)[5:] == (1e-300, math.inf, False)
+        assert _audit_cell("rel_q", 1e-300, 0.0, 0.01, False)[5:] == (1e-300, math.inf, True)
 
 
 class TestAuditErrors:
