@@ -163,8 +163,8 @@ def _scaled_lot_size(s: float, h: float, delta: float, w: float) -> float:
 def crisp_optimal(p: CrispParams) -> SolutionRecord:
     """Closed-form minimizer of the crisp cost.
 
-    ``optimal_lot_size`` and ``lot_cost`` at delta = phi and
-    zeta = psi / (phi + psi); expanding the lot size gives the familiar
+    The lot size of ``optimal_lot_size`` and its ``lot_cost``, taken at
+    delta = phi and zeta = psi / (phi + psi); expanding gives the familiar
     sqrt(2 s phi (phi + psi) / (h (phi + 2 psi))).  The relative columns
     are zero by definition: this record is its own baseline.
     """
