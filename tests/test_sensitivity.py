@@ -352,10 +352,14 @@ class TestAuditCells:
 
     def test_relative_deviation_from_a_published_zero(self):
         # the bundled table has no zero, so the rule is pinned on the cell itself
-        assert _audit_cell("rel_z", 0.0, 0.0, None, False)[5:] == (0.0, 0.0, None)
-        assert _audit_cell("q_star", 0.0, -0.0, 0.005, True)[5:] == (0.0, 0.0, True)
-        assert _audit_cell("q_star", 1e-300, 0.0, 0.005, True)[5:] == (1e-300, math.inf, False)
-        assert _audit_cell("rel_q", 1e-300, 0.0, 0.01, False)[5:] == (1e-300, math.inf, True)
+        for recomputed, paper, tolerance, relative, want in [
+            (0.0, 0.0, None, False, (0.0, 0.0, None)),
+            (0.0, -0.0, 0.005, True, (0.0, 0.0, True)),
+            (1e-300, 0.0, 0.005, True, (1e-300, math.inf, False)),
+            (1e-300, 0.0, 0.01, False, (1e-300, math.inf, True)),
+        ]:
+            cell = _audit_cell("rel_z", recomputed, paper, tolerance, relative)
+            assert (cell.abs_dev, cell.rel_dev, cell.passed) == want
 
 
 class TestAuditErrors:
