@@ -33,8 +33,10 @@ from .fuzzy import (TriangularFuzzyNumber, _quotient_cuts, _require_finite,
 # it would subtract two nearly equal numbers.
 _SERIES_LIMIT = 1e-2
 
+_INF = math.inf
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class FuzzySpreads:
     """Spreads around the crisp rates chosen by the decision maker.
 
@@ -50,11 +52,14 @@ class FuzzySpreads:
     d4: float
 
     def __post_init__(self) -> None:
-        for name in ("d1", "d2", "d3", "d4"):
-            value = getattr(self, name)
-            _require_finite(name, value)
-            if not value > 0.0:
-                raise DomainError(f"{name} > 0 violated (got {value!r})")
+        # one chain on the row path; the loop names the first bad spread
+        if not (0.0 < self.d1 < _INF and 0.0 < self.d2 < _INF
+                and 0.0 < self.d3 < _INF and 0.0 < self.d4 < _INF):
+            for name in ("d1", "d2", "d3", "d4"):
+                value = getattr(self, name)
+                _require_finite(name, value)
+                if not value > 0.0:
+                    raise DomainError(f"{name} > 0 violated (got {value!r})")
 
     @property
     def d5(self) -> float:
@@ -86,7 +91,10 @@ class FuzzySpreads:
             raise DomainError(f"d3 < psi violated (d3={self.d3!r}, psi={psi!r})")
         if not relax_bounds and not self.d4 < psi:
             raise DomainError(f"d4 < psi violated (d4={self.d4!r}, psi={psi!r})")
-        _require_finite("phi + psi + d2 + d4", phi + psi + self.d6)
+        # the bounds passed make every term positive, so only inf can fail
+        total = phi + psi + (self.d2 + self.d4)
+        if not total < _INF:
+            _require_finite("phi + psi + d2 + d4", total)
 
 
 def demand_fuzzy(phi: float, spreads: FuzzySpreads) -> TriangularFuzzyNumber:
@@ -118,9 +126,20 @@ def leak_fraction_cuts(
     relax_bounds: bool = False,
 ) -> tuple[Callable[[float], float], Callable[[float], float]]:
     """Alpha-cut endpoint functions of the fuzzy leakage fraction
-    ``leakage / (demand + leakage)``, the quotient of the fuzzy rates."""
+    ``leakage / (demand + leakage)``, the quotient of the fuzzy rates.
+
+    The quotient is scale-free, so rates with ``phi + psi`` below 1/2 are
+    first scaled up by a power of two, which is exact.  At deep-subnormal
+    rates the cut coefficients would otherwise be a few multiples of the
+    smallest subnormal, and the integrand a staircase."""
     _require_rates(phi, psi)
     spreads.validate_against(phi, psi, relax_bounds=relax_bounds)
+    k = -math.frexp(phi + psi)[1]
+    # only upward, and only while the largest cut sum stays finite
+    if k > 0 and math.frexp(phi + psi + spreads.d6)[1] + k <= 1024:
+        phi, psi = math.ldexp(phi, k), math.ldexp(psi, k)
+        spreads = FuzzySpreads(math.ldexp(spreads.d1, k), math.ldexp(spreads.d2, k),
+                               math.ldexp(spreads.d3, k), math.ldexp(spreads.d4, k))
     leakage = leakage_fuzzy(psi, spreads)
     return _quotient_cuts(leakage, demand_fuzzy(phi, spreads) + leakage)
 
@@ -145,7 +164,7 @@ def _closed_form(phi: float, psi: float, spreads: FuzzySpreads) -> float:
     # not underflow or overflow on the way; only relaxed upper spreads that
     # dwarf tiny rates can overflow d6/eta or d4/d5, and that is rejected.
     eta = phi + psi
-    d5, d6 = spreads.d5, spreads.d6
+    d5, d6 = spreads.d1 + spreads.d3, spreads.d2 + spreads.d4
     gx = _g(d6 / eta)
     y = d5 / eta
     if y < 0.5:
@@ -156,7 +175,8 @@ def _closed_form(phi: float, psi: float, spreads: FuzzySpreads) -> float:
         # bounds keep their sum positive
         gy = math.log(((phi - spreads.d1) + (psi - spreads.d3)) / eta) / -y - 1.0
     value = 0.5 * (psi / eta * (2.0 + gx + gy) + spreads.d3 / d6 * gx + spreads.d4 / d5 * gy)
-    _require_finite("zeta", value)
+    if not -_INF < value < _INF:
+        _require_finite("zeta", value)
     return value
 
 

@@ -29,7 +29,7 @@ def _require_finite(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite (got {value!r})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """A closed real interval [lo, hi]; the alpha-cut carrier.
 
@@ -95,7 +95,7 @@ class Interval:
         return Interval(self.lo / other.hi, self.hi / other.lo)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriangularFuzzyNumber:
     """Fuzzy quantity (beta1, beta2, beta3): support ends around a peak.
 

@@ -29,9 +29,10 @@ from .fuzzy import _require_finite
 
 _MIN_NORMAL = sys.float_info.min
 _MAX = sys.float_info.max
+_INF = math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrispParams:
     """Crisp model inputs: demand rate, leakage rate, holding and setup cost."""
 
@@ -55,7 +56,7 @@ class CrispParams:
             raise DomainError(f"s > 0 violated (got {self.s!r})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleQuantities:
     """Timing of one replenishment cycle and the stock lost during it.
 
@@ -77,7 +78,7 @@ class CycleQuantities:
             raise DomainError(f"leaked >= 0 violated (got {self.leaked!r})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolutionRecord:
     """One solved instance: defuzzified inputs, the optimum, and the
     percent deviations from the crisp baseline."""
@@ -90,8 +91,14 @@ class SolutionRecord:
     rel_z: float
 
     def __post_init__(self) -> None:
-        for name in ("delta", "zeta", "q_star", "z_star", "rel_q", "rel_z"):
-            _require_finite(name, getattr(self, name))
+        # one test on the row path: a nan or inf field makes the sum nan or
+        # inf, and only then are the fields named in order; a sum that
+        # overflows from finite fields passes the loop
+        if not math.isfinite(
+            self.delta + self.zeta + self.q_star + self.z_star + self.rel_q + self.rel_z
+        ):
+            for name in ("delta", "zeta", "q_star", "z_star", "rel_q", "rel_z"):
+                _require_finite(name, getattr(self, name))
         if not self.q_star > 0.0:
             raise DomainError(f"q_star > 0 violated (got {self.q_star!r})")
         if not self.z_star > 0.0:
@@ -110,7 +117,8 @@ def lot_cost(q: float, s: float, h: float, delta: float, zeta_value: float) -> f
     ``delta`` and ``zeta_value`` normally come from ``defuzzified_rates``
     but may be replayed from any external source.
     """
-    _require_positive("q", q)
+    if not 0.0 < q < _INF:
+        _require_positive("q", q)
     return q * h / 2.0 + (s / q) * delta + (q * h / 2.0) * zeta_value
 
 
@@ -130,8 +138,10 @@ def optimal_lot_size(s: float, h: float, delta: float, zeta_value: float) -> flo
 def _lot_size(s: float, h: float, delta: float, zeta_value: float) -> float:
     """``optimal_lot_size`` for the ``s`` and ``h`` of a ``CrispParams``,
     which are already checked."""
-    _require_positive("delta", delta)
-    _require_finite("zeta", zeta_value)
+    if not 0.0 < delta < _INF:
+        _require_positive("delta", delta)
+    if not -_INF < zeta_value < _INF:
+        _require_finite("zeta", zeta_value)
     w = 1.0 + zeta_value
     if not w > 0.0:
         raise DomainError(f"1 + zeta > 0 violated (got zeta={zeta_value!r})")

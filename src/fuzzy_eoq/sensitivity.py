@@ -61,7 +61,7 @@ _AUDIT_MODES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepSpec:
     """A batch of spread rows to solve under one parameter set."""
 
@@ -69,7 +69,7 @@ class SweepSpec:
     rows: tuple[FuzzySpreads, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """Outcome for one sweep row: a record, or the error that stopped it."""
 
@@ -99,9 +99,9 @@ def run_sweep(
         try:
             record = solve_against(p, spreads, baseline, relax_bounds=relax_bounds)
         except DomainError as exc:
-            out.append(SweepRow(index=i, spreads=spreads, record=None, error=str(exc)))
+            out.append(SweepRow(i, spreads, None, str(exc)))
         else:
-            out.append(SweepRow(index=i, spreads=spreads, record=record, error=None))
+            out.append(SweepRow(i, spreads, record, None))
     return tuple(out)
 
 
@@ -169,7 +169,7 @@ def _audit_cell(
     return AuditCell(column, recomputed, paper, tolerance, relative, abs_dev, rel_dev, passed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditRow:
     index: int
     spreads: FuzzySpreads

@@ -5,7 +5,7 @@ import random
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fuzzy_eoq.fuzzy
@@ -428,6 +428,58 @@ class TestBoundedQuadrature:
         sp = FuzzySpreads(lower, 1.0, lower, 1e300)
         with pytest.raises(DomainError, match=r"zeta must be finite \(got nan\)"):
             route(1e-300, 1e-300, sp, relax_bounds=True)
+
+
+@st.composite
+def tiny_rate_cases(draw):
+    """``phi + psi`` log-uniform in 1e-323..1e-300 with ``psi/phi`` in
+    0.005..0.5 and spreads 1-95 % of their rates; draws whose spreads round
+    to zero or onto their rates are discarded."""
+    eta = 10.0 ** draw(st.floats(-323.0, -300.0))
+    ratio = draw(st.floats(0.005, 0.5))
+    phi = eta / (1.0 + ratio)
+    psi = phi * ratio
+    shares = [draw(st.floats(0.01, 0.95)) for _ in range(4)]
+    try:
+        spreads = FuzzySpreads(phi * shares[0], phi * shares[1],
+                               psi * shares[2], psi * shares[3])
+        spreads.validate_against(phi, psi)
+    except DomainError:
+        assume(False)
+    return phi, psi, spreads
+
+
+class TestTinyRates:
+    """At deep-subnormal rates the oracle scales the rates and spreads up by
+    a power of two before building its cuts: unscaled, their coefficients
+    are a few multiples of 5e-324 and the integrand is a staircase."""
+
+    def test_staircase_example(self):
+        # unscaled, the oracle returned 0.40254 against 0.39832 with no error
+        sp = FuzzySpreads(2e-323, 2e-323, 1e-323, 1e-323)
+        assert _rel(zeta_quadrature(3.5e-323, 1.5e-323, sp), zeta(3.5e-323, 1.5e-323, sp)) <= 1e-12
+
+    @settings(max_examples=300)
+    @given(tiny_rate_cases())
+    def test_matches_closed_form(self, case):
+        # unscaled, about a third of these raised QuadratureError
+        phi, psi, spreads = case
+        assert _rel(zeta_quadrature(phi, psi, spreads), zeta(phi, psi, spreads)) <= 1e-12
+
+    @pytest.mark.parametrize("phi, psi", [(0.3, 0.1), (1e-3, 1e-4), (1e-200, 3e-201)])
+    def test_scaling_moves_no_rounding_at_normal_rates(self, phi, psi):
+        sp = FuzzySpreads(0.1 * phi, 0.7 * phi, 0.3 * psi, 0.9 * psi)
+        leakage = leakage_fuzzy(psi, sp)
+        plain = fuzzy_eoq.fuzzy._quotient_cuts(leakage, demand_fuzzy(phi, sp) + leakage)
+        scaled = leak_fraction_cuts(phi, psi, sp)
+        for a in (0.0, 0.125, 1 / 3, 0.5, 0.9, 1.0):
+            assert [cut(a) for cut in scaled] == [cut(a) for cut in plain]
+
+    def test_huge_relaxed_spreads_are_not_scaled_past_binary64(self):
+        # scaling up would overflow phi + psi + d2 + d4: the cuts stay unscaled
+        sp = FuzzySpreads(1e-301, 1e307, 1e-301, 1.0)
+        cut_lo, cut_hi = leak_fraction_cuts(1e-300, 1e-300, sp, relax_bounds=True)
+        assert math.isfinite(cut_lo(0.0)) and cut_lo(1.0) == 0.5
 
 
 class TestPublicChecks:

@@ -19,6 +19,7 @@ from fuzzy_eoq import (
     fuzzy_optimal,
     lot_cost,
     optimal_lot_size,
+    solve_against,
     truncated_baseline,
 )
 from fuzzy_eoq.model import _scaled_lot_size, percent_deviation
@@ -190,11 +191,6 @@ class TestLotFormulas:
         with pytest.raises(DomainError, match="1 \\+ zeta > 0"):
             optimal_lot_size(100.0, 10.0, 600.0, -1.0)
 
-    def test_input_validation(self):
-        with pytest.raises(DomainError, match="delta > 0"):
-            optimal_lot_size(100.0, 10.0, 0.0, 0.1)
-        with pytest.raises(DomainError, match="q > 0"):
-            lot_cost(0.0, 100.0, 10.0, 600.0, 0.1)
 
 
 def _lot_size_decimal(s, h, delta, zeta_value):
@@ -209,20 +205,6 @@ def _lot_size_decimal(s, h, delta, zeta_value):
 class TestLotSizeRange:
     """Every lot size binary64 can hold is returned, whatever 2 s delta and
     h (1 + zeta) do on the way."""
-
-    @pytest.mark.parametrize("args, message", [
-        ((math.nan, math.nan, math.nan, math.nan), r"^s must be finite \(got nan\)$"),
-        ((0.0, math.nan, math.nan, math.nan), r"^s > 0 violated \(got 0.0\)$"),
-        ((1.0, math.inf, math.nan, math.nan), r"^h must be finite \(got inf\)$"),
-        ((1.0, -1.0, math.nan, math.nan), r"^h > 0 violated \(got -1.0\)$"),
-        ((1.0, 1.0, math.nan, math.nan), r"^delta must be finite \(got nan\)$"),
-        ((1.0, 1.0, 0.0, math.nan), r"^delta > 0 violated \(got 0.0\)$"),
-        ((1.0, 1.0, 1.0, -math.inf), r"^zeta must be finite \(got -inf\)$"),
-        ((1.0, 1.0, 1.0, -1.0), r"^1 \+ zeta > 0 violated \(got zeta=-1.0\)$"),
-    ])
-    def test_checks_in_order(self, args, message):
-        with pytest.raises(DomainError, match=message):
-            optimal_lot_size(*args)
 
     @pytest.mark.parametrize("s, h, delta, zeta_value", [
         (1e306, 1.0, 600.0, 10.0 / 610.0),  # 2 s delta overflows
@@ -411,8 +393,83 @@ class TestBaselines:
         assert abs(rel_q - 1.3478) < 1e-3
         assert abs(rel_z - (-0.6943)) < 1e-3
 
-    def test_record_requires_positive_optimum(self):
-        with pytest.raises(DomainError, match="q_star > 0"):
-            SolutionRecord(600.0, 0.1, 0.0, 10.0, 0.0, 0.0)
-        with pytest.raises(DomainError, match="z_star > 0"):
-            SolutionRecord(600.0, 0.1, 10.0, -1.0, 0.0, 0.0)
+
+def _solve(p, spreads, relax_bounds=False):
+    """``solve_against`` with a held baseline error, which it raises only
+    once the row's own checks pass."""
+    return solve_against(p, spreads, DomainError("held baseline"), relax_bounds=relax_bounds)
+
+
+_NAN, _INF = math.nan, math.inf
+_TINY = math.nextafter(1e-300, 0.0)
+
+# Each check's message and the order the checks run in; a message of None
+# marks an accepted input.  The row path tests each value with one
+# comparison and names it through the same helper only when that fails.
+CHECK_CASES = [
+    # optimal_lot_size checks s, h, delta, zeta, then 1 + zeta
+    (optimal_lot_size, (_NAN, _NAN, _NAN, _NAN), r"s must be finite \(got nan\)"),
+    (optimal_lot_size, (0.0, _NAN, _NAN, _NAN), r"s > 0 violated \(got 0.0\)"),
+    (optimal_lot_size, (1.0, _INF, _NAN, _NAN), r"h must be finite \(got inf\)"),
+    (optimal_lot_size, (1.0, -1.0, _NAN, _NAN), r"h > 0 violated \(got -1.0\)"),
+    (optimal_lot_size, (1.0, 1.0, _NAN, _NAN), r"delta must be finite \(got nan\)"),
+    (optimal_lot_size, (1.0, 1.0, _INF, 0.5), r"delta must be finite \(got inf\)"),
+    (optimal_lot_size, (1.0, 1.0, -_INF, 0.5), r"delta must be finite \(got -inf\)"),
+    (optimal_lot_size, (1.0, 1.0, 0.0, _NAN), r"delta > 0 violated \(got 0.0\)"),
+    (optimal_lot_size, (1.0, 1.0, -0.0, 0.5), r"delta > 0 violated \(got -0.0\)"),
+    (optimal_lot_size, (1.0, 1.0, -1.0, 0.5), r"delta > 0 violated \(got -1.0\)"),
+    (optimal_lot_size, (1.0, 1.0, 1.0, _NAN), r"zeta must be finite \(got nan\)"),
+    (optimal_lot_size, (1.0, 1.0, 1.0, _INF), r"zeta must be finite \(got inf\)"),
+    (optimal_lot_size, (1.0, 1.0, 1.0, -_INF), r"zeta must be finite \(got -inf\)"),
+    (optimal_lot_size, (1.0, 1.0, 1.0, 0.0), None),
+    (optimal_lot_size, (1.0, 1.0, 1.0, -0.5), None),
+    (optimal_lot_size, (1.0, 1.0, 1.0, -1.0), r"1 \+ zeta > 0 violated \(got zeta=-1.0\)"),
+    (optimal_lot_size, (1.0, 1.0, 1.0, -2.0), r"1 \+ zeta > 0 violated \(got zeta=-2.0\)"),
+    # lot_cost checks q alone
+    (lot_cost, (_NAN, 100.0, 10.0, 600.0, 0.1), r"q must be finite \(got nan\)"),
+    (lot_cost, (_INF, 100.0, 10.0, 600.0, 0.1), r"q must be finite \(got inf\)"),
+    (lot_cost, (-_INF, 100.0, 10.0, 600.0, 0.1), r"q must be finite \(got -inf\)"),
+    (lot_cost, (0.0, 100.0, 10.0, 600.0, 0.1), r"q > 0 violated \(got 0.0\)"),
+    (lot_cost, (-1.0, 100.0, 10.0, 600.0, 0.1), r"q > 0 violated \(got -1.0\)"),
+    (lot_cost, (1.0, 100.0, 10.0, 600.0, 0.1), None),
+    # solve_against: the row's spread, zeta and q checks come before a held
+    # baseline error; q* = sqrt(2 1e300 1e300 / 1e-300) is about 1.4e450
+    (_solve, (PARAMS, FuzzySpreads(700.0, 1.0, 1.0, 1.0)),
+     r"d1 < phi violated \(d1=700.0, phi=600.0\)"),
+    (_solve, (CrispParams(1e-300, 1e-300, 1.0, 1.0), FuzzySpreads(_TINY, 1.0, _TINY, 1e300), True),
+     r"zeta must be finite \(got nan\)"),
+    (_solve, (CrispParams(1e300, 10.0, 1e-300, 1e300), FuzzySpreads(1.0, 1.0, 1.0, 1.0)),
+     r"q must be finite \(got inf\)"),
+    (_solve, (PARAMS, ROW1), r"held baseline"),
+    # SolutionRecord names the first non-finite field, then checks the optimum
+    (SolutionRecord, (600.0, 0.1, 1e308, 1e308, 0.0, 0.0), None),
+    (SolutionRecord, (600.0, _NAN, 10.0, 10.0, 0.0, _INF), r"zeta must be finite \(got nan\)"),
+    (SolutionRecord, (_INF, 0.1, 10.0, 10.0, 0.0, 0.0), r"delta must be finite \(got inf\)"),
+    (SolutionRecord, (600.0, _NAN, 10.0, 10.0, 0.0, 0.0), r"zeta must be finite \(got nan\)"),
+    (SolutionRecord, (600.0, 0.1, _INF, 10.0, 0.0, 0.0), r"q_star must be finite \(got inf\)"),
+    (SolutionRecord, (600.0, 0.1, 10.0, -_INF, 0.0, 0.0), r"z_star must be finite \(got -inf\)"),
+    (SolutionRecord, (600.0, 0.1, 10.0, 10.0, _NAN, 0.0), r"rel_q must be finite \(got nan\)"),
+    (SolutionRecord, (600.0, 0.1, 10.0, 10.0, 0.0, _INF), r"rel_z must be finite \(got inf\)"),
+    (SolutionRecord, (600.0, 0.1, 10.0, 10.0, _INF, -_INF), r"rel_q must be finite \(got inf\)"),
+    (SolutionRecord, (600.0, 0.1, 0.0, 10.0, 0.0, _NAN), r"rel_z must be finite \(got nan\)"),
+    (SolutionRecord, (600.0, 0.1, 0.0, 10.0, 0.0, 0.0), r"q_star > 0 violated \(got 0.0\)"),
+    (SolutionRecord, (600.0, 0.1, 10.0, -1.0, 0.0, 0.0), r"z_star > 0 violated \(got -1.0\)"),
+    # FuzzySpreads checks d1..d4 in order, each finite and then positive
+    (FuzzySpreads, (_NAN, 0.0, 1.0, 1.0), r"d1 must be finite \(got nan\)"),
+    (FuzzySpreads, (0.0, _NAN, 1.0, 1.0), r"d1 > 0 violated \(got 0.0\)"),
+    (FuzzySpreads, (1.0, -_INF, 1.0, 1.0), r"d2 must be finite \(got -inf\)"),
+    (FuzzySpreads, (1.0, 1.0, -1.0, _INF), r"d3 > 0 violated \(got -1.0\)"),
+    (FuzzySpreads, (1.0, 1.0, 0.0, 1.0), r"d3 > 0 violated \(got 0.0\)"),
+    (FuzzySpreads, (1.0, 1.0, 1.0, _INF), r"d4 must be finite \(got inf\)"),
+    (FuzzySpreads, (1.0, 1.0, 1.0, 5e-324), None),
+]
+
+
+class TestCheckOrder:
+    @pytest.mark.parametrize("route, args, message", CHECK_CASES)
+    def test_message_and_order(self, route, args, message):
+        if message is None:
+            route(*args)
+        else:
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                route(*args)
