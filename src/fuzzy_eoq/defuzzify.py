@@ -10,9 +10,10 @@ the fuzziness into the cost function:
   ``leakage / (demand + leakage)``, an exact antiderivative in logarithms
   arranged so that nothing cancels.
 
-``defuzzified_rates`` returns both for one spread row and validates the
-spreads once; the solver takes the same step without re-checking the rates
-its ``CrispParams`` already checked.  ``zeta`` returns the second alone.
+``defuzzified_rates`` returns both for one spread row; it is the step every
+solve and audit row takes.  ``zeta`` returns the second alone.  Each public
+route checks its input once, in ``FuzzySpreads.validate_against``: the
+rates, then the spread bounds, then the largest cut sum.
 ``zeta_quadrature`` integrates the alpha-cut endpoints of that quotient,
 built from ``demand_fuzzy`` and ``leakage_fuzzy``, adaptively instead.
 It shares no code with ``zeta``: it is the independent oracle that tests
@@ -27,7 +28,7 @@ from typing import Callable
 
 from .errors import DomainError
 from .fuzzy import (TriangularFuzzyNumber, _quotient_cuts, _require_finite,
-                    signed_distance_quadrature)
+                    _require_positive, signed_distance_quadrature)
 
 # Below this |t|, log1p(t)/t - 1 is summed as a series: computed directly
 # it would subtract two nearly equal numbers.
@@ -56,10 +57,7 @@ class FuzzySpreads:
         if not (0.0 < self.d1 < _INF and 0.0 < self.d2 < _INF
                 and 0.0 < self.d3 < _INF and 0.0 < self.d4 < _INF):
             for name in ("d1", "d2", "d3", "d4"):
-                value = getattr(self, name)
-                _require_finite(name, value)
-                if not value > 0.0:
-                    raise DomainError(f"{name} > 0 violated (got {value!r})")
+                _require_positive(name, getattr(self, name))
 
     @property
     def d5(self) -> float:
@@ -72,17 +70,24 @@ class FuzzySpreads:
         return self.d2 + self.d4
 
     def validate_against(self, phi: float, psi: float, *, relax_bounds: bool = False) -> None:
-        """Check the spread bounds against the crisp rates.
+        """Check the crisp rates, then the spread bounds against them.
 
-        The lower-spread bounds ``d1 < phi`` and ``d3 < psi`` keep every
-        quantity in the model well defined (positive rates at membership
-        level 0) and are always enforced.  The mirror bounds ``d2 < phi``
-        and ``d4 < psi`` belong to the model statement but are not
-        mathematically necessary; ``relax_bounds`` lifts exactly those.
-        Last, ``phi + psi + d2 + d4``, the largest sum the oracle's cut
-        endpoints form, must be finite, so ``zeta`` and the oracle reject the
-        same inputs.
+        ``phi``, ``psi`` and ``phi + psi`` must be finite.  The lower-spread
+        bounds ``d1 < phi`` and ``d3 < psi`` keep every quantity in the
+        model well defined (positive rates at membership level 0) and are
+        always enforced.  The mirror bounds ``d2 < phi`` and ``d4 < psi``
+        belong to the model statement but are not mathematically necessary;
+        ``relax_bounds`` lifts exactly those.  Last, ``phi + psi + d2 + d4``,
+        the largest sum the oracle's cut endpoints form, must be finite, so
+        ``zeta`` and the oracle reject the same inputs.
         """
+        # a nan or inf rate, or a sum that overflows, makes phi + psi nan or
+        # inf: one test on the row path, and only then are the rates named
+        eta = phi + psi
+        if not -_INF < eta < _INF:
+            _require_finite("phi", phi)
+            _require_finite("psi", psi)
+            _require_finite("phi + psi", eta)
         if not self.d1 < phi:
             raise DomainError(f"d1 < phi violated (d1={self.d1!r}, phi={phi!r})")
         if not relax_bounds and not self.d2 < phi:
@@ -92,7 +97,7 @@ class FuzzySpreads:
         if not relax_bounds and not self.d4 < psi:
             raise DomainError(f"d4 < psi violated (d4={self.d4!r}, psi={psi!r})")
         # the bounds passed make every term positive, so only inf can fail
-        total = phi + psi + (self.d2 + self.d4)
+        total = eta + (self.d2 + self.d4)
         if not total < _INF:
             _require_finite("phi + psi + d2 + d4", total)
 
@@ -105,17 +110,6 @@ def demand_fuzzy(phi: float, spreads: FuzzySpreads) -> TriangularFuzzyNumber:
 def leakage_fuzzy(psi: float, spreads: FuzzySpreads) -> TriangularFuzzyNumber:
     """The fuzzy leakage rate (psi - d3, psi, psi + d4)."""
     return TriangularFuzzyNumber(psi - spreads.d3, psi, psi + spreads.d4)
-
-
-def _signed_demand(phi: float, spreads: FuzzySpreads) -> float:
-    return phi + (spreads.d2 - spreads.d1) / 4.0
-
-
-def _require_rates(phi: float, psi: float) -> None:
-    """The rate checks that ``CrispParams`` also makes."""
-    _require_finite("phi", phi)
-    _require_finite("psi", psi)
-    _require_finite("phi + psi", phi + psi)
 
 
 def leak_fraction_cuts(
@@ -132,7 +126,6 @@ def leak_fraction_cuts(
     first scaled up by a power of two, which is exact.  At deep-subnormal
     rates the cut coefficients would otherwise be a few multiples of the
     smallest subnormal, and the integrand a staircase."""
-    _require_rates(phi, psi)
     spreads.validate_against(phi, psi, relax_bounds=relax_bounds)
     k = -math.frexp(phi + psi)[1]
     # only upward, and only while the largest cut sum stays finite
@@ -212,7 +205,6 @@ def zeta(
     near-degenerate spreads up to the bounds and at both ends of the
     binary64 range.
     """
-    _require_rates(phi, psi)
     spreads.validate_against(phi, psi, relax_bounds=relax_bounds)
     return _closed_form(phi, psi, spreads)
 
@@ -224,16 +216,6 @@ def defuzzified_rates(
     *,
     relax_bounds: bool = False,
 ) -> tuple[float, float]:
-    """``delta`` and ``zeta`` together, validating the spreads once against
-    both rates."""
-    _require_rates(phi, psi)
-    return _defuzzify(phi, psi, spreads, relax_bounds)
-
-
-def _defuzzify(
-    phi: float, psi: float, spreads: FuzzySpreads, relax_bounds: bool
-) -> tuple[float, float]:
-    """``defuzzified_rates`` for the rates of a ``CrispParams``, which are
-    already checked: only the spreads are validated."""
+    """``delta`` and ``zeta`` together, checking the rates and spreads once."""
     spreads.validate_against(phi, psi, relax_bounds=relax_bounds)
-    return _signed_demand(phi, spreads), _closed_form(phi, psi, spreads)
+    return phi + (spreads.d2 - spreads.d1) / 4.0, _closed_form(phi, psi, spreads)

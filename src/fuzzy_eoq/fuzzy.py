@@ -29,6 +29,12 @@ def _require_finite(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite (got {value!r})")
 
 
+def _require_positive(name: str, value: float) -> None:
+    _require_finite(name, value)
+    if not value > 0.0:
+        raise DomainError(f"{name} > 0 violated (got {value!r})")
+
+
 @dataclass(frozen=True, slots=True)
 class Interval:
     """A closed real interval [lo, hi]; the alpha-cut carrier.

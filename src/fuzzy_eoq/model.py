@@ -23,9 +23,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .defuzzify import FuzzySpreads, _defuzzify
+from .defuzzify import FuzzySpreads, defuzzified_rates
 from .errors import DomainError
-from .fuzzy import _require_finite
+from .fuzzy import _require_finite, _require_positive
 
 _MIN_NORMAL = sys.float_info.min
 _MAX = sys.float_info.max
@@ -44,16 +44,13 @@ class CrispParams:
     def __post_init__(self) -> None:
         for name in ("phi", "psi", "h", "s"):
             _require_finite(name, getattr(self, name))
-        if not self.phi > 0.0:
-            raise DomainError(f"phi > 0 violated (got {self.phi!r})")
+        _require_positive("phi", self.phi)
         if not self.psi >= 0.0:
             raise DomainError(f"psi >= 0 violated (got {self.psi!r})")
         # eta = phi + psi divides every leakage term
         _require_finite("phi + psi", self.phi + self.psi)
-        if not self.h > 0.0:
-            raise DomainError(f"h > 0 violated (got {self.h!r})")
-        if not self.s > 0.0:
-            raise DomainError(f"s > 0 violated (got {self.s!r})")
+        _require_positive("h", self.h)
+        _require_positive("s", self.s)
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,16 +96,9 @@ class SolutionRecord:
         ):
             for name in ("delta", "zeta", "q_star", "z_star", "rel_q", "rel_z"):
                 _require_finite(name, getattr(self, name))
-        if not self.q_star > 0.0:
-            raise DomainError(f"q_star > 0 violated (got {self.q_star!r})")
-        if not self.z_star > 0.0:
-            raise DomainError(f"z_star > 0 violated (got {self.z_star!r})")
-
-
-def _require_positive(name: str, value: float) -> None:
-    _require_finite(name, value)
-    if not value > 0.0:
-        raise DomainError(f"{name} > 0 violated (got {value!r})")
+        if not (self.q_star > 0.0 and self.z_star > 0.0):
+            _require_positive("q_star", self.q_star)
+            _require_positive("z_star", self.z_star)
 
 
 def lot_cost(q: float, s: float, h: float, delta: float, zeta_value: float) -> float:
@@ -132,19 +122,17 @@ def optimal_lot_size(s: float, h: float, delta: float, zeta_value: float) -> flo
     """
     _require_positive("s", s)
     _require_positive("h", h)
-    return _lot_size(s, h, delta, zeta_value)
-
-
-def _lot_size(s: float, h: float, delta: float, zeta_value: float) -> float:
-    """``optimal_lot_size`` for the ``s`` and ``h`` of a ``CrispParams``,
-    which are already checked."""
-    if not 0.0 < delta < _INF:
-        _require_positive("delta", delta)
-    if not -_INF < zeta_value < _INF:
-        _require_finite("zeta", zeta_value)
+    _require_positive("delta", delta)
+    _require_finite("zeta", zeta_value)
     w = 1.0 + zeta_value
     if not w > 0.0:
         raise DomainError(f"1 + zeta > 0 violated (got zeta={zeta_value!r})")
+    return _lot_size(s, h, delta, w)
+
+
+def _lot_size(s: float, h: float, delta: float, w: float) -> float:
+    """sqrt(2 s delta / (h w)) for the positive, finite inputs that
+    ``optimal_lot_size`` checks and every internal caller guarantees."""
     num, den = 2.0 * s * delta, h * w
     ratio = num / den
     if num >= _MIN_NORMAL and den >= _MIN_NORMAL and _MIN_NORMAL <= ratio <= _MAX:
@@ -179,7 +167,7 @@ def crisp_optimal(p: CrispParams) -> SolutionRecord:
     are zero by definition: this record is its own baseline.
     """
     zeta_value = p.psi / (p.phi + p.psi)
-    q = _lot_size(p.s, p.h, p.phi, zeta_value)
+    q = _lot_size(p.s, p.h, p.phi, 1.0 + zeta_value)
     return SolutionRecord(
         delta=p.phi,
         zeta=zeta_value,
@@ -256,8 +244,10 @@ def _lot_rule(
 ) -> tuple[float, float, float, float]:
     """Optimal lot size at (delta, zeta_value), its cost, and their percent
     deviations from ``baseline``: the step every fuzzy row and both audit
-    modes take.  A held baseline error is raised after the rule's checks."""
-    q = _lot_size(p.s, p.h, delta, zeta_value)
+    modes take.  Every caller passes a positive, finite ``delta`` and a
+    finite ``zeta_value`` above -1, so only the lot size is checked, by
+    ``lot_cost``; a held baseline error is raised after that check."""
+    q = _lot_size(p.s, p.h, delta, 1.0 + zeta_value)
     z_star = lot_cost(q, p.s, p.h, delta, zeta_value)
     if isinstance(baseline, DomainError):
         # a fresh error per row: re-raising one instance would chain tracebacks
@@ -278,7 +268,7 @@ def solve_against(
     ``baseline`` comes from ``crisp_baseline`` or ``held_baseline`` for the
     same params; building it once serves every spread row.
     """
-    d, z = _defuzzify(p.phi, p.psi, spreads, relax_bounds)
+    d, z = defuzzified_rates(p.phi, p.psi, spreads, relax_bounds=relax_bounds)
     return SolutionRecord(d, z, *_lot_rule(p, d, z, baseline))
 
 

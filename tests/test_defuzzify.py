@@ -482,13 +482,64 @@ class TestTinyRates:
         assert math.isfinite(cut_lo(0.0)) and cut_lo(1.0) == 0.5
 
 
-class TestPublicChecks:
-    """The public routes check the rates before the spreads, with the same
-    messages, although the solver skips the rate checks ``CrispParams``
-    already made."""
+@st.composite
+def binary64_range_cases(draw):
+    """Rates log-uniform in 1e-323..1e308; each lower spread a share of its
+    rate or one to four ulps below it; upper spreads 1e-3 to 1e15 times
+    their rates, for relaxed bounds.  Draws whose spreads round to zero or
+    overflow are discarded."""
 
-    @pytest.mark.parametrize("route", [defuzzified_rates, zeta, zeta_quadrature,
-                                       leak_fraction_cuts])
+    def lower(rate):
+        if draw(st.booleans()):
+            for _ in range(draw(st.integers(1, 4))):
+                rate = math.nextafter(rate, 0.0)
+            return rate
+        return rate * draw(st.floats(1e-6, 0.99))
+
+    phi = 10.0 ** draw(st.floats(-323.0, 308.0))
+    psi = 10.0 ** draw(st.floats(-323.0, 308.0))
+    try:
+        spreads = FuzzySpreads(lower(phi), phi * 10.0 ** draw(st.floats(-3.0, 15.0)),
+                               lower(psi), psi * 10.0 ** draw(st.floats(-3.0, 15.0)))
+    except DomainError:
+        assume(False)
+    return phi, psi, spreads
+
+
+class TestLotRuleInputs:
+    """The lot rule takes ``delta`` and ``zeta`` unchecked from
+    ``defuzzified_rates`` and from the published table: ``delta`` must be
+    positive and finite, ``zeta`` finite and above -1."""
+
+    @settings(max_examples=1000)
+    @given(binary64_range_cases())
+    @example((1e-323, 1e-323, FuzzySpreads(5e-324, 5e-324, 5e-324, 5e-324)))
+    @example((1e308, 1e307, FuzzySpreads(math.nextafter(1e308, 0.0), 1e307,
+                                         math.nextafter(1e307, 0.0), 1e306)))
+    def test_defuzzified_rates_across_binary64(self, case):
+        phi, psi, spreads = case
+        try:
+            delta, zeta_value = defuzzified_rates(phi, psi, spreads, relax_bounds=True)
+        except DomainError:
+            assume(False)
+        assert 0.0 < delta < math.inf
+        assert 0.0 <= zeta_value < math.inf
+
+    def test_published_zeta_values(self):
+        assert all(-1.0 < row.zeta < math.inf for row in load_reference_table())
+
+
+def _validate_against(phi, psi, spreads):
+    spreads.validate_against(phi, psi)
+
+
+class TestPublicChecks:
+    """Every public route checks the rates before the spreads, with the same
+    messages: each makes its one input check in ``validate_against``, the
+    check the solver and the audit make too."""
+
+    @pytest.mark.parametrize("route", [_validate_against, defuzzified_rates, zeta,
+                                       zeta_quadrature, leak_fraction_cuts])
     @pytest.mark.parametrize("phi, psi, d1, message", [
         (math.nan, math.nan, 700.0, r"^phi must be finite \(got nan\)$"),
         (600.0, math.inf, 700.0, r"^psi must be finite \(got inf\)$"),

@@ -454,6 +454,13 @@ CHECK_CASES = [
     (SolutionRecord, (600.0, 0.1, 0.0, 10.0, 0.0, _NAN), r"rel_z must be finite \(got nan\)"),
     (SolutionRecord, (600.0, 0.1, 0.0, 10.0, 0.0, 0.0), r"q_star > 0 violated \(got 0.0\)"),
     (SolutionRecord, (600.0, 0.1, 10.0, -1.0, 0.0, 0.0), r"z_star > 0 violated \(got -1.0\)"),
+    # CrispParams checks each field finite, then phi, psi, phi + psi, h, s
+    (CrispParams, (0.0, 10.0, 10.0, 100.0), r"phi > 0 violated \(got 0.0\)"),
+    (CrispParams, (600.0, -0.5, 10.0, 100.0), r"psi >= 0 violated \(got -0.5\)"),
+    (CrispParams, (600.0, 10.0, -1.0, 100.0), r"h > 0 violated \(got -1.0\)"),
+    (CrispParams, (600.0, 10.0, 10.0, 0.0), r"s > 0 violated \(got 0.0\)"),
+    (CrispParams, (1e308, 1e308, 10.0, 100.0), r"phi \+ psi must be finite \(got inf\)"),
+    (CrispParams, (_NAN, 10.0, 0.0, 100.0), r"phi must be finite \(got nan\)"),
     # FuzzySpreads checks d1..d4 in order, each finite and then positive
     (FuzzySpreads, (_NAN, 0.0, 1.0, 1.0), r"d1 must be finite \(got nan\)"),
     (FuzzySpreads, (0.0, _NAN, 1.0, 1.0), r"d1 > 0 violated \(got 0.0\)"),
