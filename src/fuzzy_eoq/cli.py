@@ -2,9 +2,10 @@
 
 ``main`` merges the config file and the flags once; each command returns one
 ``_Result``, and one renderer per output format turns it into text.  JSON is
-written into a layout made once per payload shape, and the argument parser is
-built on the first call; both are reused by every later call, so ``main(argv)``
-may be called many times in one process.
+written into a layout made once per payload shape, the argument parser is
+built on the first call, and ``audit_table`` keeps each audit it computes;
+all three are reused by every later call, so ``main(argv)`` may be called
+many times in one process, and a repeated ``verify-table`` audits nothing.
 
 Exit codes: 0 on success, 1 when a sweep had failing rows or the table
 audit found deviations, 2 on invalid parameters, spreads, or config, on a

@@ -201,6 +201,9 @@ def signed_distance_quadrature(
     membership levels in [0, 1] by adaptive Simpson quadrature.  Callers
     supply continuous endpoint functions with ``cut_lo <= cut_hi``
     pointwise; this is the oracle route for every closed-form signed
-    distance in the package.
+    distance in the package.  The stop is scaled by the mean size of the
+    two endpoints at ``a = 1/2``, not by the midpoint, which cancels when
+    the endpoints lie on either side of zero.
     """
-    return adaptive_simpson(lambda a: 0.5 * (cut_lo(a) + cut_hi(a)), 0.0, 1.0)
+    scale = 0.5 * (abs(cut_lo(0.5)) + abs(cut_hi(0.5)))
+    return adaptive_simpson(lambda a: 0.5 * (cut_lo(a) + cut_hi(a)), 0.0, 1.0, scale=scale)

@@ -9,7 +9,8 @@ crisp baseline.
 ``run_sweep`` re-solves any sequence of spread rows, collecting per-row
 failures instead of aborting.  ``audit_table`` re-derives the table and
 compares column by column.  A sweep or audit builds the crisp baseline
-once and validates each row's spreads once.  Two modes:
+once and validates each row's spreads once, and each audit is kept for
+later calls with the same parameters and mode.  Two modes:
 
 * default: every column recomputed from the spreads by this package's
   own pipeline (exact crisp baseline);
@@ -235,8 +236,17 @@ def audit_table(
     informational: it does not reproduce from the spreads, and each
     non-positive published value is flagged as a sign contradiction (the
     recomputed fraction is strictly positive).
+
+    The result depends only on ``params``, the mode and the bundled table,
+    so each ``(params, paper_baseline)`` audit is computed once per process
+    and kept, eight at most: a later call returns the same ``TableAudit``.
+    A call that raises keeps nothing and raises afresh every time.
     """
-    p = REFERENCE_PARAMS if params is None else params
+    return _audit(REFERENCE_PARAMS if params is None else params, paper_baseline)
+
+
+@lru_cache(maxsize=8)
+def _audit(p: CrispParams, paper_baseline: bool) -> TableAudit:
     baseline = crisp_baseline(p, paper_baseline)
     lot_zeta, tolerances, relative = _AUDIT_MODES[paper_baseline]
     audit_rows = []

@@ -195,6 +195,21 @@ def near_degenerate_cases(draw):
     return phi, psi, spreads
 
 
+@st.composite
+def small_fraction_cases(draw):
+    """Small leak fractions: phi log-uniform in 1e-3..1e6, psi/phi
+    log-uniform in 1e-16..1e-3, every spread 1-99 % of its rate."""
+    phi = 10.0 ** draw(st.floats(-3.0, 6.0))
+    psi = phi * 10.0 ** draw(st.floats(-16.0, -3.0))
+    spreads = FuzzySpreads(
+        d1=phi * draw(st.floats(0.01, 0.99)),
+        d2=phi * draw(st.floats(0.01, 0.99)),
+        d3=psi * draw(st.floats(0.01, 0.99)),
+        d4=psi * draw(st.floats(0.01, 0.99)),
+    )
+    return phi, psi, spreads
+
+
 # Rates at both ends of the binary64 range, where squaring a spread or
 # multiplying a rate by a spread under- or overflows.
 BINARY64_EXTREMES = [
@@ -225,7 +240,17 @@ class TestNoCancellation:
 
     @settings(max_examples=300)
     @given(near_degenerate_cases())
+    # a small leak fraction: the oracle's stop was absolute and left 1.0e-12
+    @example((1.0, 0.001, FuzzySpreads(0.025, 0.0859375, 1.25e-05, 0.0001)))
     def test_matches_quadrature_down_to_tiny_spread_ratios(self, case):
+        phi, psi, spreads = case
+        assert _rel(zeta(phi, psi, spreads), zeta_quadrature(phi, psi, spreads)) <= 1e-12
+
+    @settings(max_examples=300)
+    @given(small_fraction_cases())
+    # printed 4.7e-5 apart by the CLI while the oracle's stop was absolute
+    @example((1.0, 1e-10, FuzzySpreads(0.5, 0.5, 5e-11, 5e-11)))
+    def test_matches_quadrature_at_small_leak_fractions(self, case):
         phi, psi, spreads = case
         assert _rel(zeta(phi, psi, spreads), zeta_quadrature(phi, psi, spreads)) <= 1e-12
 

@@ -29,8 +29,9 @@ from fuzzy_eoq import (
     truncated_baseline,
     zeta_quadrature,
 )
+from fuzzy_eoq.cli import main
 from fuzzy_eoq.model import percent_deviation
-from fuzzy_eoq.sensitivity import _audit_cell
+from fuzzy_eoq.sensitivity import _audit, _audit_cell
 
 NEGATIVE_ZETA_ROWS = (2, 3, 4, 5, 6, 9, 10, 11, 12, 15, 16, 17, 18)  # 1-based
 
@@ -367,3 +368,54 @@ class TestAuditErrors:
         # psi below the table's leakage spreads cannot replay the rows
         with pytest.raises(DomainError, match="d3 < psi"):
             audit_table(CrispParams(600.0, 5.0, 10.0, 100.0))
+
+
+class TestAuditCache:
+    """Each (params, mode) audit is computed once per process and kept."""
+
+    def test_same_audit_on_every_call(self):
+        assert audit_table() is audit_table()
+        assert audit_table(REFERENCE_PARAMS) is audit_table()
+        assert audit_table(CrispParams(600.0, 10.0, 10.0, 100.0)) is audit_table()
+        assert audit_table(paper_baseline=True) is audit_table(paper_baseline=True)
+
+    def test_modes_are_kept_apart(self):
+        default, paper = audit_table(), audit_table(paper_baseline=True)
+        assert default is not paper
+        assert (default.paper_baseline, paper.paper_baseline) == (False, True)
+
+    def test_failures_are_not_kept(self):
+        size = _audit.cache_info().currsize
+        errors = []
+        for _ in range(2):
+            with pytest.raises(DomainError, match="d3 < psi") as info:
+                audit_table(CrispParams(600.0, 5.0, 10.0, 100.0))
+            errors.append(info.value)
+        assert errors[0] is not errors[1]
+        assert _audit.cache_info().currsize == size
+
+    def test_at_most_eight_audits_are_kept(self):
+        for h in range(1, 11):
+            audit_table(CrispParams(600.0, 10.0, float(h), 100.0))
+        assert _audit.cache_info().currsize == 8
+
+    def test_replace_leaves_the_kept_audit_unchanged(self):
+        audit = audit_table()
+        rows = tuple(dataclasses.replace(row, zeta_sign_contradiction=False) for row in audit.rows)
+        changed = dataclasses.replace(audit, rows=rows)
+        assert changed.sign_contradictions == ()
+        assert audit_table() is audit
+        assert len(audit.sign_contradictions) == len(NEGATIVE_ZETA_ROWS)
+        assert all(row.zeta_sign_contradiction for row in audit.rows
+                   if row.index + 1 in NEGATIVE_ZETA_ROWS)
+
+    @pytest.mark.parametrize("mode", [[], ["--paper-baseline"]], ids=["default", "paper"])
+    @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+    def test_verify_table_writes_the_same_bytes_twice(self, capsys, fmt, mode):
+        _audit.cache_clear()
+        outputs = []
+        for _ in range(2):
+            code = main(["verify-table", *mode, "--format", fmt])
+            outputs.append((code, *capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 1
