@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError
-from .quadrature import adaptive_simpson
+from .quadrature import DEFAULT_TOL, adaptive_simpson
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -201,9 +201,14 @@ def signed_distance_quadrature(
     membership levels in [0, 1] by adaptive Simpson quadrature.  Callers
     supply continuous endpoint functions with ``cut_lo <= cut_hi``
     pointwise; this is the oracle route for every closed-form signed
-    distance in the package.  The stop is scaled by the mean size of the
-    two endpoints at ``a = 1/2``, not by the midpoint, which cancels when
-    the endpoints lie on either side of zero.
+    distance in the package.  When the mean size of the two endpoints at
+    ``a = 1/2`` is at most 1, the tolerance is multiplied by
+    ``min(1, 64 * size)``, so a small integral is resolved relative to its
+    size.  The size is taken from the endpoints, not the midpoint, which
+    cancels when they lie on either side of zero: the stop must not ask
+    for more than the endpoints' rounding allows.  Above 1 the tolerance
+    is left to ``adaptive_simpson``'s own scaling by the midpoint.
     """
-    scale = 0.5 * (abs(cut_lo(0.5)) + abs(cut_hi(0.5)))
-    return adaptive_simpson(lambda a: 0.5 * (cut_lo(a) + cut_hi(a)), 0.0, 1.0, scale=scale)
+    size = 0.5 * (abs(cut_lo(0.5)) + abs(cut_hi(0.5)))
+    tol = DEFAULT_TOL * min(1.0, 64.0 * size) if size > 0.0 else DEFAULT_TOL
+    return adaptive_simpson(lambda a: 0.5 * (cut_lo(a) + cut_hi(a)), 0.0, 1.0, tol=tol)

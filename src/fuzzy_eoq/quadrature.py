@@ -9,7 +9,7 @@ closed forms it validates.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import DomainError, QuadratureError
 
@@ -21,12 +21,7 @@ _MAX_DEPTH = 60  # bisections of a panel; keeps the recursion inside Python's st
 
 
 def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    *,
-    tol: float = DEFAULT_TOL,
-    scale: Optional[float] = None,
+    f: Callable[[float], float], a: float, b: float, *, tol: float = DEFAULT_TOL
 ) -> float:
     """Integrate ``f`` over ``[a, b]`` to tolerance ``tol``.
 
@@ -34,17 +29,12 @@ def adaptive_simpson(
     accepted when refining it moves the Simpson estimate by at most
     ``15 * tol``, and the extrapolated value is returned.  Each half
     inherits half the tolerance, so the accepted panels sum to within
-    ``tol`` overall.  ``tol`` is scaled by the integral's size
-    ``M = (b - a) |f((a + b) / 2)|`` (Gander & Gautschi, BIT 40, 2000):
-    above 1 it is multiplied by ``M / 2``, so rounding noise in a large
-    integrand cannot keep every panel refining; for ``0 < M <= 1`` by
-    ``min(1, 64 M)``, so a small integral is resolved relative to its
-    size.  ``M`` uses the midpoint alone because an integrable pole at an
-    end would inflate a Simpson estimate; the half covers a steep end that
-    the midpoint underrates.  A caller whose integrand cancels (a sum of
-    terms far larger than their total) passes those terms' size as
-    ``scale``, which stands in for ``|f((a + b) / 2)|``: the stop must not
-    ask for more than the terms' rounding allows.  A panel is also
+    ``tol`` overall.  ``tol`` is absolute, but multiplied by ``M / 2``,
+    ``M = (b - a) |f((a + b) / 2)|``, when ``M`` is above 1, so rounding
+    noise in a large integrand cannot keep every panel refining (Gander &
+    Gautschi, BIT 40, 2000).  ``M`` uses the midpoint alone because an
+    integrable pole at an end would inflate a Simpson estimate; the half
+    covers a steep end that the midpoint underrates.  A panel is also
     accepted when the change is within 64 ulps of its estimate: its
     correction ``err / 15`` is then rounding, whatever its share of ``tol``.
 
@@ -57,11 +47,9 @@ def adaptive_simpson(
     if not a < b:
         raise DomainError(f"a <= b violated (got a={a!r}, b={b!r})")
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    size = (b - a) * (abs(fm) if scale is None else scale)
+    size = (b - a) * abs(fm)
     if 1.0 < size < math.inf:  # NaN and inf leave tol absolute
         tol *= 0.5 * size
-    elif 0.0 < size <= 1.0:
-        tol *= min(1.0, 64.0 * size)
     remaining = EVALUATION_BUDGET - 5  # the 3 points above and the first refinement's 2
 
     def refine(a, b, fa, fm, fb, whole, tol, depth):

@@ -240,9 +240,12 @@ def audit_table(
     The result depends only on ``params``, the mode and the bundled table,
     so each ``(params, paper_baseline)`` audit is computed once per process
     and kept, eight at most: a later call returns the same ``TableAudit``.
-    A call that raises keeps nothing and raises afresh every time.
+    Calls with equal params share it, so its ``params`` is the object the
+    first of them passed (``CrispParams(600, 10, 10, 100)`` gets the
+    reference floats back once ``audit_table()`` has run).  A call that
+    raises keeps nothing and raises afresh every time.
     """
-    return _audit(REFERENCE_PARAMS if params is None else params, paper_baseline)
+    return _audit(REFERENCE_PARAMS if params is None else params, bool(paper_baseline))
 
 
 @lru_cache(maxsize=8)

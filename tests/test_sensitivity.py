@@ -379,6 +379,10 @@ class TestAuditCache:
         assert audit_table(CrispParams(600.0, 10.0, 10.0, 100.0)) is audit_table()
         assert audit_table(paper_baseline=True) is audit_table(paper_baseline=True)
 
+    def test_mode_is_kept_as_a_bool(self):
+        assert audit_table(paper_baseline=1) is audit_table(paper_baseline=True)
+        assert audit_table(paper_baseline=1).paper_baseline is True
+
     def test_modes_are_kept_apart(self):
         default, paper = audit_table(), audit_table(paper_baseline=True)
         assert default is not paper
