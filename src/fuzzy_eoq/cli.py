@@ -1,11 +1,11 @@
 """Command-line front end: crisp solves, fuzzy solves, sweeps, table audit.
 
-``main`` merges the config file and the flags once; each command returns one
-``_Result``, and one renderer per output format turns it into text.  JSON is
-written into a layout made once per payload shape, the argument parser is
-built on the first call, and ``audit_table`` keeps each audit it computes;
-all three are reused by every later call, so ``main(argv)`` may be called
-many times in one process, and a repeated ``verify-table`` audits nothing.
+``main`` merges the config file and the flags once; each command returns one ``_Result``,
+and one renderer per output format turns it into text.  JSON is written into a layout
+made once per payload shape and audit mode, the argument parser is built on the first
+call, and ``audit_table`` keeps each audit it computes; all three are reused by every
+later call, so ``main(argv)`` may be called many times in one process, and a repeated
+``verify-table`` audits nothing.
 
 Exit codes: 0 on success, 1 when a sweep had failing rows or the table
 audit found deviations, 2 on invalid parameters, spreads, or config, on a
@@ -18,6 +18,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import fields
 from functools import cache
 from itertools import chain
 from operator import attrgetter
@@ -26,31 +27,41 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from .defuzzify import FuzzySpreads, zeta_quadrature
 from .errors import DomainError, QuadratureError
-from .model import (CrispParams, SolutionRecord, crisp_optimal, cycle_quantities, held_baseline,
-                    solve_against)
-from .sensitivity import (AUDIT_COLUMNS, REFERENCE_PARAMS, AuditCell, SweepSpec, audit_table,
-                          load_reference_table, run_sweep)
+from .model import (CrispParams, CycleQuantities, SolutionRecord, crisp_optimal,
+                    cycle_quantities, held_baseline, solve_against)
+from .sensitivity import (_AUDIT_MODES, AUDIT_COLUMNS, REFERENCE_PARAMS, AuditRow, SweepSpec,
+                          audit_table, load_reference_table, run_sweep)
 
-_PARAM_KEYS = ("phi", "psi", "h", "s")
-_SPREAD_KEYS = ("d1", "d2", "d3", "d4")
+_KEYS = [tuple(field.name for field in fields(cls))
+         for cls in (CrispParams, FuzzySpreads, SolutionRecord, CycleQuantities)]
+_PARAM_KEYS, _SPREAD_KEYS, _RECORD_KEYS, _CYCLE_KEYS = _KEYS
+_param_values, _spread_values, _record_values, _cycle_values = (attrgetter(*k) for k in _KEYS)
 _SPREAD_SET = frozenset(_SPREAD_KEYS)
-_RECORD_KEYS = ("delta", "zeta", "q_star", "z_star", "rel_q", "rel_z")
-_CYCLE_KEYS = ("t", "t1", "leaked")
 _SOLUTION_HEADER = [*_SPREAD_KEYS, *_RECORD_KEYS]
-# per audit column: the recomputed and published values, both deviations, the verdict
-_AUDIT_HEADER = ["row", *_SPREAD_KEYS, *(name.format(column) for column in AUDIT_COLUMNS for name
-                 in ("{}", "paper_{}", "{}_abs_dev", "{}_rel_dev", "{}_pass")),
-                 "zeta_sign_contradiction"]
-_param_values = attrgetter(*_PARAM_KEYS)
-_spread_values = attrgetter(*_SPREAD_KEYS)
-_record_values = attrgetter(*_RECORD_KEYS)
-_cycle_values = attrgetter(*_CYCLE_KEYS)
 # marks in a payload's shape, which json writes as "\u0000", "\u0001" and "\u0002",
 # quotes included: text no other part of a payload can hold, as json escapes quotes
 _NUMBER, _TEXT, _LIST = "\x00", "\x01", "\x02"
+# the audit cell's fields in JSON order, each with its CSV column ("{}": the audit column),
+# or None: JSON only, fixed per column by the audit mode and a literal in the mode's layout
+_AUDIT_CELL_FIELDS = {"column": None, "recomputed": "{}", "paper": "paper_{}",
+                      "abs_dev": "{}_abs_dev", "rel_dev": "{}_rel_dev", "tolerance": None,
+                      "relative": None, "passed": "{}_pass"}
+_AUDIT_CSV = {name: template for name, template in _AUDIT_CELL_FIELDS.items() if template}
+_AUDIT_HEADER = ["row", *_SPREAD_KEYS, *(template.format(column) for column in AUDIT_COLUMNS
+                 for template in _AUDIT_CSV.values()), "zeta_sign_contradiction"]
+_audit_values = attrgetter(*_AUDIT_CSV)
+# the sweep's human table, per column: its heading, width and number format
+_SWEEP_TABLE = (("row", 4, ""), ("d1", 8, "g"), ("d2", 8, "g"), ("d3", 6, "g"), ("d4", 6, "g"),
+                ("delta", 10, "g"), ("zeta", 14, ".10f"), ("q*", 14, ".6f"), ("Z*", 14, ".6f"),
+                ("rel_q%", 10, ".4f"), ("rel_z%", 10, ".4f"))
+_SWEEP_HEADING = "  " + " ".join(f"{heading:>{width}}" for heading, width, _ in _SWEEP_TABLE)
+_SWEEP_CELLS = [f"{{:>{width}{spec}}}" for _, width, spec in _SWEEP_TABLE]
+_SWEEP_ROW, _SWEEP_FAILED = "  " + " ".join(_SWEEP_CELLS), f"  {_SWEEP_CELLS[0]} failed: {{}}"
 # a list laid out in place with _LIST first: its indent, and the item after _LIST
 _LISTS = re.compile(r'\[\n( *)  "\\u0002",\n\1  (.*?)\n\1\]', re.DOTALL)
-_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+# per output format, the text of True, False and None, keyed by their reprs
+_JSON_WORDS = {"True": "true", "False": "false", "None": "null"}
+_CSV_WORDS = {**_JSON_WORDS, "None": ""}
 
 
 def _leaf(value: object) -> str:
@@ -58,7 +69,13 @@ def _leaf(value: object) -> str:
     the repr of an int or float, which is json's own text for a finite number."""
     if type(value) in (int, float):
         return repr(value)
-    return json.dumps(value) if type(value) is str else _JSON_CONSTANTS[value]
+    return json.dumps(value) if type(value) is str else _JSON_WORDS[repr(value)]
+
+
+def _audit_texts(row: AuditRow, words: dict[str, str]) -> Iterable[str]:
+    """Each CSV field of the row's cells as text: a float's repr, or the word for a bool or None."""
+    texts = [*map(repr, chain.from_iterable(map(_audit_values, row.cells)))]
+    return map(words.get, texts, texts)
 
 
 def _list_layout(indent: str, item: str) -> Callable[[list], str]:
@@ -67,11 +84,11 @@ def _list_layout(indent: str, item: str) -> Callable[[list], str]:
 
 
 def _shape(sample: dict) -> Callable[[], tuple[str, list[Callable[[list], str]]]]:
-    """The layout of payloads shaped like ``sample``, made on first use and kept, as the
-    parser is.  ``sample`` holds ``_NUMBER`` or ``_TEXT`` at each leaf and ``[_LIST,
-    item]`` at each list of any number of ``item``-shaped objects.  The layout is its
-    indented JSON with ``%r`` at each number, ``%s`` at each text leaf and each list,
-    and what lays out each list in turn."""
+    """The layout of payloads shaped like ``sample``, made on first use and kept.
+    ``sample`` holds ``_NUMBER`` or ``_TEXT`` at each slot, ``[_LIST, item]`` at each list
+    of any number of ``item``-shaped objects, and a literal at any other leaf, which the
+    layout holds as JSON text, written once.  The layout is the indented JSON with ``%r``
+    at each number, ``%s`` at each text slot and each list, and what lays out each list."""
 
     def layout() -> tuple[str, list[Callable[[list], str]]]:
         text = json.dumps(sample, indent=2).replace("%", "%%")
@@ -82,8 +99,7 @@ def _shape(sample: dict) -> Callable[[], tuple[str, list[Callable[[list], str]]]
     return cache(layout)
 
 
-_PARAMS, _SPREADS = dict.fromkeys(_PARAM_KEYS, _NUMBER), dict.fromkeys(_SPREAD_KEYS, _NUMBER)
-_RECORD, _CYCLE = dict.fromkeys(_RECORD_KEYS, _NUMBER), dict.fromkeys(_CYCLE_KEYS, _NUMBER)
+_PARAMS, _SPREADS, _RECORD, _CYCLE = (dict.fromkeys(keys, _NUMBER) for keys in _KEYS)
 _FLAGS = {"paper_baseline": _TEXT, "relax_bounds": _TEXT}
 _CRISP_JSON = _shape({"params": _PARAMS, "record": _RECORD, "cycle": _CYCLE})
 _FUZZY_JSON = _shape({
@@ -94,14 +110,18 @@ _FUZZY_JSON = _shape({
 _SWEEP_JSON = _shape({"params": _PARAMS, **_FLAGS,
                       "rows": [_LIST, {"row": _NUMBER, "spreads": _SPREADS, **_RECORD}],
                       "errors": [_LIST, {"row": _NUMBER, "error": _TEXT}]})
-_AUDIT_CELL = {"column": _TEXT, "recomputed": _NUMBER, "paper": _NUMBER, "abs_dev": _NUMBER,
-               "rel_dev": _NUMBER, "tolerance": _TEXT, "relative": _TEXT, "passed": _TEXT}
-_AUDIT_JSON = _shape({
-    "params": _PARAMS, "mode": _TEXT, "hard_pass": _TEXT, "deviation_count": _NUMBER,
-    "sign_contradiction_rows": [_LIST, _NUMBER],
-    "rows": [_LIST, {"row": _NUMBER, "spreads": _SPREADS, "zeta_sign_contradiction": _TEXT,
-                     "cells": [_AUDIT_CELL] * len(AUDIT_COLUMNS)}],
-})
+
+
+@cache
+def _audit_json(paper_baseline: bool) -> tuple[str, list[Callable[[list], str]]]:
+    """The audit's layout in one mode, with the cell fields the mode fixes as literals."""
+    _, tolerances, relative = _AUDIT_MODES[paper_baseline]
+    fixed = {"column": AUDIT_COLUMNS, "tolerance": tolerances, "relative": relative}
+    cells = [{name: _TEXT if template else fixed[name][i]
+              for name, template in _AUDIT_CELL_FIELDS.items()} for i in range(len(AUDIT_COLUMNS))]
+    row = {"row": _NUMBER, "spreads": _SPREADS, "zeta_sign_contradiction": _TEXT, "cells": cells}
+    return _shape({"params": _PARAMS, "mode": _TEXT, "hard_pass": _TEXT, "deviation_count": _NUMBER,
+                   "sign_contradiction_rows": [_LIST, _NUMBER], "rows": [_LIST, row]})()
 
 
 class _Result(NamedTuple):
@@ -136,14 +156,7 @@ def _solution_values(spreads: FuzzySpreads, record: SolutionRecord) -> tuple:
 
 def _render_csv(result: _Result) -> str:
     header, rows = result.table()
-    lines = [",".join(header)]
-    lines += map(",".join, rows)
-    return "\n".join(lines) + "\n"
-
-
-def _cell_values(cell: AuditCell) -> tuple:
-    return (_leaf(cell.column), cell.recomputed, cell.paper, cell.abs_dev, cell.rel_dev,
-            _leaf(cell.tolerance), _leaf(cell.relative), _leaf(cell.passed))
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
 def _render_json(result: _Result) -> str:
@@ -300,17 +313,10 @@ def _sweep(args: argparse.Namespace) -> _Result:
     sys.stderr.write("".join(f"row {row.index + 1}: {row.error}\n" for row in failed))
 
     def lines() -> Iterable[str]:
-        yield f"sweep ({_pairs(args.params, _PARAM_KEYS)})"
-        yield (f"  {'row':>4} {'d1':>8} {'d2':>8} {'d3':>6} {'d4':>6} {'delta':>10} {'zeta':>14} "
-               f"{'q*':>14} {'Z*':>14} {'rel_q%':>10} {'rel_z%':>10}")
+        yield from (f"sweep ({_pairs(args.params, _PARAM_KEYS)})", _SWEEP_HEADING)
         for row in results:
-            rec, sp = row.record, row.spreads
-            if rec is None:
-                yield f"  {row.index + 1:>4} failed: {row.error}"
-                continue
-            yield (f"  {row.index + 1:>4} {sp.d1:>8g} {sp.d2:>8g} {sp.d3:>6g} {sp.d4:>6g} "
-                   f"{rec.delta:>10g} {rec.zeta:>14.10f} {rec.q_star:>14.6f} {rec.z_star:>14.6f} "
-                   f"{rec.rel_q:>10.4f} {rec.rel_z:>10.4f}")
+            yield (_SWEEP_FAILED.format(row.index + 1, row.error) if row.record is None else
+                   _SWEEP_ROW.format(row.index + 1, *_solution_values(row.spreads, row.record)))
         yield f"  rows solved: {len(solved)}/{len(results)}"
 
     return _Result(
@@ -327,14 +333,6 @@ def _sweep(args: argparse.Namespace) -> _Result:
 
 def _verify_table(args: argparse.Namespace) -> _Result:
     audit = audit_table(args.params, paper_baseline=args.paper_baseline)
-
-    def rows() -> Iterable[list[str]]:
-        for row in audit.rows:
-            fields = [str(row.index + 1), *_cells(_spread_values(row.spreads))]
-            for cell in row.cells:
-                fields += _cells((cell.recomputed, cell.paper, cell.abs_dev, cell.rel_dev))
-                fields.append("" if cell.passed is None else str(cell.passed).lower())
-            yield [*fields, str(row.zeta_sign_contradiction).lower()]
 
     def lines() -> Iterable[str]:
         mode = ("replayed published zeta, truncated baseline" if audit.paper_baseline
@@ -371,14 +369,16 @@ def _verify_table(args: argparse.Namespace) -> _Result:
         )
 
     return _Result(
-        json=lambda: (_AUDIT_JSON(), (
+        json=lambda: (_audit_json(audit.paper_baseline), (
             *_param_values(audit.params),
             _leaf("paper-baseline" if audit.paper_baseline else "recomputed"),
             _leaf(audit.hard_pass), len(audit.deviations),
             [i + 1 for i in audit.sign_contradictions],
             [(row.index + 1, *_spread_values(row.spreads), _leaf(row.zeta_sign_contradiction),
-              *chain.from_iterable(map(_cell_values, row.cells))) for row in audit.rows])),
-        table=lambda: (_AUDIT_HEADER, rows()),
+              *_audit_texts(row, _JSON_WORDS)) for row in audit.rows])),
+        table=lambda: (_AUDIT_HEADER, ([str(row.index + 1), *_cells(_spread_values(row.spreads)),
+                                        *_audit_texts(row, _CSV_WORDS),
+                                        _leaf(row.zeta_sign_contradiction)] for row in audit.rows)),
         lines=lines,
         code=0 if audit.hard_pass and not audit.deviations else 1,
     )

@@ -8,9 +8,14 @@ from hypothesis import HealthCheck, settings
 
 from fuzzy_eoq import CrispParams, FuzzySpreads, TriangularFuzzyNumber
 
+# based on the default profile, so that where CI is set the ci profile's
+# derandomize=True is not inherited and every run draws fresh examples;
+# a failing draw prints the blob that reproduces it
 settings.register_profile(
     "package",
+    parent=settings.get_profile("default"),
     deadline=None,
+    print_blob=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("package")

@@ -501,6 +501,40 @@ class TestJsonLayout:
         assert [indent for indent in indented if indent is not None] == []
         assert code == 1 and out == as_indented_json(out)
 
+    @pytest.mark.parametrize("flags", [[], ["--paper-baseline"]])
+    def test_audit_render_writes_few_leaves(self, monkeypatch, flags):
+        # each cell's column, tolerance and relative are literals in the mode's layout,
+        # and its other fields come from reprs, so only the mode, the verdict and each
+        # row's sign flag go through the slot filler
+        argv = ["verify-table", *flags, "--format", "json"]
+        warm = run_captured(argv)
+        calls = []
+        leaf = _leaf
+
+        def counting(value):
+            calls.append(value)
+            return leaf(value)
+
+        monkeypatch.setattr("fuzzy_eoq.cli._leaf", counting)
+        assert run_captured(argv) == warm
+        assert len(calls) <= 20
+
+    @pytest.mark.parametrize("paper", [False, True])
+    def test_audit_cells_match_the_audit_at_other_params(self, paper):
+        params = CrispParams(phi=700.0, psi=20.0, h=10.0, s=100.0)
+        flags = ["--phi", "700", "--psi", "20"] + (["--paper-baseline"] if paper else [])
+        code, out, _ = run_captured(["verify-table", *flags, "--format", "json"])
+        audit = audit_table(params, paper_baseline=paper)
+        assert code == (0 if audit.hard_pass and not audit.deviations else 1)
+        rows = json.loads(out)["rows"]
+        assert len(rows) == len(audit.rows)
+        for row, audit_row in zip(rows, audit.rows):
+            assert len(row["cells"]) == len(audit_row.cells)
+            for cell, expected in zip(row["cells"], audit_row.cells):
+                for key in ("column", "tolerance", "relative", "passed", "recomputed", "paper"):
+                    value = getattr(expected, key)
+                    assert cell[key] == value and type(cell[key]) is type(value), key
+
     @pytest.mark.parametrize("value", [
         True, False, None, "", 'say "hi"', "back\\slash", "100%", "%r %s %%", "nul\x00byte",
         "\x01 \x1f \x7f", "Ωmega – ü", "\U0001f600", "\ud800",
