@@ -38,7 +38,7 @@ from .model import (
     solve_against,
     truncated_baseline,
 )
-from .quadrature import adaptive_simpson
+from .quadrature import gauss_kronrod
 from .sensitivity import (
     AUDIT_COLUMNS,
     REFERENCE_PARAMS,
@@ -72,7 +72,6 @@ __all__ = [
     "SweepSpec",
     "TableAudit",
     "TriangularFuzzyNumber",
-    "adaptive_simpson",
     "audit_table",
     "crisp_baseline",
     "crisp_optimal",
@@ -80,6 +79,7 @@ __all__ = [
     "defuzzified_rates",
     "demand_fuzzy",
     "fuzzy_optimal",
+    "gauss_kronrod",
     "held_baseline",
     "leak_fraction_cuts",
     "leakage_fuzzy",

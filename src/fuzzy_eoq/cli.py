@@ -50,13 +50,25 @@ _AUDIT_CSV = {name: template for name, template in _AUDIT_CELL_FIELDS.items() if
 _AUDIT_HEADER = ["row", *_SPREAD_KEYS, *(template.format(column) for column in AUDIT_COLUMNS
                  for template in _AUDIT_CSV.values()), "zeta_sign_contradiction"]
 _audit_values = attrgetter(*_AUDIT_CSV)
-# the sweep's human table, per column: its heading, width and number format
-_SWEEP_TABLE = (("row", 4, ""), ("d1", 8, "g"), ("d2", 8, "g"), ("d3", 6, "g"), ("d4", 6, "g"),
-                ("delta", 10, "g"), ("zeta", 14, ".10f"), ("q*", 14, ".6f"), ("Z*", 14, ".6f"),
-                ("rel_q%", 10, ".4f"), ("rel_z%", 10, ".4f"))
-_SWEEP_HEADING = "  " + " ".join(f"{heading:>{width}}" for heading, width, _ in _SWEEP_TABLE)
-_SWEEP_CELLS = [f"{{:>{width}{spec}}}" for _, width, spec in _SWEEP_TABLE]
+
+
+def _text_table(*columns: tuple[str, int, str]) -> tuple[str, list[str]]:
+    """A human table's heading and cell templates, from each column declared
+    once as (heading, width, number format)."""
+    return ("  " + " ".join(f"{heading:>{width}}" for heading, width, _ in columns),
+            [f"{{:>{width}{spec}}}" for _, width, spec in columns])
+
+
+_SWEEP_HEADING, _SWEEP_CELLS = _text_table(
+    ("row", 4, ""), ("d1", 8, "g"), ("d2", 8, "g"), ("d3", 6, "g"), ("d4", 6, "g"),
+    ("delta", 10, "g"), ("zeta", 14, ".10f"), ("q*", 14, ".6f"), ("Z*", 14, ".6f"),
+    ("rel_q%", 10, ".4f"), ("rel_z%", 10, ".4f"))
 _SWEEP_ROW, _SWEEP_FAILED = "  " + " ".join(_SWEEP_CELLS), f"  {_SWEEP_CELLS[0]} failed: {{}}"
+# the audit's zeta table; each row ends in its sign flag
+_ZETA_HEADING, _ZETA_CELLS = _text_table(
+    ("row", 4, ""), ("d1", 6, "g"), ("d2", 6, "g"), ("d3", 4, "g"), ("d4", 4, "g"),
+    ("zeta recomputed", 16, ".10f"), ("zeta published", 15, ".5f"))
+_ZETA_ROW = "  " + " ".join(_ZETA_CELLS) + "  {}"
 # a list laid out in place with _LIST first: its indent, and the item after _LIST
 _LISTS = re.compile(r'\[\n( *)  "\\u0002",\n\1  (.*?)\n\1\]', re.DOTALL)
 # per output format, the text of True, False and None, keyed by their reprs
@@ -339,13 +351,12 @@ def _verify_table(args: argparse.Namespace) -> _Result:
                 else "recomputed pipeline, exact baseline")
         yield from ("reference table audit", f"  params: {_pairs(audit.params, _PARAM_KEYS)}",
                     f"  mode: {mode}", "")
-        yield (f"  {'row':>4} {'d1':>6} {'d2':>6} {'d3':>4} {'d4':>4} "
-               f"{'zeta recomputed':>16} {'zeta published':>15}  flag")
+        yield f"{_ZETA_HEADING}  flag"
         for row in audit.rows:
-            cell, sp = row.cell("zeta"), row.spreads
+            cell = row.cell("zeta")
             flag = "contradicts zeta > 0" if row.zeta_sign_contradiction else ""
-            yield (f"  {row.index + 1:>4} {sp.d1:>6g} {sp.d2:>6g} {sp.d3:>4g} {sp.d4:>4g} "
-                   f"{cell.recomputed:>16.10f} {cell.paper:>15.5f}  {flag}".rstrip())
+            yield _ZETA_ROW.format(row.index + 1, *_spread_values(row.spreads),
+                                   cell.recomputed, cell.paper, flag).rstrip()
         yield from ("", "  column summary")
         for column in AUDIT_COLUMNS:
             cells = [row.cell(column) for row in audit.rows]

@@ -6,4 +6,5 @@ class DomainError(ValueError):
 
 
 class QuadratureError(ArithmeticError):
-    """Raised when adaptive quadrature cannot reach the requested tolerance."""
+    """Raised when adaptive quadrature cannot reach the requested tolerance
+    within its evaluation budget, or meets a non-finite estimate."""

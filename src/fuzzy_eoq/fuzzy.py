@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError
-from .quadrature import DEFAULT_TOL, adaptive_simpson
+from .quadrature import DEFAULT_TOL, gauss_kronrod
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -198,7 +198,7 @@ def signed_distance_quadrature(
     """Signed distance to zero from alpha-cut endpoint functions.
 
     Integrates the cut midpoint ``(cut_lo(a) + cut_hi(a)) / 2`` over the
-    membership levels in [0, 1] by adaptive Simpson quadrature.  Callers
+    membership levels in [0, 1] by ``gauss_kronrod``.  Callers
     supply continuous endpoint functions with ``cut_lo <= cut_hi``
     pointwise; this is the oracle route for every closed-form signed
     distance in the package.  When the mean size of the two endpoints at
@@ -207,8 +207,8 @@ def signed_distance_quadrature(
     size.  The size is taken from the endpoints, not the midpoint, which
     cancels when they lie on either side of zero: the stop must not ask
     for more than the endpoints' rounding allows.  Above 1 the tolerance
-    is left to ``adaptive_simpson``'s own scaling by the midpoint.
+    is left to ``gauss_kronrod``'s own scaling by its first estimate.
     """
     size = 0.5 * (abs(cut_lo(0.5)) + abs(cut_hi(0.5)))
     tol = DEFAULT_TOL * min(1.0, 64.0 * size) if size > 0.0 else DEFAULT_TOL
-    return adaptive_simpson(lambda a: 0.5 * (cut_lo(a) + cut_hi(a)), 0.0, 1.0, tol=tol)
+    return gauss_kronrod(lambda a: 0.5 * (cut_lo(a) + cut_hi(a)), 0.0, 1.0, tol=tol)

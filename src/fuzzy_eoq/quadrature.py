@@ -1,4 +1,4 @@
-"""Adaptive Simpson integration on a finite interval.
+"""Globally adaptive Gauss–Kronrod integration on a finite interval.
 
 This is the package's independent numerical route: every closed-form
 integral elsewhere in the library is checked against this integrator,
@@ -8,73 +8,118 @@ closed forms it validates.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Callable
 
 from .errors import DomainError, QuadratureError
 
 DEFAULT_TOL = 1e-12
-# Evaluations one integration may spend; zeta's cuts take up to ~1.5e5 near their pole.
+# Evaluations one integration may spend; zeta's cuts take a few thousand next to their pole.
 EVALUATION_BUDGET = 250_000
 _ROUNDING = 64 * 2.0**-52  # 64 ulps, relative to a panel's estimate
-_MAX_DEPTH = 60  # bisections of a panel; keeps the recursion inside Python's stack
+
+# QUADPACK qk15 (Piessens et al., 1983): the 15-point Kronrod rule and its
+# embedded 7-point Gauss rule on [-1, 1], as (abscissa, Kronrod weight,
+# Gauss weight) for the nodes both rules share and (abscissa, Kronrod
+# weight) for the nodes only Kronrod adds; the centre is a shared node.
+_GAUSS_NODES = (
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
+     0.129484966168869693270611432679082),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
+     0.279705391489276667901467771423780),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
+     0.381830050505118944950369775488975),
+)
+_KRONROD_NODES = (
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518),
+    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649),
+)
+_CENTRE_KRONROD = 0.209482141084727828012999174891714
+_CENTRE_GAUSS = 0.417959183673469387755102040816327
+_PANEL_EVALUATIONS = 15
 
 
-def adaptive_simpson(
+def _panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """K15 estimate of the integral over ``[lo, hi]`` and ``|K15 - G7|``."""
+    centre = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    fc = f(centre)
+    kronrod = _CENTRE_KRONROD * fc
+    gauss = _CENTRE_GAUSS * fc
+    for x, wk, wg in _GAUSS_NODES:
+        pair = f(centre - half * x) + f(centre + half * x)
+        kronrod += wk * pair
+        gauss += wg * pair
+    for x, wk in _KRONROD_NODES:
+        kronrod += wk * (f(centre - half * x) + f(centre + half * x))
+    estimate, err = kronrod * half, abs(kronrod - gauss) * half
+    if not (math.isfinite(estimate) and math.isfinite(err)):
+        raise QuadratureError(f"non-finite estimate {estimate!r} on [{lo:g}, {hi:g}]")
+    return estimate, err
+
+
+def gauss_kronrod(
     f: Callable[[float], float], a: float, b: float, *, tol: float = DEFAULT_TOL
 ) -> float:
     """Integrate ``f`` over ``[a, b]`` to tolerance ``tol``.
 
-    Classic recursive bisection with Richardson extrapolation: a panel is
-    accepted when refining it moves the Simpson estimate by at most
-    ``15 * tol``, and the extrapolated value is returned.  Each half
-    inherits half the tolerance, so the accepted panels sum to within
-    ``tol`` overall.  ``tol`` is absolute, but multiplied by ``M / 2``,
-    ``M = (b - a) |f((a + b) / 2)|``, when ``M`` is above 1, so rounding
-    noise in a large integrand cannot keep every panel refining (Gander &
-    Gautschi, BIT 40, 2000).  ``M`` uses the midpoint alone because an
-    integrable pole at an end would inflate a Simpson estimate; the half
-    covers a steep end that the midpoint underrates.  A panel is also
-    accepted when the change is within 64 ulps of its estimate: its
-    correction ``err / 15`` is then rounding, whatever its share of ``tol``.
+    One globally adaptive pass, QUADPACK's QAG strategy (Piessens et al.,
+    1983): each panel carries a 15-point Kronrod estimate and its error
+    ``|K15 - G7|`` against the embedded 7-point Gauss rule, and the open
+    panel with the largest error is halved until the open panels' errors
+    sum to at most ``tol``.  The sum is recounted with ``math.fsum`` before
+    stopping, because a running sum cancels once the large early errors
+    are taken out.  A panel closes when its error is within 64 ulps of its
+    estimate (the rest is rounding) or when it can no longer be halved.
+    The nodes lie inside each panel, so an integrable pole at an end is
+    never evaluated.
+
+    ``tol`` is absolute, but multiplied by ``M / 16``, ``M`` the first
+    panel's ``|K15|``, when ``M`` is above 16, so rounding noise in a large
+    integrand cannot keep every panel splitting.
 
     Raises:
-        QuadratureError: if the tolerance is not reached within
-            ``EVALUATION_BUDGET`` integrand evaluations and 60 bisections.
+        QuadratureError: if an estimate is not finite, or if the tolerance
+            is not reached within ``EVALUATION_BUDGET`` integrand evaluations.
     """
     if a == b:
         return 0.0
     if not a < b:
         raise DomainError(f"a <= b violated (got a={a!r}, b={b!r})")
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    size = (b - a) * abs(fm)
-    if 1.0 < size < math.inf:  # NaN and inf leave tol absolute
-        tol *= 0.5 * size
-    remaining = EVALUATION_BUDGET - 5  # the 3 points above and the first refinement's 2
+    estimate, err = _panel(f, a, b)
+    size = abs(estimate)
+    if size > 16.0:
+        tol *= size / 16.0
+    remaining = EVALUATION_BUDGET - _PANEL_EVALUATIONS
+    closed = []
+    heap = []  # open panels as (-err, lo, hi, estimate): the worst first
+    total = 0.0  # running sum of the open panels' errors
 
-    def refine(a, b, fa, fm, fb, whole, tol, depth):
-        nonlocal remaining
-        m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
-        right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
-        err = left + right - whole
-        # NaN fails these comparisons and falls through to the limits.
-        if abs(err) <= 15.0 * tol or abs(err) <= _ROUNDING * abs(left + right):
-            return left + right + err / 15.0
-        if depth <= 0:
-            raise QuadratureError(
-                f"tolerance {tol:g} not reached on [{a:g}, {b:g}] after {_MAX_DEPTH} bisections")
-        remaining -= 4  # the two halves evaluate two points each
+    def settle(lo, hi, estimate, err):
+        nonlocal total
+        mid = 0.5 * (lo + hi)
+        if err <= _ROUNDING * abs(estimate) or not lo < mid < hi:
+            closed.append(estimate)
+        else:
+            heapq.heappush(heap, (-err, lo, hi, estimate))
+            total += err
+
+    settle(a, b, estimate, err)
+    while heap:
+        if total <= tol:
+            total = math.fsum(-panel[0] for panel in heap)
+            if total <= tol:
+                break
+        remaining -= 2 * _PANEL_EVALUATIONS
+        neg_err, lo, hi, _ = heapq.heappop(heap)
         if remaining < 0:
-            raise QuadratureError(f"tolerance {tol:g} not reached on [{a:g}, {b:g}] within "
+            raise QuadratureError(f"tolerance {tol:g} not reached on [{lo:g}, {hi:g}] within "
                                   f"the budget of {EVALUATION_BUDGET} integrand evaluations")
-        half = 0.5 * tol
-        return refine(a, m, fa, flm, fm, left, half, depth - 1) + refine(
-            m, b, fm, frm, fb, right, half, depth - 1
-        )
-
-    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-    return refine(a, b, fa, fm, fb, whole, tol, _MAX_DEPTH)
+        total += neg_err
+        mid = 0.5 * (lo + hi)
+        settle(lo, mid, *_panel(f, lo, mid))
+        settle(mid, hi, *_panel(f, mid, hi))
+    return math.fsum([*closed, *(panel[3] for panel in heap)])

@@ -6,10 +6,10 @@ PUBLIC_NAMES = {
     "AUDIT_COLUMNS", "AuditCell", "AuditRow", "CrispParams",
     "CycleQuantities", "DomainError", "FuzzySpreads", "Interval", "QuadratureError",
     "REFERENCE_PARAMS", "ReferenceRow", "SolutionRecord", "SweepRow", "SweepSpec",
-    "TableAudit", "TriangularFuzzyNumber", "__version__", "adaptive_simpson",
+    "TableAudit", "TriangularFuzzyNumber", "__version__",
     "audit_table", "crisp_baseline", "crisp_optimal",
     "cycle_quantities", "defuzzified_rates", "demand_fuzzy", "fuzzy_optimal",
-    "held_baseline", "leak_fraction_cuts", "leakage_fuzzy", "load_reference_table",
+    "gauss_kronrod", "held_baseline", "leak_fraction_cuts", "leakage_fuzzy", "load_reference_table",
     "lot_cost", "optimal_lot_size", "run_sweep", "signed_distance_quadrature",
     "solve_against", "truncated_baseline", "zeta", "zeta_quadrature",
 }

@@ -1,11 +1,11 @@
-"""Tests for the adaptive Simpson integrator."""
+"""Tests for the globally adaptive Gauss–Kronrod integrator."""
 
 import math
 import time
 
 import pytest
 
-from fuzzy_eoq import DomainError, QuadratureError, adaptive_simpson, quadrature
+from fuzzy_eoq import DomainError, QuadratureError, gauss_kronrod, quadrature
 
 
 def counted(f):
@@ -19,67 +19,71 @@ def counted(f):
     return g
 
 
-def test_exact_on_cubics():
-    # Simpson's rule integrates polynomials up to degree 3 exactly.
-    assert adaptive_simpson(lambda x: x**3, 0.0, 1.0) == pytest.approx(0.25, abs=1e-15)
-    assert adaptive_simpson(lambda x: 4 * x**3 - 2 * x + 1, -1.0, 2.0) == pytest.approx(
-        15.0 - 3.0 + 3.0, abs=1e-12
-    )
+@pytest.mark.parametrize("f, a, b, exact", [
+    (lambda x: x**13, 0.0, 1.0, 1.0 / 14.0),
+    (lambda x: x**13 - 3.0 * x**6 + 1.0, -1.0, 2.0, 15651.0 / 14.0),
+], ids=["monomial", "mixed"])
+def test_one_panel_is_exact_to_degree_13(f, a, b, exact):
+    # G7 is exact to degree 13 and K15 beyond it, so their difference is
+    # rounding and the first panel's 15 evaluations are the whole integration
+    f = counted(f)
+    assert gauss_kronrod(f, a, b) == pytest.approx(exact, rel=1e-14)
+    assert f.calls == 15
 
 
 def test_constant_and_linear():
-    assert adaptive_simpson(lambda x: 7.0, 2.0, 5.0) == pytest.approx(21.0, abs=1e-12)
-    assert adaptive_simpson(lambda x: x, 0.0, 10.0) == pytest.approx(50.0, abs=1e-12)
+    assert gauss_kronrod(lambda x: 7.0, 2.0, 5.0) == pytest.approx(21.0, abs=1e-12)
+    assert gauss_kronrod(lambda x: x, 0.0, 10.0) == pytest.approx(50.0, abs=1e-12)
 
 
 def test_smooth_transcendental():
-    got = adaptive_simpson(math.exp, 0.0, 1.0)
+    got = gauss_kronrod(math.exp, 0.0, 1.0)
     assert abs(got - (math.e - 1.0)) < 1e-12
 
 
 def test_reciprocal_meets_tolerance():
-    got = adaptive_simpson(lambda x: 1.0 / (1.0 + x), 0.0, 1.0)
+    got = gauss_kronrod(lambda x: 1.0 / (1.0 + x), 0.0, 1.0)
     assert abs(got - math.log(2.0)) < 1e-12
 
 
 def test_oscillatory():
-    got = adaptive_simpson(math.sin, 0.0, math.pi)
+    got = gauss_kronrod(math.sin, 0.0, math.pi)
     assert abs(got - 2.0) < 1e-11
 
 
 def test_degenerate_interval_is_zero():
-    assert adaptive_simpson(math.exp, 3.0, 3.0) == 0.0
+    assert gauss_kronrod(math.exp, 3.0, 3.0) == 0.0
 
 
 def test_reversed_bounds_rejected():
     with pytest.raises(DomainError):
-        adaptive_simpson(math.exp, 1.0, 0.0)
+        gauss_kronrod(math.exp, 1.0, 0.0)
 
 
 def test_evaluation_budget_exhaustion_raises(monkeypatch):
-    # Around a jump the panel error shrinks no faster than the per-panel
-    # tolerance, so a small budget must fail loudly instead of lying.
+    # Around a jump the error shrinks only with the width of the panel
+    # holding it, so a small budget must fail loudly instead of lying.
     monkeypatch.setattr(quadrature, "EVALUATION_BUDGET", 100)
     step = lambda x: 0.0 if x < 1.0 / 3.0 else 1.0
     with pytest.raises(QuadratureError, match="budget of 100 integrand evaluations"):
-        adaptive_simpson(step, 0.0, 1.0)
+        gauss_kronrod(step, 0.0, 1.0)
 
 
 def test_step_function_converges_with_default_budget():
-    # With the full budget the jump panel shrinks to float resolution and
-    # the estimate settles within tolerance anyway.
+    # With the full budget the panel holding the jump shrinks until its
+    # error is within tolerance.
     step = lambda x: 0.0 if x < 1.0 / 3.0 else 1.0
-    assert abs(adaptive_simpson(step, 0.0, 1.0) - 2.0 / 3.0) < 1e-12
+    assert abs(gauss_kronrod(step, 0.0, 1.0) - 2.0 / 3.0) < 1e-12
 
 
 def test_nan_integrand_raises_instead_of_propagating():
     bad = lambda x: float("nan") if 0.4 < x < 0.6 else 1.0
     with pytest.raises(QuadratureError):
-        adaptive_simpson(bad, 0.0, 1.0)
+        gauss_kronrod(bad, 0.0, 1.0)
 
 
 def test_loose_tolerance_is_honored():
-    got = adaptive_simpson(lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, tol=1e-6)
+    got = gauss_kronrod(lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, tol=1e-6)
     assert abs(got - math.pi / 4.0) < 1e-6
 
 
@@ -87,7 +91,7 @@ def test_large_integrand_stops_relative_to_its_size():
     # With an absolute 1e-12 stop, rounding noise in an integrand near 1e12
     # never settles; relative to the integral's size it settles at once.
     f = counted(lambda x: 1e12 * math.exp(x))
-    got = adaptive_simpson(f, 0.0, 1.0)
+    got = gauss_kronrod(f, 0.0, 1.0)
     assert abs(got - 1e12 * (math.e - 1.0)) <= 1e-12 * got
     assert f.calls < 1000
 
@@ -105,7 +109,7 @@ def test_every_integrand_ends_within_budget(f):
     f = counted(f)
     start = time.perf_counter()
     try:
-        adaptive_simpson(f, 0.0, 1.0)
+        gauss_kronrod(f, 0.0, 1.0)
     except QuadratureError:
         pass
     assert f.calls <= quadrature.EVALUATION_BUDGET

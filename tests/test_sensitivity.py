@@ -181,7 +181,7 @@ class TestSweep:
         def refuse(*args, **kwargs):
             raise AssertionError("a solve ran quadrature")
 
-        monkeypatch.setattr("fuzzy_eoq.fuzzy.adaptive_simpson", refuse)
+        monkeypatch.setattr("fuzzy_eoq.fuzzy.gauss_kronrod", refuse)
         for paper_baseline in (False, True):
             results = run_sweep(SweepSpec(p, rows), paper_baseline=paper_baseline)
             for sp, res, want in zip(rows, results, oracle):
