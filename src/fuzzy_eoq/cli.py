@@ -199,7 +199,8 @@ def _load_config(path: str) -> dict:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise DomainError(f"config: cannot read {path!r}: {exc}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+    # a JSONDecodeError, an integer past the digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise DomainError(f"config: {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError(f"config: top level of {path!r} must be an object")

@@ -36,6 +36,13 @@ _SERIES_LIMIT = 1e-2
 
 _INF = math.inf
 
+# The quotient's lower cut has a pole w = (phi + psi) / d6 right of a = 1.
+# Below _NEAR_POLE the oracle flattens it by a change of variable; below
+# _POLE_FLOOR it takes w = _POLE_FLOOR, since no level a within an ulp of 1
+# can resolve the pole and the part it leaves out is below 1e-15 of zeta.
+_NEAR_POLE = 2.0**-4
+_POLE_FLOOR = 2.0**-60
+
 
 @dataclass(frozen=True, slots=True)
 class FuzzySpreads:
@@ -184,9 +191,30 @@ def zeta_quadrature(
 
     Independent of ``zeta`` by construction; the two must agree to the
     quadrature tolerance on every valid input.
+
+    Where the lower cut's pole lies within ``_NEAR_POLE`` right of
+    ``a = 1`` (upper spreads far above the rates), the lower cut is a spike
+    of width about ``w`` at ``a = 1`` that no panel's nodes reach.  It is
+    then integrated over ``u`` with ``1 - a = w (exp(u L) - 1)`` and
+    ``L = log(1 + 1/w)``, which spreads the spike over the whole interval
+    and leaves its integral over [0, 1], all the signed distance takes of
+    it, unchanged.
     """
     cut_lo, cut_hi = leak_fraction_cuts(phi, psi, spreads, relax_bounds=relax_bounds)
+    w = max((phi + psi) / spreads.d6, _POLE_FLOOR)
+    if w < _NEAR_POLE:
+        cut_lo = _flattened(cut_lo, w)
     return signed_distance_quadrature(cut_lo, cut_hi)
+
+
+def _flattened(cut: Callable[[float], float], w: float) -> Callable[[float], float]:
+    span = math.log1p(1.0 / w)
+
+    def flat(u: float) -> float:
+        t = w * math.expm1(u * span)  # 1 - a, from 0 to 1 as u goes
+        return cut(1.0 - t) * (t + w) * span
+
+    return flat
 
 
 def zeta(

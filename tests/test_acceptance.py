@@ -25,13 +25,8 @@ from fuzzy_eoq import (
     zeta_quadrature,
 )
 
-from conftest import (
-    random_dyadic_alpha,
-    random_dyadic_tfn,
-    random_params,
-    random_spreads,
-    random_tfn,
-)
+from conftest import random_dyadic_alpha, random_dyadic_tfn, random_tfn
+from domain import valid_input
 
 
 def _report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -80,9 +75,8 @@ def test_criterion_3_zeta_oracle_equivalence():
     max_rel = 0.0
     cases = [(REFERENCE_PARAMS.phi, REFERENCE_PARAMS.psi, row.spreads) for row in load_reference_table()]
     rng = random.Random(2024)
-    for _ in range(1000):
-        p = random_params(rng)
-        cases.append((p.phi, p.psi, random_spreads(rng, p.phi, p.psi)))
+    for p, sp, _ in (valid_input(rng, "ordinary") for _ in range(1000)):
+        cases.append((p.phi, p.psi, sp))
     for phi, psi, spreads in cases:
         closed = zeta(phi, psi, spreads)
         quad = zeta_quadrature(phi, psi, spreads)
@@ -101,8 +95,7 @@ def test_criterion_4_positivity_and_sign_flags():
     rng = random.Random(15)
     min_zeta = math.inf
     for _ in range(1000):
-        p = random_params(rng)
-        sp = random_spreads(rng, p.phi, p.psi)
+        p, sp, _ = valid_input(rng, "ordinary")
         min_zeta = min(min_zeta, zeta(p.phi, p.psi, sp))
     all_positive = min_zeta > 0.0
     audit = audit_table()
@@ -168,8 +161,7 @@ def test_criterion_6_lot_rule_optimality():
     max_balance_rel = 0.0
     worst_steps = 0.0
     for _ in range(200):
-        p = random_params(rng)
-        sp = random_spreads(rng, p.phi, p.psi)
+        p, sp, _ = valid_input(rng, "ordinary")
         record = fuzzy_optimal(p, sp)
         q_star = record.q_star
         step = q_star / 999.0

@@ -8,10 +8,11 @@ import io
 import json
 import math
 import random
+import re
 import time
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzy_eoq import (
@@ -29,7 +30,10 @@ from fuzzy_eoq import (
 from fuzzy_eoq.cli import (_LIST, _NUMBER, _TEXT, _build_parser, _leaf, _render_json, _Result,
                            _shape, main)
 
+from conftest import drawn_input
+
 ROW1_FLAGS = ["--d1", "100", "--d2", "100", "--d3", "1", "--d4", "1"]
+PARAM_KEYS = ("phi", "psi", "h", "s")
 SPREAD_KEYS = ("d1", "d2", "d3", "d4")
 RECORD_KEYS = ("delta", "zeta", "q_star", "z_star", "rel_q", "rel_z")
 
@@ -675,6 +679,16 @@ class TestConfigHandling:
         assert err.startswith(f"error: config: {str(config)!r} is not valid JSON: ")
         assert err.count("\n") == 1
 
+    def test_nesting_past_the_recursion_limit_rejected(self, capsys, tmp_path):
+        # json recursed past the limit, and the RecursionError escaped as a
+        # traceback with exit code 1; the message wording varies by Python
+        config = tmp_path / "deep.json"
+        config.write_text("[" * 2000 + "]" * 2000)
+        code, out, err = run(capsys, ["crisp", "--config", str(config)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config: {str(config)!r} is not valid JSON: ")
+        assert "Traceback" not in err
+
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
@@ -756,3 +770,40 @@ class TestParserReuse:
         first = run(capsys, ["crisp", "--format", "json"])
         run(capsys, ["crisp", "--s", "200", "--paper-baseline", "--format", "csv"])
         assert run(capsys, ["crisp", "--format", "json"]) == first
+
+
+# values no model input may take; the largest float makes any sum of two overflow
+INVALID_VALUES = ("nan", "inf", "-inf", "0", "-0.0", "1.7976931348623157e+308")
+NON_FINITE = re.compile(r"\b(nan|inf(inity)?)\b", re.IGNORECASE)
+
+
+class TestContract:
+    """A ``crisp`` or ``fuzzy`` call on any input, valid or not, exits 0, 1 or
+    2 within a bounded time and prints no non-finite number; nothing escapes
+    ``main`` but argparse's usage error."""
+
+    @settings(max_examples=200)
+    @given(
+        rng=st.randoms(use_true_random=False),
+        command=st.sampled_from(["crisp", "fuzzy"]),
+        invalid=st.dictionaries(st.sampled_from(PARAM_KEYS + SPREAD_KEYS),
+                                st.sampled_from(INVALID_VALUES), max_size=2),
+        fmt=st.sampled_from(["human", "csv", "json"]),
+        paper=st.booleans(),
+    )
+    def test_any_input_ends_in_an_exit_code(self, rng, command, invalid, fmt, paper):
+        p, sp, relax = drawn_input(rng)
+        values = {**dataclasses.asdict(p), **(dataclasses.asdict(sp) if command == "fuzzy" else {})}
+        # --flag=value, so that "-inf" reaches the value checks, not argparse's option parser
+        argv = [command, *(f"--{key}={invalid.get(key, repr(value))}"
+                           for key, value in values.items()),
+                "--format", fmt, *["--relax-bounds"] * relax, *["--paper-baseline"] * paper]
+        start = time.perf_counter()
+        try:
+            code, out, _ = run_captured(argv)
+        except SystemExit as exc:
+            code, out = exc.code, ""
+            assert code == 2
+        assert time.perf_counter() - start < 10.0
+        assert code in (0, 1, 2)
+        assert not NON_FINITE.search(out), out

@@ -3,12 +3,12 @@
 Every case runs ``main(argv)`` in-process from ``tests/golden`` (so the
 config paths under ``configs/`` appear in messages as written here) and
 checks stdout, stderr and the exit code against the committed files:
-``golden/<case>.out`` holds stdout, ``golden/status.json`` the exit code
-and stderr of the first cases, and ``golden/status-added.json`` those of
-the cases added since, so that a new case leaves every existing file
-byte-identical.  argparse ends ``--help`` and a bad command line with
-``SystemExit``; its code is recorded as the exit code, and ``COLUMNS`` is
-fixed so the usage and help text wrap the same on every terminal.  argparse
+``golden/<case>.out`` holds stdout, and ``golden/status.json`` the exit
+code and stderr of every case, by case name; it is written with sorted
+keys, so a new case adds only its own lines.  argparse ends ``--help`` and
+a bad command line with ``SystemExit``; its code is recorded as the exit
+code, and ``COLUMNS`` is fixed so the usage and help text wrap the same on
+every terminal.  argparse
 words and lays out that text, and a newer Python may change either, so for
 those cases only what fuzzy-eoq decides is compared with the files: the exit
 code, the stream written, the program named in the usage line and the error
@@ -33,7 +33,6 @@ from fuzzy_eoq.cli import _build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 STATUS = GOLDEN / "status.json"
-ADDED_STATUS = GOLDEN / "status-added.json"
 COLUMNS = "80"
 
 ROW1 = ["--d1", "100", "--d2", "100", "--d3", "1", "--d4", "1"]
@@ -83,6 +82,10 @@ ERRORS = {
     "error-config-row-non-number": ["sweep", "--config", "configs/row-non-number.json"],
     "error-config-row-keys": ["sweep", "--config", "configs/bad-row-keys.json"],
     "error-config-sweep-not-list": ["sweep", "--config", "configs/sweep-not-list.json"],
+    # the crisp optimum, about 0.011 units, would truncate to no whole unit
+    "error-fuzzy-paper-baseline-below-one-unit": [
+        "fuzzy", "--s", "1e-6", *ROW1, "--paper-baseline",
+    ],
 }
 
 # outcomes argparse decides before any solve: help exits 0, the rest 2
@@ -100,30 +103,13 @@ SOLVES = {
     "crisp-huge-setup-cost": ["crisp", "--s", "1e306", "--h", "1", "--format", "json"],
 }
 
-# the crisp optimum, about 0.011 units, would truncate to no whole unit
-LATER_ERRORS = {
-    "error-fuzzy-paper-baseline-below-one-unit": [
-        "fuzzy", "--s", "1e-6", *ROW1, "--paper-baseline",
-    ],
+CASES = {
+    **{f"{command}.{fmt}.{flags}": [*argv, *FLAGS[flags], "--format", fmt]
+       for command, argv in COMMANDS.items()
+       for fmt in ("human", "csv", "json")
+       for flags in FLAGS},
+    **ERRORS, **ARGPARSE, **SOLVES,
 }
-
-# the cases whose status is in ADDED_STATUS
-ADDED = {**ARGPARSE, **SOLVES, **LATER_ERRORS}
-
-
-def _cases() -> dict[str, list[str]]:
-    cases = {
-        f"{command}.{fmt}.{flags}": [*argv, *FLAGS[flags], "--format", fmt]
-        for command, argv in COMMANDS.items()
-        for fmt in ("human", "csv", "json")
-        for flags in FLAGS
-    }
-    cases.update(ERRORS)
-    cases.update(ADDED)
-    return cases
-
-
-CASES = _cases()
 
 
 def _run(argv: list[str], entry=main) -> tuple[int, str, str]:
@@ -145,7 +131,7 @@ def _owned(code: int, out: str, err: str) -> tuple:
 
 @pytest.fixture(scope="module")
 def status() -> dict:
-    return {**json.loads(STATUS.read_text()), **json.loads(ADDED_STATUS.read_text())}
+    return json.loads(STATUS.read_text())
 
 
 def test_every_case_has_a_golden_file(status):
@@ -187,9 +173,7 @@ def _regenerate() -> None:
         code, out, err = _run(argv)
         (GOLDEN / f"{name}.out").write_text(out)
         status[name] = {"code": code, "stderr": err}
-    for path, names in ((STATUS, status.keys() - ADDED), (ADDED_STATUS, ADDED)):
-        part = {name: status[name] for name in names}
-        path.write_text(json.dumps(part, indent=1, sort_keys=True) + "\n")
+    STATUS.write_text(json.dumps(status, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

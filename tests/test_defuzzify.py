@@ -1,15 +1,16 @@
 """Tests for the defuzzified demand and leakage-fraction quantities."""
 
 import math
-import random
+import sys
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fuzzy_eoq.fuzzy
 from fuzzy_eoq import (
+    CrispParams,
     DomainError,
     FuzzySpreads,
     TriangularFuzzyNumber,
@@ -22,7 +23,8 @@ from fuzzy_eoq import (
 )
 from fuzzy_eoq.sensitivity import load_reference_table
 
-from conftest import random_params, random_spreads
+from conftest import drawn_input
+from domain import FAMILIES
 
 # frozen from a high-precision evaluation of the antiderivative
 ZETA_100_100_1_1 = 0.01663775852707594
@@ -30,18 +32,10 @@ ZETA_150_200_1_1 = 0.01665802942376451
 ZETA_NEAR_CRISP = 0.01639344262296175
 PSI_OVER_ETA = 0.01639344262295082
 
-
-@st.composite
-def valid_cases(draw):
-    phi = draw(st.floats(50, 5000))
-    psi = phi * draw(st.floats(0.005, 0.5))
-    spreads = FuzzySpreads(
-        d1=phi * draw(st.floats(0.01, 0.95)),
-        d2=phi * draw(st.floats(0.01, 0.95)),
-        d3=psi * draw(st.floats(0.01, 0.95)),
-        d4=psi * draw(st.floats(0.01, 0.95)),
-    )
-    return phi, psi, spreads
+RNGS = st.randoms(use_true_random=False)
+# a result below the normal range keeps no relative precision; the oracle's
+# panel sums are each rounded to the subnormal spacing 2**-1074
+SUBNORMAL_SLACK = 64 * 2.0**-1074
 
 
 class TestSpreads:
@@ -124,26 +118,14 @@ class TestZetaRoutes:
             quad = zeta_quadrature(600.0, 10.0, row.spreads)
             assert math.isclose(closed, quad, rel_tol=1e-12)
 
-    def test_routes_agree_on_random_inputs(self):
-        rng = random.Random(421)
-        for _ in range(200):
-            p = random_params(rng)
-            sp = random_spreads(rng, p.phi, p.psi)
-            closed = zeta(p.phi, p.psi, sp)
-            quad = zeta_quadrature(p.phi, p.psi, sp)
-            assert math.isclose(closed, quad, rel_tol=1e-12)
-
-    @given(valid_cases())
-    def test_positive_everywhere(self, case):
-        phi, psi, spreads = case
-        assert zeta(phi, psi, spreads) > 0.0
-
-    @given(valid_cases())
-    def test_within_cut_hull(self, case):
-        # the mean of the cut midpoints cannot leave the level-0 hull
-        phi, psi, spreads = case
-        cut_lo, cut_hi = leak_fraction_cuts(phi, psi, spreads)
-        value = zeta(phi, psi, spreads)
+    @given(RNGS)
+    def test_positive_within_cut_hull(self, rng):
+        # the upper cut is at least psi / eta, so zeta is at least half of it,
+        # and the mean of the cut midpoints cannot leave the level-0 hull
+        p, spreads, relax = drawn_input(rng)
+        cut_lo, cut_hi = leak_fraction_cuts(p.phi, p.psi, spreads, relax_bounds=relax)
+        value = zeta(p.phi, p.psi, spreads, relax_bounds=relax)
+        assert value > 0.0 or p.psi / (p.phi + p.psi) < 2.0 * sys.float_info.min
         assert cut_lo(0.0) - 1e-12 <= value <= cut_hi(0.0) + 1e-12
 
     def test_cut_ordering_and_peak(self):
@@ -178,54 +160,47 @@ def _rel(got, want):
     return abs(got - want) / abs(want)
 
 
-@st.composite
-def near_degenerate_cases(draw):
-    """Rates over nine decades; every spread is 1-100 % of the combined-
-    spread ratio times its rate, the ratio log-uniform in 1e-12..0.5."""
-    phi = 10.0 ** draw(st.floats(-3.0, 6.0))
-    psi = phi * draw(st.floats(1e-3, 0.9))
-    ratio = 10.0 ** draw(st.floats(-12.0, math.log10(0.5)))
-    shares = [draw(st.floats(0.01, 1.0)) for _ in range(4)]
-    spreads = FuzzySpreads(
-        d1=phi * ratio * shares[0],
-        d2=phi * ratio * shares[1],
-        d3=psi * ratio * shares[2],
-        d4=psi * ratio * shares[3],
-    )
-    return phi, psi, spreads
+class TestOracle:
+    """The quadrature oracle matches the closed form within 1e-12 on every
+    family of ``tests/domain.py``."""
 
-
-@st.composite
-def small_fraction_cases(draw):
-    """Small leak fractions: phi log-uniform in 1e-3..1e6, psi/phi
-    log-uniform in 1e-16..1e-3, every spread 1-99 % of its rate."""
-    phi = 10.0 ** draw(st.floats(-3.0, 6.0))
-    psi = phi * 10.0 ** draw(st.floats(-16.0, -3.0))
-    spreads = FuzzySpreads(
-        d1=phi * draw(st.floats(0.01, 0.99)),
-        d2=phi * draw(st.floats(0.01, 0.99)),
-        d3=psi * draw(st.floats(0.01, 0.99)),
-        d4=psi * draw(st.floats(0.01, 0.99)),
-    )
-    return phi, psi, spreads
-
-
-# Rates at both ends of the binary64 range, where squaring a spread or
-# multiplying a rate by a spread under- or overflows.
-BINARY64_EXTREMES = [
-    (1e-300, 1e-300, FuzzySpreads(1e-301, 1e-301, 1e-301, 1e-301)),
-    (1e300, 1e300, FuzzySpreads(5e299, 5e299, 5e299, 5e299)),
-    (1e308, 1e307, FuzzySpreads(5e307, 5e307, 5e306, 5e306)),
-]
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=300)
+    @given(case=RNGS)
+    # a small leak fraction: the oracle's stop was absolute and left 1.0e-12
+    @example(case=(CrispParams(1.0, 0.001, 1.0, 1.0),
+                   FuzzySpreads(0.025, 0.0859375, 1.25e-05, 0.0001), False))
+    # printed 4.7e-5 apart by the CLI while the oracle's stop was absolute
+    @example(case=(CrispParams(1.0, 1e-10, 1.0, 1.0), FuzzySpreads(0.5, 0.5, 5e-11, 5e-11), False))
+    # a recursive Simpson stop relative to M, not M / 2, left these
+    # 1.07e-12 and 1.09e-12 off
+    @example(case=(CrispParams(1.0, 0.5, 1.0, 1.0),
+                   FuzzySpreads(0.01, 0.5, 0.005859375, 8891397050.194614), True))
+    @example(case=(CrispParams(1.0, 0.0078125, 1.0, 1.0),
+                   FuzzySpreads(0.01, 0.5, 0.0009765625, 138928078.90929085), True))
+    # rates at both ends of the binary64 range, where squaring a spread or
+    # multiplying a rate by a spread under- or overflows
+    @example(case=(CrispParams(1e-300, 1e-300, 1.0, 1.0),
+                   FuzzySpreads(1e-301, 1e-301, 1e-301, 1e-301), False))
+    @example(case=(CrispParams(1e300, 1e300, 1.0, 1.0),
+                   FuzzySpreads(5e299, 5e299, 5e299, 5e299), False))
+    @example(case=(CrispParams(1e308, 1e307, 1.0, 1.0),
+                   FuzzySpreads(5e307, 5e307, 5e306, 5e306), False))
+    # d2 1e11 times phi: the lower cut's spike of width eta/d6 at a = 1 fell
+    # between the nodes, and the oracle was 1.6e-10 off
+    @example(case=(CrispParams(600.0, 10.0, 10.0, 100.0),
+                   FuzzySpreads(100.0, 6e13, 1.0, 1.0), True))
+    def test_matches_closed_form(self, family, case):
+        p, spreads, relax = drawn_input(case, family)
+        # a QuadratureError here would be the evaluation budget running out
+        got = zeta_quadrature(p.phi, p.psi, spreads, relax_bounds=relax)
+        want = zeta(p.phi, p.psi, spreads, relax_bounds=relax)
+        assert abs(got - want) <= 1e-12 * want + SUBNORMAL_SLACK
 
 
 class TestNoCancellation:
     """The closed form keeps full precision where the spreads are tiny
     against the rates; quadrature is the oracle."""
-
-    def test_ordinary_spreads_match_quadrature(self):
-        sp = FuzzySpreads(100.0, 100.0, 1.0, 1.0)
-        assert _rel(zeta(600.0, 10.0, sp), zeta_quadrature(600.0, 10.0, sp)) <= 1e-12
 
     def test_near_degenerate_spreads_match_quadrature(self):
         # combined spreads below 1e-8 of the combined rate
@@ -237,28 +212,6 @@ class TestNoCancellation:
         got = zeta(600.0, 10.0, sp)
         cut_lo, cut_hi = leak_fraction_cuts(600.0, 10.0, sp)
         assert cut_lo(0.0) <= got <= cut_hi(0.0)
-
-    @settings(max_examples=300)
-    @given(near_degenerate_cases())
-    # a small leak fraction: the oracle's stop was absolute and left 1.0e-12
-    @example((1.0, 0.001, FuzzySpreads(0.025, 0.0859375, 1.25e-05, 0.0001)))
-    def test_matches_quadrature_down_to_tiny_spread_ratios(self, case):
-        phi, psi, spreads = case
-        assert _rel(zeta(phi, psi, spreads), zeta_quadrature(phi, psi, spreads)) <= 1e-12
-
-    @settings(max_examples=300)
-    @given(small_fraction_cases())
-    # printed 4.7e-5 apart by the CLI while the oracle's stop was absolute
-    @example((1.0, 1e-10, FuzzySpreads(0.5, 0.5, 5e-11, 5e-11)))
-    def test_matches_quadrature_at_small_leak_fractions(self, case):
-        phi, psi, spreads = case
-        assert _rel(zeta(phi, psi, spreads), zeta_quadrature(phi, psi, spreads)) <= 1e-12
-
-    @pytest.mark.parametrize("phi, psi, spreads", BINARY64_EXTREMES)
-    def test_binary64_extremes(self, phi, psi, spreads):
-        got = zeta(phi, psi, spreads)
-        assert math.isfinite(got)
-        assert _rel(got, zeta_quadrature(phi, psi, spreads)) <= 1e-12
 
     @pytest.mark.parametrize("route", [zeta, zeta_quadrature, leak_fraction_cuts])
     def test_overflowing_combined_rate_rejected(self, route):
@@ -283,21 +236,6 @@ def _zeta_decimal(phi, psi, spreads):
         return float((psi / eta * (2 + gx + gy) + d3 / d6 * gx + d4 / d5 * gy) / 2)
 
 
-@st.composite
-def near_lower_bound_cases(draw):
-    """Rates over nine decades with d1 = phi (1 - k1) and d3 = psi (1 - k3),
-    k1 and k3 log-uniform in 1e-15..1e-1, and ordinary upper spreads."""
-    phi = 10.0 ** draw(st.floats(-3.0, 6.0))
-    psi = phi * draw(st.floats(1e-3, 0.9))
-    spreads = FuzzySpreads(
-        d1=phi * (1.0 - 10.0 ** draw(st.floats(-15.0, -1.0))),
-        d2=phi * draw(st.floats(0.01, 0.95)),
-        d3=psi * (1.0 - 10.0 ** draw(st.floats(-15.0, -1.0))),
-        d4=psi * draw(st.floats(0.01, 0.95)),
-    )
-    return phi, psi, spreads
-
-
 # d1 and d3 one ulp below their rates, at ordinary, tiny, huge and
 # subnormal rates; the first is the input whose d1 + d3 rounds to phi + psi
 ONE_ULP_BELOW_BOTH_BOUNDS = [
@@ -318,11 +256,12 @@ class TestNearLowerBounds:
         sp = FuzzySpreads(150.0, 200.0, 1.0, 1.0)
         assert _rel(_zeta_decimal(600.0, 10.0, sp), ZETA_150_200_1_1) <= 1e-15
 
+    @pytest.mark.parametrize("family", ["near-bound", "ulps-below"])
     @settings(max_examples=300)
-    @given(near_lower_bound_cases())
-    def test_matches_decimal_reference(self, case):
-        phi, psi, spreads = case
-        assert _rel(zeta(phi, psi, spreads), _zeta_decimal(phi, psi, spreads)) <= 1e-14
+    @given(RNGS)
+    def test_matches_decimal_reference(self, family, rng):
+        p, spreads, _ = drawn_input(rng, family)
+        assert _rel(zeta(p.phi, p.psi, spreads), _zeta_decimal(p.phi, p.psi, spreads)) <= 1e-14
 
     @pytest.mark.parametrize("phi, psi, spreads", ONE_ULP_BELOW_BOTH_BOUNDS)
     def test_one_ulp_below_both_bounds(self, phi, psi, spreads):
@@ -343,21 +282,6 @@ class TestNearLowerBounds:
         assert spreads.d5 == phi + psi
         cut_lo, cut_hi = leak_fraction_cuts(phi, psi, spreads)
         assert math.isfinite(cut_hi(0.0)) and cut_hi(0.0) > cut_lo(0.0)
-
-
-@st.composite
-def huge_upper_spread_cases(draw):
-    """Rates over nine decades, ordinary lower and demand spreads, and a
-    relaxed ``d4`` of 1 to 1e15 times ``psi``, log-uniform."""
-    phi = 10.0 ** draw(st.floats(-3.0, 6.0))
-    psi = phi * draw(st.floats(1e-3, 0.9))
-    spreads = FuzzySpreads(
-        d1=phi * draw(st.floats(0.01, 0.95)),
-        d2=phi * draw(st.floats(0.01, 0.95)),
-        d3=psi * draw(st.floats(0.01, 0.95)),
-        d4=psi * 10.0 ** draw(st.floats(0.0, 15.0)),
-    )
-    return phi, psi, spreads
 
 
 def _count_evaluations(monkeypatch):
@@ -397,14 +321,6 @@ class TestBoundedQuadrature:
         sp = FuzzySpreads(600.0 * (1.0 - k), 1.0, 10.0 * (1.0 - k), 1.0)
         assert _rel(zeta_quadrature(600.0, 10.0, sp), zeta(600.0, 10.0, sp)) <= 1e-10
 
-    @settings(max_examples=25)
-    @given(near_lower_bound_cases())
-    def test_lower_spreads_next_to_the_bounds_match(self, case):
-        # next to the pole at a = 0 the panels' shares of the tolerance fall
-        # below their rounding noise; those panels must still be accepted
-        phi, psi, spreads = case
-        assert _rel(zeta_quadrature(phi, psi, spreads), zeta(phi, psi, spreads)) <= 1e-12
-
     @pytest.mark.parametrize("d4", [1e9, 1e10, 1e11, 1e17, 1e100])
     def test_huge_relaxed_upper_spread_finishes(self, d4, monkeypatch):
         calls = _count_evaluations(monkeypatch)
@@ -412,18 +328,6 @@ class TestBoundedQuadrature:
         got = zeta_quadrature(600.0, 10.0, sp, relax_bounds=True)
         assert _rel(got, zeta(600.0, 10.0, sp, relax_bounds=True)) <= 1e-12
         assert calls[0] < 1000
-
-    @settings(max_examples=200)
-    @given(huge_upper_spread_cases())
-    # a recursive Simpson stop relative to M, not M / 2, left these
-    # 1.07e-12 and 1.09e-12 off
-    @example(case=(1.0, 0.5, FuzzySpreads(0.01, 0.5, 0.005859375, 8891397050.194614)))
-    @example(case=(1.0, 0.0078125, FuzzySpreads(0.01, 0.5, 0.0009765625, 138928078.90929085)))
-    def test_huge_relaxed_upper_spreads_match_within_budget(self, case):
-        phi, psi, spreads = case
-        # a QuadratureError here would be the budget running out
-        got = zeta_quadrature(phi, psi, spreads, relax_bounds=True)
-        assert _rel(got, zeta(phi, psi, spreads, relax_bounds=True)) <= 1e-12
 
     def test_lower_cut_is_the_crisp_fraction_at_the_peak(self):
         # (eta + d6) - d6 * a used to cancel to 0 at a = 1 once d6 swamped eta
@@ -463,25 +367,6 @@ class TestBoundedQuadrature:
             route(1e-300, 1e-300, sp, relax_bounds=True)
 
 
-@st.composite
-def tiny_rate_cases(draw):
-    """``phi + psi`` log-uniform in 1e-323..1e-300 with ``psi/phi`` in
-    0.005..0.5 and spreads 1-95 % of their rates; draws whose spreads round
-    to zero or onto their rates are discarded."""
-    eta = 10.0 ** draw(st.floats(-323.0, -300.0))
-    ratio = draw(st.floats(0.005, 0.5))
-    phi = eta / (1.0 + ratio)
-    psi = phi * ratio
-    shares = [draw(st.floats(0.01, 0.95)) for _ in range(4)]
-    try:
-        spreads = FuzzySpreads(phi * shares[0], phi * shares[1],
-                               psi * shares[2], psi * shares[3])
-        spreads.validate_against(phi, psi)
-    except DomainError:
-        assume(False)
-    return phi, psi, spreads
-
-
 class TestTinyRates:
     """At deep-subnormal rates the oracle scales the rates and spreads up by
     a power of two before building its cuts: unscaled, their coefficients
@@ -491,13 +376,6 @@ class TestTinyRates:
         # unscaled, the oracle returned 0.40254 against 0.39832 with no error
         sp = FuzzySpreads(2e-323, 2e-323, 1e-323, 1e-323)
         assert _rel(zeta_quadrature(3.5e-323, 1.5e-323, sp), zeta(3.5e-323, 1.5e-323, sp)) <= 1e-12
-
-    @settings(max_examples=300)
-    @given(tiny_rate_cases())
-    def test_matches_closed_form(self, case):
-        # unscaled, about a third of these raised QuadratureError
-        phi, psi, spreads = case
-        assert _rel(zeta_quadrature(phi, psi, spreads), zeta(phi, psi, spreads)) <= 1e-12
 
     @pytest.mark.parametrize("phi, psi", [(0.3, 0.1), (1e-3, 1e-4), (1e-200, 3e-201)])
     def test_scaling_moves_no_rounding_at_normal_rates(self, phi, psi):
@@ -515,46 +393,21 @@ class TestTinyRates:
         assert math.isfinite(cut_lo(0.0)) and cut_lo(1.0) == 0.5
 
 
-@st.composite
-def binary64_range_cases(draw):
-    """Rates log-uniform in 1e-323..1e308; each lower spread a share of its
-    rate or one to four ulps below it; upper spreads 1e-3 to 1e15 times
-    their rates, for relaxed bounds.  Draws whose spreads round to zero or
-    overflow are discarded."""
-
-    def lower(rate):
-        if draw(st.booleans()):
-            for _ in range(draw(st.integers(1, 4))):
-                rate = math.nextafter(rate, 0.0)
-            return rate
-        return rate * draw(st.floats(1e-6, 0.99))
-
-    phi = 10.0 ** draw(st.floats(-323.0, 308.0))
-    psi = 10.0 ** draw(st.floats(-323.0, 308.0))
-    try:
-        spreads = FuzzySpreads(lower(phi), phi * 10.0 ** draw(st.floats(-3.0, 15.0)),
-                               lower(psi), psi * 10.0 ** draw(st.floats(-3.0, 15.0)))
-    except DomainError:
-        assume(False)
-    return phi, psi, spreads
-
-
 class TestLotRuleInputs:
     """The lot rule takes ``delta`` and ``zeta`` unchecked from
     ``defuzzified_rates`` and from the published table: ``delta`` must be
     positive and finite, ``zeta`` finite and above -1."""
 
     @settings(max_examples=1000)
-    @given(binary64_range_cases())
-    @example((1e-323, 1e-323, FuzzySpreads(5e-324, 5e-324, 5e-324, 5e-324)))
-    @example((1e308, 1e307, FuzzySpreads(math.nextafter(1e308, 0.0), 1e307,
-                                         math.nextafter(1e307, 0.0), 1e306)))
+    @given(case=RNGS)
+    @example(case=(CrispParams(1e-323, 1e-323, 1.0, 1.0),
+                   FuzzySpreads(5e-324, 5e-324, 5e-324, 5e-324), True))
+    @example(case=(CrispParams(1e308, 1e307, 1.0, 1.0),
+                   FuzzySpreads(math.nextafter(1e308, 0.0), 1e307,
+                                math.nextafter(1e307, 0.0), 1e306), True))
     def test_defuzzified_rates_across_binary64(self, case):
-        phi, psi, spreads = case
-        try:
-            delta, zeta_value = defuzzified_rates(phi, psi, spreads, relax_bounds=True)
-        except DomainError:
-            assume(False)
+        p, spreads, relax = drawn_input(case, "huge-rate")
+        delta, zeta_value = defuzzified_rates(p.phi, p.psi, spreads, relax_bounds=relax)
         assert 0.0 < delta < math.inf
         assert 0.0 <= zeta_value < math.inf
 

@@ -24,7 +24,7 @@ from fuzzy_eoq import (
 )
 from fuzzy_eoq.model import _scaled_lot_size, percent_deviation
 
-from conftest import random_params, random_spreads
+from domain import valid_input
 
 PARAMS = CrispParams(600.0, 10.0, 10.0, 100.0)
 ROW1 = FuzzySpreads(100.0, 100.0, 1.0, 1.0)
@@ -89,7 +89,7 @@ class TestCrispCost:
         # crisp_optimal takes the fuzzy lot rule at delta = phi, bit for bit
         rng = random.Random(5)
         for _ in range(50):
-            p = random_params(rng)
+            p = valid_input(rng, "ordinary")[0]
             rec = crisp_optimal(p)
             zeta_value = p.psi / (p.phi + p.psi)
             assert rec.zeta == zeta_value
@@ -125,7 +125,7 @@ class TestCrispOptimal:
     def test_random_instances_satisfy_first_order_condition(self):
         rng = random.Random(7)
         for _ in range(50):
-            p = random_params(rng)
+            p = valid_input(rng, "ordinary")[0]
             rec = crisp_optimal(p)
             eps = 1e-6 * rec.q_star
             slope = (
@@ -165,7 +165,7 @@ class TestCycle:
     def test_leaked_equals_rate_times_overshoot(self):
         rng = random.Random(11)
         for _ in range(50):
-            p = random_params(rng)
+            p = valid_input(rng, "ordinary")[0]
             q = rng.uniform(1.0, 500.0)
             cyc = cycle_quantities(q, p)
             assert cyc.t1 <= cyc.t
@@ -306,8 +306,7 @@ class TestFuzzyOptimal:
     def test_balance_identity(self):
         rng = random.Random(23)
         for _ in range(100):
-            p = random_params(rng)
-            sp = random_spreads(rng, p.phi, p.psi)
+            p, sp, _ = valid_input(rng, "ordinary")
             rec = fuzzy_optimal(p, sp)
             holding = rec.q_star * p.h / 2.0 * (1.0 + rec.zeta)
             ordering = p.s * rec.delta / rec.q_star
@@ -321,8 +320,7 @@ class TestFuzzyOptimal:
     def test_second_order_condition(self):
         rng = random.Random(29)
         for _ in range(50):
-            p = random_params(rng)
-            sp = random_spreads(rng, p.phi, p.psi)
+            p, sp, _ = valid_input(rng, "ordinary")
             rec = fuzzy_optimal(p, sp)
             eps = 0.01 * rec.q_star
             assert fuzzy_cost(rec.q_star + eps, p, sp) > rec.z_star
@@ -343,7 +341,7 @@ class TestFuzzyOptimal:
     def test_crisp_consistency_in_the_limit(self):
         rng = random.Random(37)
         for _ in range(20):
-            p = random_params(rng)
+            p = valid_input(rng, "ordinary")[0]
             sp = FuzzySpreads(
                 1e-6 * p.phi, 1e-6 * p.phi, 1e-6 * p.psi, 1e-6 * p.psi
             )

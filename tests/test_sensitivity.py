@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from conftest import random_params, random_spreads
+from domain import valid_input
 from fuzzy_eoq import (
     AUDIT_COLUMNS,
     REFERENCE_PARAMS,
@@ -98,7 +98,8 @@ def _seeded_rows(rng, p, n):
     against the rates."""
     rows = []
     for _ in range(n):
-        sp = random_spreads(rng, p.phi, p.psi)
+        sp = FuzzySpreads(*(rate * rng.uniform(0.01, 0.95)
+                            for rate in (p.phi, p.phi, p.psi, p.psi)))
         kind = rng.randrange(6)
         if kind == 1:
             sp = FuzzySpreads(p.phi * rng.uniform(1.0, 1.5), sp.d2, sp.d3, sp.d4)
@@ -120,7 +121,7 @@ class TestSweep:
         rng = random.Random(20220218)
         cases = [(REFERENCE_PARAMS, tuple(row.spreads for row in load_reference_table()))]
         for _ in range(4):
-            p = random_params(rng)
+            p = valid_input(rng, "ordinary")[0]
             cases.append((p, _seeded_rows(rng, p, 60)))
         for (n, (p, rows)), paper_baseline, relax_bounds in itertools.product(
             enumerate(cases), (False, True), (False, True)
