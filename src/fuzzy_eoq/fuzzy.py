@@ -201,14 +201,12 @@ def signed_distance_quadrature(
     membership levels in [0, 1] by ``gauss_kronrod``.  Callers
     supply continuous endpoint functions with ``cut_lo <= cut_hi``
     pointwise; this is the oracle route for every closed-form signed
-    distance in the package.  When the mean size of the two endpoints at
-    ``a = 1/2`` is at most 1, the tolerance is multiplied by
-    ``min(1, 64 * size)``, so a small integral is resolved relative to its
-    size.  The size is taken from the endpoints, not the midpoint, which
-    cancels when they lie on either side of zero: the stop must not ask
-    for more than the endpoints' rounding allows.  Above 1 the tolerance
-    is left to ``gauss_kronrod``'s own scaling by its first estimate.
+    distance in the package.  The stop is ``DEFAULT_TOL`` relative to
+    ``size``, the mean of ``|cut_lo(1/2)|`` and ``|cut_hi(1/2)|``, and
+    absolute where ``size`` is 0.  The size is taken from the endpoints,
+    not the midpoint, which cancels when they lie on either side of zero:
+    the stop must not ask for more than the endpoints' rounding allows.
     """
     size = 0.5 * (abs(cut_lo(0.5)) + abs(cut_hi(0.5)))
-    tol = DEFAULT_TOL * min(1.0, 64.0 * size) if size > 0.0 else DEFAULT_TOL
+    tol = DEFAULT_TOL * size if size > 0.0 else DEFAULT_TOL
     return gauss_kronrod(lambda a: 0.5 * (cut_lo(a) + cut_hi(a)), 0.0, 1.0, tol=tol)

@@ -39,6 +39,7 @@ _KRONROD_NODES = (
 )
 _CENTRE_KRONROD = 0.209482141084727828012999174891714
 _CENTRE_GAUSS = 0.417959183673469387755102040816327
+_OUTER_NODE = _KRONROD_NODES[0][0]
 _PANEL_EVALUATIONS = 15
 
 
@@ -61,10 +62,17 @@ def _panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, fl
     return estimate, err
 
 
+def _nodes_inside(lo: float, hi: float) -> bool:
+    """Whether ``_panel``'s outermost nodes on ``[lo, hi]`` round strictly inside it."""
+    centre = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return lo < centre - half * _OUTER_NODE and centre + half * _OUTER_NODE < hi
+
+
 def gauss_kronrod(
     f: Callable[[float], float], a: float, b: float, *, tol: float = DEFAULT_TOL
 ) -> float:
-    """Integrate ``f`` over ``[a, b]`` to tolerance ``tol``.
+    """Integrate ``f`` over ``[a, b]`` to the absolute tolerance ``tol``.
 
     One globally adaptive pass, QUADPACK's QAG strategy (Piessens et al.,
     1983): each panel carries a 15-point Kronrod estimate and its error
@@ -73,26 +81,23 @@ def gauss_kronrod(
     sum to at most ``tol``.  The sum is recounted with ``math.fsum`` before
     stopping, because a running sum cancels once the large early errors
     are taken out.  A panel closes when its error is within 64 ulps of its
-    estimate (the rest is rounding) or when it can no longer be halved.
-    The nodes lie inside each panel, so an integrable pole at an end is
-    never evaluated.
-
-    ``tol`` is absolute, but multiplied by ``M / 16``, ``M`` the first
-    panel's ``|K15|``, when ``M`` is above 16, so rounding noise in a large
-    integrand cannot keep every panel splitting.
+    estimate: the rest is rounding.  A panel is halved only where every
+    node of both halves rounds strictly inside them, so an integrable pole
+    at an end of ``[a, b]`` is never evaluated unless ``[a, b]`` itself is
+    only a few ulps wide.
 
     Raises:
-        QuadratureError: if an estimate is not finite, or if the tolerance
-            is not reached within ``EVALUATION_BUDGET`` integrand evaluations.
+        DomainError: if ``a > b``, or ``tol`` is negative or nan.
+        QuadratureError: if an estimate is not finite, if a panel that
+            must be halved cannot be, or if the tolerance is not reached
+            within ``EVALUATION_BUDGET`` integrand evaluations.
     """
+    if not tol >= 0.0:
+        raise DomainError(f"tol must be non-negative (got {tol!r})")
     if a == b:
         return 0.0
     if not a < b:
         raise DomainError(f"a <= b violated (got a={a!r}, b={b!r})")
-    estimate, err = _panel(f, a, b)
-    size = abs(estimate)
-    if size > 16.0:
-        tol *= size / 16.0
     remaining = EVALUATION_BUDGET - _PANEL_EVALUATIONS
     closed = []
     heap = []  # open panels as (-err, lo, hi, estimate): the worst first
@@ -100,14 +105,13 @@ def gauss_kronrod(
 
     def settle(lo, hi, estimate, err):
         nonlocal total
-        mid = 0.5 * (lo + hi)
-        if err <= _ROUNDING * abs(estimate) or not lo < mid < hi:
+        if err <= _ROUNDING * abs(estimate):
             closed.append(estimate)
         else:
             heapq.heappush(heap, (-err, lo, hi, estimate))
             total += err
 
-    settle(a, b, estimate, err)
+    settle(a, b, *_panel(f, a, b))
     while heap:
         if total <= tol:
             total = math.fsum(-panel[0] for panel in heap)
@@ -120,6 +124,9 @@ def gauss_kronrod(
                                   f"the budget of {EVALUATION_BUDGET} integrand evaluations")
         total += neg_err
         mid = 0.5 * (lo + hi)
+        if not (_nodes_inside(lo, mid) and _nodes_inside(mid, hi)):
+            raise QuadratureError(f"tolerance {tol:g} not reached: [{lo!r}, {hi!r}] cannot be "
+                                  f"halved with every node inside")
         settle(lo, mid, *_panel(f, lo, mid))
         settle(mid, hi, *_panel(f, mid, hi))
     return math.fsum([*closed, *(panel[3] for panel in heap)])

@@ -21,6 +21,7 @@ from fuzzy_eoq import (
     zeta,
     zeta_quadrature,
 )
+from fuzzy_eoq.quadrature import DEFAULT_TOL
 from fuzzy_eoq.sensitivity import load_reference_table
 
 from conftest import drawn_input
@@ -304,8 +305,32 @@ def _count_evaluations(monkeypatch):
 
 class TestBoundedQuadrature:
     """The oracle ends in bounded time on every valid input: its stop is
-    relative once the integral is large, and one evaluation budget covers
-    the whole integration."""
+    relative to the size of the cut endpoints, and one evaluation budget
+    covers the whole integration."""
+
+    @pytest.mark.parametrize("phi, psi, spreads, relax, low, high", [
+        (1.0, 1e-10, FuzzySpreads(0.5, 0.5, 5e-11, 5e-11), False, 1e-11, 1e-9),
+        (10.0, 10.0, FuzzySpreads(5.0, 5.0, 5.0, 5.0), False, 0.25, 1.0),
+        (600.0, 10.0, FuzzySpreads(1.0, 1.0, 1.0, 1e10), True, 16.0, math.inf),
+    ], ids=["psi-1e-10", "half", "relaxed-d4-1e10"])
+    def test_stop_is_default_tol_times_endpoint_size(
+        self, phi, psi, spreads, relax, low, high, monkeypatch
+    ):
+        tols = []
+        monkeypatch.setattr(fuzzy_eoq.fuzzy, "gauss_kronrod",
+                            lambda f, a, b, *, tol: tols.append(tol) or 0.0)
+        cut_lo, cut_hi = leak_fraction_cuts(phi, psi, spreads, relax_bounds=relax)
+        fuzzy_eoq.fuzzy.signed_distance_quadrature(cut_lo, cut_hi)
+        size = 0.5 * (abs(cut_lo(0.5)) + abs(cut_hi(0.5)))
+        assert low < size < high
+        assert tols == [DEFAULT_TOL * size]
+
+    def test_stop_is_absolute_at_size_zero(self, monkeypatch):
+        tols = []
+        monkeypatch.setattr(fuzzy_eoq.fuzzy, "gauss_kronrod",
+                            lambda f, a, b, *, tol: tols.append(tol) or 0.0)
+        fuzzy_eoq.fuzzy.signed_distance_quadrature(lambda a: 0.0, lambda a: 0.0)
+        assert tols == [DEFAULT_TOL]
 
     def test_reference_row_evaluation_counts(self, monkeypatch):
         calls = _count_evaluations(monkeypatch)

@@ -87,9 +87,35 @@ def test_loose_tolerance_is_honored():
     assert abs(got - math.pi / 4.0) < 1e-6
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_negative_or_nan_tolerance_rejected(tol):
+    with pytest.raises(DomainError, match="tol must be non-negative"):
+        gauss_kronrod(math.exp, 0.0, 1.0, tol=tol)
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: 1.0 / math.sqrt(1.0 - x), 0.0, 1.0),
+    (lambda x: 1.0 / math.sqrt(x - 1.0), 1.0, 2.0),
+], ids=["pole-at-b", "pole-at-a"])
+def test_pole_next_to_one_never_evaluated_at_an_end(f, a, b):
+    # near 1 the float spacing is 1.1e-16, so the outer nodes of a panel
+    # about 1e-14 wide would round onto the end; such a panel is not
+    # halved, and the tolerance is reported as not reached
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return f(x)
+
+    with pytest.raises(QuadratureError, match="cannot be halved"):
+        gauss_kronrod(g, a, b)
+    assert a not in seen and b not in seen
+
+
 def test_large_integrand_stops_relative_to_its_size():
-    # With an absolute 1e-12 stop, rounding noise in an integrand near 1e12
-    # never settles; relative to the integral's size it settles at once.
+    # The absolute stop is met well below 1e-12 of the integral, because
+    # a panel whose error is within 64 ulps of its estimate closes: in an
+    # integrand near 1e12 that is every panel, at once.
     f = counted(lambda x: 1e12 * math.exp(x))
     got = gauss_kronrod(f, 0.0, 1.0)
     assert abs(got - 1e12 * (math.e - 1.0)) <= 1e-12 * got
