@@ -15,7 +15,8 @@ solve and audit row takes.  ``zeta`` returns the second alone.  Each public
 route checks its input once, in ``FuzzySpreads.validate_against``: the
 rates, then the spread bounds, then the largest cut sum.
 ``zeta_quadrature`` integrates the alpha-cut endpoints of that quotient,
-built from ``demand_fuzzy`` and ``leakage_fuzzy``, adaptively instead.
+built from ``demand_fuzzy`` and ``leakage_fuzzy``, adaptively instead,
+each cut's pole flattened by one change of variable on every input.
 It shares no code with ``zeta``: it is the independent oracle that tests
 and the CLI report check the closed form against, and no solve calls it.
 """
@@ -27,21 +28,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError
-from .fuzzy import (TriangularFuzzyNumber, _quotient_cuts, _require_finite,
-                    _require_positive, signed_distance_quadrature)
+from .fuzzy import (TriangularFuzzyNumber, _quotient_cuts, _quotient_distance,
+                    _require_finite, _require_positive)
 
 # Below this |t|, log1p(t)/t - 1 is summed as a series: computed directly
 # it would subtract two nearly equal numbers.
 _SERIES_LIMIT = 1e-2
 
 _INF = math.inf
-
-# The quotient's lower cut has a pole w = (phi + psi) / d6 right of a = 1.
-# Below _NEAR_POLE the oracle flattens it by a change of variable; below
-# _POLE_FLOOR it takes w = _POLE_FLOOR, since no level a within an ulp of 1
-# can resolve the pole and the part it leaves out is below 1e-15 of zeta.
-_NEAR_POLE = 2.0**-4
-_POLE_FLOOR = 2.0**-60
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,6 +127,13 @@ def leak_fraction_cuts(
     first scaled up by a power of two, which is exact.  At deep-subnormal
     rates the cut coefficients would otherwise be a few multiples of the
     smallest subnormal, and the integrand a staircase."""
+    return _quotient_cuts(*_leak_fraction(phi, psi, spreads, relax_bounds))
+
+
+def _leak_fraction(
+    phi: float, psi: float, spreads: FuzzySpreads, relax_bounds: bool
+) -> tuple[TriangularFuzzyNumber, TriangularFuzzyNumber]:
+    """The leak fraction's numerator and denominator, validated and scaled."""
     spreads.validate_against(phi, psi, relax_bounds=relax_bounds)
     k = -math.frexp(phi + psi)[1]
     # only upward, and only while the largest cut sum stays finite
@@ -141,7 +142,7 @@ def leak_fraction_cuts(
         spreads = FuzzySpreads(math.ldexp(spreads.d1, k), math.ldexp(spreads.d2, k),
                                math.ldexp(spreads.d3, k), math.ldexp(spreads.d4, k))
     leakage = leakage_fuzzy(psi, spreads)
-    return _quotient_cuts(leakage, demand_fuzzy(phi, spreads) + leakage)
+    return leakage, demand_fuzzy(phi, spreads) + leakage
 
 
 def _g(t: float) -> float:
@@ -192,29 +193,15 @@ def zeta_quadrature(
     Independent of ``zeta`` by construction; the two must agree to the
     quadrature tolerance on every valid input.
 
-    Where the lower cut's pole lies within ``_NEAR_POLE`` right of
-    ``a = 1`` (upper spreads far above the rates), the lower cut is a spike
-    of width about ``w`` at ``a = 1`` that no panel's nodes reach.  It is
-    then integrated over ``u`` with ``1 - a = w (exp(u L) - 1)`` and
-    ``L = log(1 + 1/w)``, which spreads the spike over the whole interval
-    and leaves its integral over [0, 1], all the signed distance takes of
-    it, unchanged.
+    Both cuts of the leak fraction have a pole just outside [0, 1]: the
+    lower one ``(phi + psi) / d6`` right of ``a = 1``, a spike there when
+    relaxed upper spreads dwarf the rates, and the upper one
+    ``((phi - d1) + (psi - d3)) / d5`` left of ``a = 0``, a spike there when
+    the lower spreads near their bounds.  ``_quotient_distance`` flattens
+    both by a change of variable that leaves each cut's integral unchanged,
+    on every input, so an ordinary input settles in one panel.
     """
-    cut_lo, cut_hi = leak_fraction_cuts(phi, psi, spreads, relax_bounds=relax_bounds)
-    w = max((phi + psi) / spreads.d6, _POLE_FLOOR)
-    if w < _NEAR_POLE:
-        cut_lo = _flattened(cut_lo, w)
-    return signed_distance_quadrature(cut_lo, cut_hi)
-
-
-def _flattened(cut: Callable[[float], float], w: float) -> Callable[[float], float]:
-    span = math.log1p(1.0 / w)
-
-    def flat(u: float) -> float:
-        t = w * math.expm1(u * span)  # 1 - a, from 0 to 1 as u goes
-        return cut(1.0 - t) * (t + w) * span
-
-    return flat
+    return _quotient_distance(*_leak_fraction(phi, psi, spreads, relax_bounds))
 
 
 def zeta(

@@ -172,6 +172,25 @@ class TriangularFuzzyNumber:
         return TriangularFuzzyNumber(0.0, 0.0, 0.0)
 
 
+# The oracle clamps each cut pole's distance into [_POLE_FLOOR, 1 / _POLE_FLOOR].
+# On a leak fraction only the lower cut's pole comes nearer (the upper one is
+# at least 2**-54 away, since a lower spread is at least an ulp below its
+# rate): no level within an ulp of a = 1 resolves it, and the lower cut there
+# is below its value at a = 1, so what the oracle can miss is below 1e-15 of
+# the signed distance.  A farther pole, or one at infinity where a cut's
+# slope rounds to 0, makes the substitution a = u to rounding.
+_POLE_FLOOR = 2.0**-60
+
+
+def _quotient_coefficients(
+    num: TriangularFuzzyNumber, den: TriangularFuzzyNumber
+) -> tuple[float, ...]:
+    """``alpha_cut``'s parameters and nonnegative slopes for both operands:
+    ``(n1, n_rise, n2, n_fall, d1, d_rise, d2, d_fall)``."""
+    return (num.beta1, num.beta2 - num.beta1, num.beta2, num.beta3 - num.beta2,
+            den.beta1, den.beta2 - den.beta1, den.beta2, den.beta3 - den.beta2)
+
+
 def _quotient_cuts(
     num: TriangularFuzzyNumber, den: TriangularFuzzyNumber
 ) -> tuple[Callable[[float], float], Callable[[float], float]]:
@@ -179,8 +198,7 @@ def _quotient_cuts(
     ``alpha_cut``'s ends, the quotient's lower end taking the numerator's
     lower over the denominator's upper and vice versa.  The coefficients
     are composed once, so an evaluation makes no call."""
-    n1, n_rise, n2, n_fall = num.beta1, num.beta2 - num.beta1, num.beta2, num.beta3 - num.beta2
-    d1, d_rise, d2, d_fall = den.beta1, den.beta2 - den.beta1, den.beta2, den.beta3 - den.beta2
+    n1, n_rise, n2, n_fall, d1, d_rise, d2, d_fall = _quotient_coefficients(num, den)
 
     def cut_lo(a: float) -> float:
         return (n1 + n_rise * a) / (d2 + d_fall * (1.0 - a))
@@ -189,6 +207,57 @@ def _quotient_cuts(
         return (n2 + n_fall * (1.0 - a)) / (d1 + d_rise * a)
 
     return cut_lo, cut_hi
+
+
+def _pole_distance(offset: float, slope: float) -> float:
+    """``offset / slope``, the distance from the end of [0, 1] to the pole
+    of a cut whose denominator is ``offset + slope * (distance from that
+    end)``, clamped into ``[_POLE_FLOOR, 1 / _POLE_FLOOR]``."""
+    if not slope > offset * _POLE_FLOOR:  # also a slope that rounds to 0
+        return 1.0 / _POLE_FLOOR
+    return max(offset / slope, _POLE_FLOOR)
+
+
+def _stop(lo_half: float, hi_half: float) -> float:
+    """The oracle's absolute tolerance from the cut endpoints at ``a = 1/2``:
+    ``DEFAULT_TOL`` relative to the mean of their sizes, and absolute where
+    that is 0.  The size is taken from the endpoints, not the midpoint,
+    which cancels when they lie on either side of zero: the stop must not
+    ask for more than the endpoints' rounding allows."""
+    size = 0.5 * (abs(lo_half) + abs(hi_half))
+    return DEFAULT_TOL * size if size > 0.0 else DEFAULT_TOL
+
+
+def _quotient_distance(num: TriangularFuzzyNumber, den: TriangularFuzzyNumber) -> float:
+    """Signed distance of ``num / den`` for positive operands, by one
+    ``gauss_kronrod`` pass over both cuts with each pole flattened.
+
+    The lower cut has its pole ``w = d2 / d_fall`` right of ``a = 1``, the
+    upper cut ``v = d1 / d_rise`` left of ``a = 0``.  Each cut is integrated
+    over ``u`` in [0, 1] instead of ``a``: the lower with
+    ``1 - a = w (exp(u L) - 1)`` and ``L = log(1 + 1/w)``, the upper with
+    ``a = v (exp(u L) - 1)`` and ``L = log(1 + 1/v)``.  Either substitution
+    maps [0, 1] onto itself for any positive distance and so leaves its
+    cut's integral unchanged, while it cancels the pole against the
+    Jacobian ``(t + w) L``: the integrand is smooth whether the pole is
+    an ulp away or at infinity.  Both cuts are evaluated inline, one call
+    per node, and summed under one stop, sized from the plain cuts.
+    """
+    n1, n_rise, n2, n_fall, d1, d_rise, d2, d_fall = _quotient_coefficients(num, den)
+    w, v = _pole_distance(d2, d_fall), _pole_distance(d1, d_rise)
+    l_lo, l_hi = math.log1p(1.0 / w), math.log1p(1.0 / v)
+    expm1 = math.expm1
+
+    def midpoint(u: float) -> float:
+        t = w * expm1(u * l_lo)  # 1 - a on the lower cut, from 0 to 1
+        a = v * expm1(u * l_hi)  # a on the upper cut, from 0 to 1
+        return 0.5 * ((n1 + n_rise * (1.0 - t)) / (d2 + d_fall * t) * (t + w) * l_lo
+                      + (n2 + n_fall * (1.0 - a)) / (d1 + d_rise * a) * (a + v) * l_hi)
+
+    # the plain cuts at a = 1/2, as _quotient_cuts evaluates them
+    tol = _stop((n1 + n_rise * 0.5) / (d2 + d_fall * 0.5),
+                (n2 + n_fall * 0.5) / (d1 + d_rise * 0.5))
+    return gauss_kronrod(midpoint, 0.0, 1.0, tol=tol)
 
 
 def signed_distance_quadrature(
@@ -203,10 +272,7 @@ def signed_distance_quadrature(
     pointwise; this is the oracle route for every closed-form signed
     distance in the package.  The stop is ``DEFAULT_TOL`` relative to
     ``size``, the mean of ``|cut_lo(1/2)|`` and ``|cut_hi(1/2)|``, and
-    absolute where ``size`` is 0.  The size is taken from the endpoints,
-    not the midpoint, which cancels when they lie on either side of zero:
-    the stop must not ask for more than the endpoints' rounding allows.
+    absolute where ``size`` is 0.
     """
-    size = 0.5 * (abs(cut_lo(0.5)) + abs(cut_hi(0.5)))
-    tol = DEFAULT_TOL * size if size > 0.0 else DEFAULT_TOL
-    return gauss_kronrod(lambda a: 0.5 * (cut_lo(a) + cut_hi(a)), 0.0, 1.0, tol=tol)
+    return gauss_kronrod(lambda a: 0.5 * (cut_lo(a) + cut_hi(a)), 0.0, 1.0,
+                         tol=_stop(cut_lo(0.5), cut_hi(0.5)))

@@ -1,6 +1,7 @@
 """Tests for the defuzzified demand and leakage-fraction quantities."""
 
 import math
+import random
 import sys
 from decimal import Decimal, localcontext
 
@@ -25,7 +26,7 @@ from fuzzy_eoq.quadrature import DEFAULT_TOL
 from fuzzy_eoq.sensitivity import load_reference_table
 
 from conftest import drawn_input
-from domain import FAMILIES
+from domain import FAMILIES, valid_input
 
 # frozen from a high-precision evaluation of the antiderivative
 ZETA_100_100_1_1 = 0.01663775852707594
@@ -321,9 +322,11 @@ class TestBoundedQuadrature:
                             lambda f, a, b, *, tol: tols.append(tol) or 0.0)
         cut_lo, cut_hi = leak_fraction_cuts(phi, psi, spreads, relax_bounds=relax)
         fuzzy_eoq.fuzzy.signed_distance_quadrature(cut_lo, cut_hi)
+        # the oracle integrates the flattened cuts, but sizes its stop from the plain ones
+        zeta_quadrature(phi, psi, spreads, relax_bounds=relax)
         size = 0.5 * (abs(cut_lo(0.5)) + abs(cut_hi(0.5)))
         assert low < size < high
-        assert tols == [DEFAULT_TOL * size]
+        assert tols == [DEFAULT_TOL * size] * 2
 
     def test_stop_is_absolute_at_size_zero(self, monkeypatch):
         tols = []
@@ -338,13 +341,25 @@ class TestBoundedQuadrature:
             zeta_quadrature(600.0, 10.0, row.spreads)
         assert calls == [15] * 18
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_family_takes_a_few_hundred_evaluations(self, family, monkeypatch):
+        # both cut poles are flattened, so no family needs many panels: the
+        # most on 10,000 draws of each, over three seeds, was 225
+        # (near-bound, ulps-below, huge-rate); the bound leaves a third more
+        calls = _count_evaluations(monkeypatch)
+        rng = random.Random(7)
+        for _ in range(500):
+            p, spreads, relax = valid_input(rng, family)
+            zeta_quadrature(p.phi, p.psi, spreads, relax_bounds=relax)
+        assert max(calls) <= 300
+
     @pytest.mark.parametrize("k", [1e-5, 1e-6, 1e-7])
     def test_lower_spreads_at_the_pole_return_a_value(self, k):
         # d1 and d3 a fraction k below their rates: the upper cut has a
-        # pole just left of a = 0, and about 1,200 evaluations are needed
-        # at k = 1e-7
+        # pole just left of a = 0, which the oracle flattens; it takes 105
+        # evaluations at k = 1e-7
         sp = FuzzySpreads(600.0 * (1.0 - k), 1.0, 10.0 * (1.0 - k), 1.0)
-        assert _rel(zeta_quadrature(600.0, 10.0, sp), zeta(600.0, 10.0, sp)) <= 1e-10
+        assert _rel(zeta_quadrature(600.0, 10.0, sp), zeta(600.0, 10.0, sp)) <= 1e-12
 
     @pytest.mark.parametrize("d4", [1e9, 1e10, 1e11, 1e17, 1e100])
     def test_huge_relaxed_upper_spread_finishes(self, d4, monkeypatch):
@@ -352,7 +367,7 @@ class TestBoundedQuadrature:
         sp = FuzzySpreads(1.0, 1.0, 1.0, d4)
         got = zeta_quadrature(600.0, 10.0, sp, relax_bounds=True)
         assert _rel(got, zeta(600.0, 10.0, sp, relax_bounds=True)) <= 1e-12
-        assert calls[0] < 1000
+        assert calls == [15]
 
     def test_lower_cut_is_the_crisp_fraction_at_the_peak(self):
         # (eta + d6) - d6 * a used to cancel to 0 at a = 1 once d6 swamped eta
