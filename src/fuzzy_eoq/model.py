@@ -166,16 +166,21 @@ def crisp_optimal(p: CrispParams) -> SolutionRecord:
     sqrt(2 s phi (phi + psi) / (h (phi + 2 psi))).  The relative columns
     are zero by definition: this record is its own baseline.
     """
+    zeta_value, q, z = _crisp_optimum(p)
+    return SolutionRecord(p.phi, zeta_value, q, z, 0.0, 0.0)
+
+
+def _crisp_optimum(p: CrispParams) -> tuple[float, float, float]:
+    """``crisp_optimal``'s zeta, lot size and cost, with the errors its
+    record would raise, in the same order: ``lot_cost``'s check of the lot
+    size, then ``SolutionRecord``'s of the cost.  The other fields are
+    finite and positive for every ``CrispParams``."""
     zeta_value = p.psi / (p.phi + p.psi)
     q = _lot_size(p.s, p.h, p.phi, 1.0 + zeta_value)
-    return SolutionRecord(
-        delta=p.phi,
-        zeta=zeta_value,
-        q_star=q,
-        z_star=lot_cost(q, p.s, p.h, p.phi, zeta_value),
-        rel_q=0.0,
-        rel_z=0.0,
-    )
+    z = lot_cost(q, p.s, p.h, p.phi, zeta_value)
+    if not 0.0 < z < _INF:
+        _require_positive("z_star", z)
+    return zeta_value, q, z
 
 
 def cycle_quantities(q: float, p: CrispParams) -> CycleQuantities:
@@ -194,19 +199,18 @@ def truncated_baseline(record: SolutionRecord) -> SolutionRecord:
     An optimum or cost below one unit would truncate to zero and is
     rejected.
     """
-    if not (record.q_star >= 1.0 and record.z_star >= 1.0):
+    q, z = _whole_units(record.q_star, record.z_star)
+    return SolutionRecord(record.delta, record.zeta, q, z, record.rel_q, record.rel_z)
+
+
+def _whole_units(q_star: float, z_star: float) -> tuple[float, float]:
+    """``truncated_baseline``'s lot size and cost, or its error."""
+    if not (q_star >= 1.0 and z_star >= 1.0):
         raise DomainError(
             "the whole-unit baseline needs a crisp optimum and cost of at least one unit "
-            f"(got q_star={record.q_star!r}, z_star={record.z_star!r})"
+            f"(got q_star={q_star!r}, z_star={z_star!r})"
         )
-    return SolutionRecord(
-        delta=record.delta,
-        zeta=record.zeta,
-        q_star=float(math.floor(record.q_star)),
-        z_star=float(math.floor(record.z_star)),
-        rel_q=record.rel_q,
-        rel_z=record.rel_z,
-    )
+    return float(math.floor(q_star)), float(math.floor(z_star))
 
 
 def percent_deviation(value: float, base: float) -> float:
@@ -239,21 +243,44 @@ def held_baseline(
         return exc
 
 
+def _held_optimum(
+    p: CrispParams, paper_baseline: bool
+) -> tuple[float, float] | DomainError:
+    """``held_baseline``'s lot size and cost, or the same error, with no
+    record built: all a solve reads of its baseline."""
+    try:
+        _, q, z = _crisp_optimum(p)
+        return _whole_units(q, z) if paper_baseline else (q, z)
+    except DomainError as exc:
+        return exc
+
+
 def _lot_rule(
-    p: CrispParams, delta: float, zeta_value: float, baseline: SolutionRecord | DomainError
+    p: CrispParams, delta: float, zeta_value: float, baseline: tuple[float, float] | DomainError
 ) -> tuple[float, float, float, float]:
     """Optimal lot size at (delta, zeta_value), its cost, and their percent
-    deviations from ``baseline``: the step every fuzzy row and both audit
-    modes take.  Every caller passes a positive, finite ``delta`` and a
-    finite ``zeta_value`` above -1, so only the lot size is checked, by
-    ``lot_cost``; a held baseline error is raised after that check."""
+    deviations from the baseline's lot size and cost ``(q*, Z*)``: the step
+    every fuzzy row and both audit modes take.  Every caller passes a
+    positive, finite ``delta`` and a finite ``zeta_value`` above -1, so only
+    the lot size is checked, by ``lot_cost``; a held baseline error is
+    raised after that check."""
     q = _lot_size(p.s, p.h, delta, 1.0 + zeta_value)
     z_star = lot_cost(q, p.s, p.h, delta, zeta_value)
     if isinstance(baseline, DomainError):
         # a fresh error per row: re-raising one instance would chain tracebacks
         raise DomainError(str(baseline)) from baseline
-    rel_q = percent_deviation(q, baseline.q_star)
-    return q, z_star, rel_q, percent_deviation(z_star, baseline.z_star)
+    base_q, base_z = baseline
+    return q, z_star, percent_deviation(q, base_q), percent_deviation(z_star, base_z)
+
+
+def _solve(
+    p: CrispParams,
+    spreads: FuzzySpreads,
+    baseline: tuple[float, float] | DomainError,
+    relax_bounds: bool,
+) -> SolutionRecord:
+    d, z = defuzzified_rates(p.phi, p.psi, spreads, relax_bounds=relax_bounds)
+    return SolutionRecord(d, z, *_lot_rule(p, d, z, baseline))
 
 
 def solve_against(
@@ -268,8 +295,9 @@ def solve_against(
     ``baseline`` comes from ``crisp_baseline`` or ``held_baseline`` for the
     same params; building it once serves every spread row.
     """
-    d, z = defuzzified_rates(p.phi, p.psi, spreads, relax_bounds=relax_bounds)
-    return SolutionRecord(d, z, *_lot_rule(p, d, z, baseline))
+    if not isinstance(baseline, DomainError):
+        baseline = baseline.q_star, baseline.z_star
+    return _solve(p, spreads, baseline, relax_bounds)
 
 
 def fuzzy_optimal(
@@ -284,7 +312,8 @@ def fuzzy_optimal(
     With ``paper_baseline`` the deviations are taken against the crisp
     optimum truncated to whole units, the baseline the published
     reference table used; otherwise against the exact crisp optimum.
+    The result is the only record built: the baseline is its lot size and
+    cost alone, or the error ``held_baseline`` would hold, raised once the
+    row's own checks pass.
     """
-    return solve_against(
-        p, spreads, held_baseline(p, paper_baseline), relax_bounds=relax_bounds
-    )
+    return _solve(p, spreads, _held_optimum(p, paper_baseline), relax_bounds)

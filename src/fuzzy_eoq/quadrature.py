@@ -70,6 +70,12 @@ def _nodes_inside(lo: float, hi: float) -> bool:
     return lo < centre - half * _OUTER_NODE and centre + half * _OUTER_NODE < hi
 
 
+def _closes(estimate: float, err: float) -> bool:
+    """Whether a panel is closed: its error is within 64 ulps of its
+    estimate, so the rest is rounding."""
+    return err <= _ROUNDING * abs(estimate)
+
+
 def gauss_kronrod(
     f: Callable[[float], float], a: float, b: float, *, tol: float = DEFAULT_TOL
 ) -> float:
@@ -79,14 +85,16 @@ def gauss_kronrod(
     1983): each panel carries a 15-point Kronrod estimate and its error
     ``|K15 - G7|`` against the embedded 7-point Gauss rule, and the open
     panel with the largest error is halved until the open panels' errors
-    sum to at most ``tol``.  The sum is recounted with ``math.fsum`` before
-    stopping, because a running sum cancels once the large early errors
-    are taken out.  A panel closes when its error is within 64 ulps of its
-    estimate: the rest is rounding.  A panel is halved only where every
-    node of both halves rounds strictly inside them, so an integrable pole
-    at an end of ``[a, b]`` is never evaluated; an ``[a, b]`` only a few
-    ulps wide, whose own outer nodes would round onto its ends, is refused
-    before ``f`` is called.
+    sum to at most ``tol``.  As in QAG, the first panel is tested before
+    any list is set up: if it closes or its error is within ``tol``, its
+    estimate is the result.  Past it, the sum is recounted with
+    ``math.fsum`` before stopping, because a running sum cancels once the
+    large early errors are taken out.  A panel closes when its error is
+    within 64 ulps of its estimate: the rest is rounding.  A panel is
+    halved only where every node of both halves rounds strictly inside
+    them, so an integrable pole at an end of ``[a, b]`` is never
+    evaluated; an ``[a, b]`` only a few ulps wide, whose own outer nodes
+    would round onto its ends, is refused before ``f`` is called.
 
     Raises:
         DomainError: if ``a > b``, or ``tol`` is negative or nan.
@@ -103,20 +111,14 @@ def gauss_kronrod(
         raise DomainError(f"a <= b violated (got a={a!r}, b={b!r})")
     if not _nodes_inside(a, b):
         raise QuadratureError(f"[{a!r}, {b!r}] is too narrow to hold every node inside it")
+    estimate, err = _panel(f, a, b)
+    # one open panel: its error is the whole sum, and needs no recount
+    if _closes(estimate, err) or err <= tol:
+        return estimate
     remaining = EVALUATION_BUDGET - _PANEL_EVALUATIONS
     closed = []
-    heap = []  # open panels as (-err, lo, hi, estimate): the worst first
-    total = 0.0  # running sum of the open panels' errors
-
-    def settle(lo, hi, estimate, err):
-        nonlocal total
-        if err <= _ROUNDING * abs(estimate):
-            closed.append(estimate)
-        else:
-            heapq.heappush(heap, (-err, lo, hi, estimate))
-            total += err
-
-    settle(a, b, *_panel(f, a, b))
+    heap = [(-err, a, b, estimate)]  # open panels as (-err, lo, hi, estimate): the worst first
+    total = err  # running sum of the open panels' errors
     while heap:
         if total <= tol:
             total = math.fsum(-panel[0] for panel in heap)
@@ -132,6 +134,11 @@ def gauss_kronrod(
         if not (_nodes_inside(lo, mid) and _nodes_inside(mid, hi)):
             raise QuadratureError(f"tolerance {tol:g} not reached: [{lo!r}, {hi!r}] cannot be "
                                   f"halved with every node inside")
-        settle(lo, mid, *_panel(f, lo, mid))
-        settle(mid, hi, *_panel(f, mid, hi))
+        for lo, hi in ((lo, mid), (mid, hi)):
+            estimate, err = _panel(f, lo, hi)
+            if _closes(estimate, err):
+                closed.append(estimate)
+            else:
+                heapq.heappush(heap, (-err, lo, hi, estimate))
+                total += err
     return math.fsum([*closed, *(panel[3] for panel in heap)])

@@ -39,10 +39,10 @@ from .errors import DomainError
 from .model import (
     CrispParams,
     SolutionRecord,
+    _held_optimum,
     _lot_rule,
+    _solve,
     crisp_baseline,
-    held_baseline,
-    solve_against,
 )
 
 REFERENCE_PARAMS = CrispParams(phi=600.0, psi=10.0, h=10.0, s=100.0)
@@ -90,15 +90,15 @@ def run_sweep(
 
     A row whose spreads violate the bounds for ``spec.params`` yields a
     ``SweepRow`` carrying the error message; remaining rows still run.
-    The crisp baseline is built once; if it cannot be built, each row
-    carries that error unless its own checks fail first.
+    The crisp baseline's lot size and cost are computed once; if they
+    cannot be, each row carries that error unless its own checks fail first.
     """
     p = spec.params
-    baseline = held_baseline(p, paper_baseline)
+    baseline = _held_optimum(p, paper_baseline)
     out = []
     for i, spreads in enumerate(spec.rows):
         try:
-            record = solve_against(p, spreads, baseline, relax_bounds=relax_bounds)
+            record = _solve(p, spreads, baseline, relax_bounds)
         except DomainError as exc:
             out.append(SweepRow(i, spreads, None, str(exc)))
         else:
@@ -251,12 +251,13 @@ def audit_table(
 @lru_cache(maxsize=8)
 def _audit(p: CrispParams, paper_baseline: bool) -> TableAudit:
     baseline = crisp_baseline(p, paper_baseline)
+    base = baseline.q_star, baseline.z_star
     lot_zeta, tolerances, relative = _AUDIT_MODES[paper_baseline]
     audit_rows = []
     for i, ref in enumerate(load_reference_table()):
         spreads = ref.spreads
         d, z = defuzzified_rates(p.phi, p.psi, spreads)
-        recomputed = (d, z, *_lot_rule(p, d, lot_zeta(ref, z), baseline))
+        recomputed = (d, z, *_lot_rule(p, d, lot_zeta(ref, z), base))
         published = (ref.delta, ref.zeta, ref.q_star, ref.z_star, ref.rel_q, ref.rel_z)
         cells = tuple(map(_audit_cell, AUDIT_COLUMNS, recomputed, published, tolerances, relative))
         audit_rows.append(AuditRow(i, spreads, cells, zeta_sign_contradiction=ref.zeta <= 0.0))

@@ -1,6 +1,7 @@
 """Tests for triangular fuzzy numbers, alpha-cuts, and signed distance."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -50,14 +51,24 @@ class TestConstruction:
         [(2.0, 1.0, 3.0), (1.0, 3.0, 2.0), (2.0, 2.0, 1.0), (2.0, 1.0, 1.0), (3.0, 2.0, 1.0)],
     )
     def test_partial_or_reversed_ordering_rejected(self, triple):
-        with pytest.raises(DomainError):
+        message = re.escape(f"beta1 <= beta2 <= beta3 violated (got {triple!r})")
+        with pytest.raises(DomainError, match=f"^{message}$"):
             TriangularFuzzyNumber(*triple)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            TriangularFuzzyNumber(1.0, 2.0, math.inf)
-        with pytest.raises(DomainError):
-            TriangularFuzzyNumber(math.nan, 2.0, 3.0)
+        # nan and +-inf in each position of an ordered triple
+        for position in range(3):
+            for bad in (math.nan, math.inf, -math.inf):
+                triple = [1.0, 2.0, 3.0]
+                triple[position] = bad
+                message = rf"^beta{position + 1} must be finite \(got {bad!r}\)$"
+                with pytest.raises(DomainError, match=message):
+                    TriangularFuzzyNumber(*triple)
+        # the first non-finite parameter is named, before the ordering is checked
+        with pytest.raises(DomainError, match=r"^beta2 must be finite \(got nan\)$"):
+            TriangularFuzzyNumber(3.0, math.nan, -math.inf)
+        with pytest.raises(DomainError, match=r"^beta3 must be finite \(got inf\)$"):
+            TriangularFuzzyNumber(3.0, 2.0, math.inf)
 
 
 class TestAlphaCut:

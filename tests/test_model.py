@@ -2,10 +2,13 @@
 
 import math
 import random
+import re
 import sys
 from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fuzzy_eoq import (
     CrispParams,
@@ -17,6 +20,7 @@ from fuzzy_eoq import (
     cycle_quantities,
     defuzzified_rates,
     fuzzy_optimal,
+    held_baseline,
     lot_cost,
     optimal_lot_size,
     solve_against,
@@ -24,6 +28,7 @@ from fuzzy_eoq import (
 )
 from fuzzy_eoq.model import _scaled_lot_size, percent_deviation
 
+from conftest import drawn_input
 from domain import valid_input
 
 PARAMS = CrispParams(600.0, 10.0, 10.0, 100.0)
@@ -375,10 +380,45 @@ class TestBaselines:
             fuzzy_optimal(p, ROW1, paper_baseline=True)
         assert crisp_baseline(p) == crisp_optimal(p)
 
+    @pytest.mark.parametrize("p, spreads, message", [
+        # the crisp lot sqrt(2 s phi / (h (1 + zeta))) is about 1.84e308; the
+        # row's, at delta about 1.32e16, is about 1.62e308
+        (CrispParams(1.7e16, 1.0, 1e-300, 1e300), FuzzySpreads(1.53e16, 1.0, 0.5, 0.5),
+         r"q must be finite \(got inf\)"),
+        # the crisp cost sqrt(2 s phi h (1 + zeta)) is about 1.84e308; the
+        # row's, at delta about 7.5e299, is about 1.60e308
+        (CrispParams(1e300, 1.0, 1e300, 1.7e16), FuzzySpreads(0.99e300, 1.0, 0.5, 0.5),
+         r"z_star must be finite \(got inf\)"),
+    ], ids=["lot", "cost"])
+    def test_crisp_optimum_beyond_binary64_rejected(self, p, spreads, message):
+        # only the baseline fails: the row's own checks pass
+        with pytest.raises(DomainError, match="^held baseline$"):
+            _solve(p, spreads)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            crisp_baseline(p)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            fuzzy_optimal(p, spreads)
+
     def test_rel_metrics_identity_is_zero(self):
         rec = crisp_optimal(PARAMS)
         assert percent_deviation(rec.q_star, rec.q_star) == 0.0
         assert percent_deviation(rec.z_star, rec.z_star) == 0.0
+
+    @pytest.mark.parametrize("paper_baseline", [False, True])
+    @given(case=st.randoms(use_true_random=False))
+    def test_is_a_solve_against_the_held_baseline(self, paper_baseline, case):
+        # fuzzy_optimal builds no baseline record, yet returns the same record
+        # or raises the same error
+        p, spreads, relax = drawn_input(case)
+        try:
+            expected = solve_against(p, spreads, held_baseline(p, paper_baseline),
+                                     relax_bounds=relax)
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                fuzzy_optimal(p, spreads, paper_baseline=paper_baseline, relax_bounds=relax)
+        else:
+            assert fuzzy_optimal(p, spreads, paper_baseline=paper_baseline,
+                                 relax_bounds=relax) == expected
 
     def test_rel_metrics_replayed_reference_row(self):
         # replay the first published row's zeta, compare against the

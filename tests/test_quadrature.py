@@ -26,9 +26,12 @@ def counted(f):
 def test_one_panel_is_exact_to_degree_13(f, a, b, exact):
     # G7 is exact to degree 13 and K15 beyond it, so their difference is
     # rounding and the first panel's 15 evaluations are the whole integration
-    f = counted(f)
-    assert gauss_kronrod(f, a, b) == pytest.approx(exact, rel=1e-14)
-    assert f.calls == 15
+    g = counted(f)
+    got = gauss_kronrod(g, a, b)
+    assert got == pytest.approx(exact, rel=1e-14)
+    assert g.calls == 15
+    # a pass that ends on its first panel returns that panel's estimate
+    assert got == quadrature._panel(f, a, b)[0]
 
 
 def test_constant_and_linear():
@@ -83,7 +86,15 @@ def test_nan_integrand_raises_instead_of_propagating():
 
 
 def test_loose_tolerance_is_honored():
-    got = gauss_kronrod(lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, tol=1e-6)
+    # the first panel's error, about 6.7e-10, is far above rounding but
+    # within the tolerance: the pass stops on it, with that panel's estimate
+    f = lambda x: 1.0 / (1.0 + x * x)
+    estimate, err = quadrature._panel(f, 0.0, 1.0)
+    assert quadrature._ROUNDING * estimate < err <= 1e-6
+    g = counted(f)
+    got = gauss_kronrod(g, 0.0, 1.0, tol=1e-6)
+    assert got == estimate
+    assert g.calls == 15
     assert abs(got - math.pi / 4.0) < 1e-6
 
 
