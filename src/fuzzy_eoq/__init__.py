@@ -13,7 +13,6 @@ from .defuzzify import (
     FuzzySpreads,
     defuzzified_rates,
     demand_fuzzy,
-    leak_fraction_cuts,
     leakage_fuzzy,
     zeta,
     zeta_quadrature,
@@ -28,14 +27,11 @@ from .model import (
     CrispParams,
     CycleQuantities,
     SolutionRecord,
-    crisp_baseline,
     crisp_optimal,
     cycle_quantities,
     fuzzy_optimal,
-    held_baseline,
     lot_cost,
     optimal_lot_size,
-    solve_against,
     truncated_baseline,
 )
 from .quadrature import gauss_kronrod
@@ -73,22 +69,18 @@ __all__ = [
     "TableAudit",
     "TriangularFuzzyNumber",
     "audit_table",
-    "crisp_baseline",
     "crisp_optimal",
     "cycle_quantities",
     "defuzzified_rates",
     "demand_fuzzy",
     "fuzzy_optimal",
     "gauss_kronrod",
-    "held_baseline",
-    "leak_fraction_cuts",
     "leakage_fuzzy",
     "load_reference_table",
     "lot_cost",
     "optimal_lot_size",
     "run_sweep",
     "signed_distance_quadrature",
-    "solve_against",
     "truncated_baseline",
     "zeta",
     "zeta_quadrature",

@@ -27,8 +27,8 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from .defuzzify import FuzzySpreads, zeta_quadrature
 from .errors import DomainError, QuadratureError
-from .model import (CrispParams, CycleQuantities, SolutionRecord, crisp_optimal,
-                    cycle_quantities, held_baseline, solve_against)
+from .model import (CrispParams, CycleQuantities, SolutionRecord, _held_optimum, _solve,
+                    crisp_optimal, cycle_quantities)
 from .sensitivity import (_AUDIT_MODES, AUDIT_COLUMNS, REFERENCE_PARAMS, AuditRow, SweepSpec,
                           audit_table, load_reference_table, run_sweep)
 
@@ -290,14 +290,15 @@ def _fuzzy(args: argparse.Namespace) -> _Result:
     p, sp = args.params, args.spreads
     if sp is None:
         raise DomainError("fuzzy solve requires spreads d1, d2, d3, d4 (flags or config)")
-    baseline = held_baseline(p, args.paper_baseline)
-    record = solve_against(p, sp, baseline, relax_bounds=args.relax_bounds)
+    baseline = _held_optimum(p, args.paper_baseline)
+    record = _solve(p, sp, baseline, args.relax_bounds)
+    base_q, base_z = baseline  # a pair: _solve raises a held error
     z_quad = zeta_quadrature(p.phi, p.psi, sp, relax_bounds=args.relax_bounds)
     baseline_label = "baseline (truncated)" if args.paper_baseline else "baseline (crisp)"
     return _Result(
         json=lambda: (_FUZZY_JSON(), (*_param_values(p), *_spread_values(sp),
                                     _leaf(args.paper_baseline), _leaf(args.relax_bounds),
-                                    record.zeta, z_quad, baseline.q_star, baseline.z_star,
+                                    record.zeta, z_quad, base_q, base_z,
                                     *_record_values(record))),
         table=lambda: (_SOLUTION_HEADER, [_cells(_solution_values(sp, record))]),
         lines=lambda: [
@@ -309,7 +310,7 @@ def _fuzzy(args: argparse.Namespace) -> _Result:
             f"  zeta quadrature:  {_fmt(z_quad)}",
             f"  q*: {_fmt(record.q_star)}",
             f"  Z*: {_fmt(record.z_star)}",
-            f"  {baseline_label}: q*={_fmt(baseline.q_star)} Z*={_fmt(baseline.z_star)}",
+            f"  {baseline_label}: q*={_fmt(base_q)} Z*={_fmt(base_z)}",
             f"  rel_q: {_fmt(record.rel_q)}%  rel_z: {_fmt(record.rel_z)}%",
         ],
     )

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import DomainError
-from .fuzzy import (TriangularFuzzyNumber, _quotient_cuts, _quotient_distance,
-                    _require_finite, _require_positive)
+from .fuzzy import (TriangularFuzzyNumber, _quotient_distance, _require_finite,
+                    _require_positive)
 
 # Below this |t|, log1p(t)/t - 1 is summed as a series: computed directly
 # it would subtract two nearly equal numbers.
@@ -113,27 +112,16 @@ def leakage_fuzzy(psi: float, spreads: FuzzySpreads) -> TriangularFuzzyNumber:
     return TriangularFuzzyNumber(psi - spreads.d3, psi, psi + spreads.d4)
 
 
-def leak_fraction_cuts(
-    phi: float,
-    psi: float,
-    spreads: FuzzySpreads,
-    *,
-    relax_bounds: bool = False,
-) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """Alpha-cut endpoint functions of the fuzzy leakage fraction
-    ``leakage / (demand + leakage)``, the quotient of the fuzzy rates.
+def _leak_fraction(
+    phi: float, psi: float, spreads: FuzzySpreads, relax_bounds: bool
+) -> tuple[TriangularFuzzyNumber, TriangularFuzzyNumber]:
+    """The leak fraction ``leakage / (demand + leakage)``'s numerator and
+    denominator, validated.
 
     The quotient is scale-free, so rates with ``phi + psi`` below 1/2 are
     first scaled up by a power of two, which is exact.  At deep-subnormal
     rates the cut coefficients would otherwise be a few multiples of the
     smallest subnormal, and the integrand a staircase."""
-    return _quotient_cuts(*_leak_fraction(phi, psi, spreads, relax_bounds))
-
-
-def _leak_fraction(
-    phi: float, psi: float, spreads: FuzzySpreads, relax_bounds: bool
-) -> tuple[TriangularFuzzyNumber, TriangularFuzzyNumber]:
-    """The leak fraction's numerator and denominator, validated and scaled."""
     spreads.validate_against(phi, psi, relax_bounds=relax_bounds)
     k = -math.frexp(phi + psi)[1]
     # only upward, and only while the largest cut sum stays finite

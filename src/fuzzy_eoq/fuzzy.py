@@ -186,33 +186,6 @@ class TriangularFuzzyNumber:
 _POLE_FLOOR = 2.0**-60
 
 
-def _quotient_coefficients(
-    num: TriangularFuzzyNumber, den: TriangularFuzzyNumber
-) -> tuple[float, ...]:
-    """``alpha_cut``'s parameters and nonnegative slopes for both operands:
-    ``(n1, n_rise, n2, n_fall, d1, d_rise, d2, d_fall)``."""
-    return (num.beta1, num.beta2 - num.beta1, num.beta2, num.beta3 - num.beta2,
-            den.beta1, den.beta2 - den.beta1, den.beta2, den.beta3 - den.beta2)
-
-
-def _quotient_cuts(
-    num: TriangularFuzzyNumber, den: TriangularFuzzyNumber
-) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """Alpha-cut endpoint functions of ``num / den`` for positive operands:
-    ``alpha_cut``'s ends, the quotient's lower end taking the numerator's
-    lower over the denominator's upper and vice versa.  The coefficients
-    are composed once, so an evaluation makes no call."""
-    n1, n_rise, n2, n_fall, d1, d_rise, d2, d_fall = _quotient_coefficients(num, den)
-
-    def cut_lo(a: float) -> float:
-        return (n1 + n_rise * a) / (d2 + d_fall * (1.0 - a))
-
-    def cut_hi(a: float) -> float:
-        return (n2 + n_fall * (1.0 - a)) / (d1 + d_rise * a)
-
-    return cut_lo, cut_hi
-
-
 def _pole_distance(offset: float, slope: float) -> float:
     """``offset / slope``, the distance from the end of [0, 1] to the pole
     of a cut whose denominator is ``offset + slope * (distance from that
@@ -247,7 +220,9 @@ def _quotient_distance(num: TriangularFuzzyNumber, den: TriangularFuzzyNumber) -
     an ulp away or at infinity.  Both cuts are evaluated inline, one call
     per node, and summed under one stop, sized from the plain cuts.
     """
-    n1, n_rise, n2, n_fall, d1, d_rise, d2, d_fall = _quotient_coefficients(num, den)
+    # alpha_cut's parameters and nonnegative slopes for both operands
+    n1, n_rise, n2, n_fall = num.beta1, num.beta2 - num.beta1, num.beta2, num.beta3 - num.beta2
+    d1, d_rise, d2, d_fall = den.beta1, den.beta2 - den.beta1, den.beta2, den.beta3 - den.beta2
     w, v = _pole_distance(d2, d_fall), _pole_distance(d1, d_rise)
     l_lo, l_hi = math.log1p(1.0 / w), math.log1p(1.0 / v)
     expm1 = math.expm1
@@ -258,7 +233,7 @@ def _quotient_distance(num: TriangularFuzzyNumber, den: TriangularFuzzyNumber) -
         return 0.5 * ((n1 + n_rise * (1.0 - t)) / (d2 + d_fall * t) * (t + w) * l_lo
                       + (n2 + n_fall * (1.0 - a)) / (d1 + d_rise * a) * (a + v) * l_hi)
 
-    # the plain cuts at a = 1/2, as _quotient_cuts evaluates them
+    # the plain cuts at a = 1/2, as Interval division of the alpha-cuts gives them
     tol = _stop((n1 + n_rise * 0.5) / (d2 + d_fall * 0.5),
                 (n2 + n_fall * 0.5) / (d1 + d_rise * 0.5))
     return gauss_kronrod(midpoint, 0.0, 1.0, tol=tol)

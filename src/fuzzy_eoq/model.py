@@ -218,36 +218,17 @@ def percent_deviation(value: float, base: float) -> float:
     return (value - base) / base * 100.0
 
 
-def crisp_baseline(p: CrispParams, paper_baseline: bool = False) -> SolutionRecord:
-    """The crisp optimum that fuzzy deviations are measured against.
-
-    With ``paper_baseline`` it is truncated to whole units, the baseline
-    the published reference table used; otherwise it is exact.
-    """
-    baseline = crisp_optimal(p)
-    return truncated_baseline(baseline) if paper_baseline else baseline
-
-
-def held_baseline(
-    p: CrispParams, paper_baseline: bool = False
-) -> SolutionRecord | DomainError:
-    """``crisp_baseline``, or the ``DomainError`` that building it raised.
-
-    ``solve_against`` raises a held error only after the row's own checks
-    pass, so a batch that builds its baseline once still reports each row's
-    spread or lot-rule error first, as a solve of that row alone would.
-    """
-    try:
-        return crisp_baseline(p, paper_baseline)
-    except DomainError as exc:
-        return exc
-
-
 def _held_optimum(
     p: CrispParams, paper_baseline: bool
 ) -> tuple[float, float] | DomainError:
-    """``held_baseline``'s lot size and cost, or the same error, with no
-    record built: all a solve reads of its baseline."""
+    """The crisp baseline that fuzzy deviations are measured against, as its
+    lot size and cost ``(q*, Z*)``, or the ``DomainError`` building it raised.
+
+    With ``paper_baseline`` both are truncated to whole units, the baseline
+    the published reference table used; otherwise they are exact.  A held
+    error is raised by ``_lot_rule`` only after the row's own checks pass,
+    so a batch that builds its baseline once still reports each row's
+    spread or lot-rule error first, as a solve of that row alone would."""
     try:
         _, q, z = _crisp_optimum(p)
         return _whole_units(q, z) if paper_baseline else (q, z)
@@ -279,25 +260,10 @@ def _solve(
     baseline: tuple[float, float] | DomainError,
     relax_bounds: bool,
 ) -> SolutionRecord:
+    """One row solved against a baseline from ``_held_optimum``: the step
+    ``fuzzy_optimal``, ``run_sweep`` and the CLI's ``fuzzy`` command share."""
     d, z = defuzzified_rates(p.phi, p.psi, spreads, relax_bounds=relax_bounds)
     return SolutionRecord(d, z, *_lot_rule(p, d, z, baseline))
-
-
-def solve_against(
-    p: CrispParams,
-    spreads: FuzzySpreads,
-    baseline: SolutionRecord | DomainError,
-    *,
-    relax_bounds: bool = False,
-) -> SolutionRecord:
-    """Minimize the defuzzified cost and report deviations from ``baseline``.
-
-    ``baseline`` comes from ``crisp_baseline`` or ``held_baseline`` for the
-    same params; building it once serves every spread row.
-    """
-    if not isinstance(baseline, DomainError):
-        baseline = baseline.q_star, baseline.z_star
-    return _solve(p, spreads, baseline, relax_bounds)
 
 
 def fuzzy_optimal(
@@ -313,7 +279,7 @@ def fuzzy_optimal(
     optimum truncated to whole units, the baseline the published
     reference table used; otherwise against the exact crisp optimum.
     The result is the only record built: the baseline is its lot size and
-    cost alone, or the error ``held_baseline`` would hold, raised once the
-    row's own checks pass.
+    cost alone, or the error building it raised, raised once the row's own
+    checks pass.
     """
     return _solve(p, spreads, _held_optimum(p, paper_baseline), relax_bounds)

@@ -36,14 +36,7 @@ from typing import NamedTuple, Optional
 
 from .defuzzify import FuzzySpreads, defuzzified_rates
 from .errors import DomainError
-from .model import (
-    CrispParams,
-    SolutionRecord,
-    _held_optimum,
-    _lot_rule,
-    _solve,
-    crisp_baseline,
-)
+from .model import CrispParams, SolutionRecord, _held_optimum, _lot_rule, _solve
 
 REFERENCE_PARAMS = CrispParams(phi=600.0, psi=10.0, h=10.0, s=100.0)
 
@@ -250,8 +243,9 @@ def audit_table(
 
 @lru_cache(maxsize=8)
 def _audit(p: CrispParams, paper_baseline: bool) -> TableAudit:
-    baseline = crisp_baseline(p, paper_baseline)
-    base = baseline.q_star, baseline.z_star
+    base = _held_optimum(p, paper_baseline)
+    if isinstance(base, DomainError):
+        raise base
     lot_zeta, tolerances, relative = _AUDIT_MODES[paper_baseline]
     audit_rows = []
     for i, ref in enumerate(load_reference_table()):

@@ -7,6 +7,8 @@ input it returns passes ``FuzzySpreads.validate_against`` and ``zeta``: a
 draw that rounds out of the domain is drawn again, at most ``_TRIES``
 times.  ``ordinary`` draws ``phi``, ``psi/phi``, ``h``, ``s`` and then
 ``d1`` to ``d4``, always in that order, so a fixed seed keeps its inputs.
+``reference_solve`` solves one row from the public pieces alone, the
+reference every solve path is checked against.
 
 The module imports only the standard library and ``fuzzy_eoq``, so a
 script outside the test suite can load it by path.  The tests hand it
@@ -20,7 +22,9 @@ from __future__ import annotations
 import math
 import random
 
-from fuzzy_eoq import CrispParams, DomainError, FuzzySpreads, zeta
+from fuzzy_eoq import (CrispParams, DomainError, FuzzySpreads, SolutionRecord, crisp_optimal,
+                       defuzzified_rates, lot_cost, optimal_lot_size, truncated_baseline, zeta)
+from fuzzy_eoq.model import percent_deviation
 
 # a family whose draws round out of the domain this often is broken
 _TRIES = 100
@@ -138,3 +142,18 @@ def valid_input(rng: random.Random,
             continue
         return params, spreads, relax_bounds
     raise RuntimeError(f"no valid {family} input in {_TRIES} draws")
+
+
+def reference_solve(p: CrispParams, spreads: FuzzySpreads, paper_baseline: bool,
+                    relax_bounds: bool) -> SolutionRecord:
+    """One row solved from the public pieces, in the order a lone solve
+    checks them: spreads, lot rule, then the baseline."""
+    d, z = defuzzified_rates(p.phi, p.psi, spreads, relax_bounds=relax_bounds)
+    q = optimal_lot_size(p.s, p.h, d, z)
+    z_star = lot_cost(q, p.s, p.h, d, z)
+    base = crisp_optimal(p)
+    if paper_baseline:
+        base = truncated_baseline(base)
+    rel_q = percent_deviation(q, base.q_star)
+    rel_z = percent_deviation(z_star, base.z_star)
+    return SolutionRecord(d, z, q, z_star, rel_q, rel_z)

@@ -86,6 +86,14 @@ ERRORS = {
     "error-fuzzy-paper-baseline-below-one-unit": [
         "fuzzy", "--s", "1e-6", *ROW1, "--paper-baseline",
     ],
+    # the crisp lot overflows to inf, while the row's, at a larger zeta, does not
+    "error-fuzzy-crisp-baseline-overflow": [
+        "fuzzy", "--phi", "1.7e16", "--psi", "1", "--h", "1e-300", "--s", "1e300",
+        "--d1", "1.53e16", "--d2", "1", "--d3", "0.5", "--d4", "0.5",
+    ],
+    "error-verify-paper-baseline-below-one-unit": [
+        "verify-table", "--s", "1e-6", "--paper-baseline",
+    ],
 }
 
 # outcomes argparse decides before any solve: help exits 0, the rest 2

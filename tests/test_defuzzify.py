@@ -17,11 +17,11 @@ from fuzzy_eoq import (
     TriangularFuzzyNumber,
     defuzzified_rates,
     demand_fuzzy,
-    leak_fraction_cuts,
     leakage_fuzzy,
     zeta,
     zeta_quadrature,
 )
+from fuzzy_eoq.defuzzify import _leak_fraction
 from fuzzy_eoq.quadrature import DEFAULT_TOL
 from fuzzy_eoq.sensitivity import load_reference_table
 
@@ -38,6 +38,13 @@ RNGS = st.randoms(use_true_random=False)
 # a result below the normal range keeps no relative precision; the oracle's
 # panel sums are each rounded to the subnormal spacing 2**-1074
 SUBNORMAL_SLACK = 64 * 2.0**-1074
+
+
+def _leak_cut(phi, psi, spreads, relax_bounds=False):
+    """The leak fraction's alpha-cut as a function of the level, as the
+    paper defines it: ``Interval`` division of the operands' cuts."""
+    num, den = _leak_fraction(phi, psi, spreads, relax_bounds)
+    return lambda a: num.alpha_cut(a) / den.alpha_cut(a)
 
 
 class TestSpreads:
@@ -125,18 +132,18 @@ class TestZetaRoutes:
         # the upper cut is at least psi / eta, so zeta is at least half of it,
         # and the mean of the cut midpoints cannot leave the level-0 hull
         p, spreads, relax = drawn_input(rng)
-        cut_lo, cut_hi = leak_fraction_cuts(p.phi, p.psi, spreads, relax_bounds=relax)
+        hull = _leak_cut(p.phi, p.psi, spreads, relax)(0.0)
         value = zeta(p.phi, p.psi, spreads, relax_bounds=relax)
         assert value > 0.0 or p.psi / (p.phi + p.psi) < 2.0 * sys.float_info.min
-        assert cut_lo(0.0) - 1e-12 <= value <= cut_hi(0.0) + 1e-12
+        assert hull.lo - 1e-12 <= value <= hull.hi + 1e-12
 
     def test_cut_ordering_and_peak(self):
-        cut_lo, cut_hi = leak_fraction_cuts(600.0, 10.0, FuzzySpreads(100, 100, 7, 6))
+        cut = _leak_cut(600.0, 10.0, FuzzySpreads(100, 100, 7, 6))
         for k in range(11):
             a = k / 10.0
-            assert cut_lo(a) <= cut_hi(a) + 1e-15
-        assert math.isclose(cut_lo(1.0), 10.0 / 610.0, rel_tol=1e-12)
-        assert math.isclose(cut_hi(1.0), 10.0 / 610.0, rel_tol=1e-12)
+            assert cut(a).lo <= cut(a).hi + 1e-15
+        assert math.isclose(cut(1.0).lo, 10.0 / 610.0, rel_tol=1e-12)
+        assert math.isclose(cut(1.0).hi, 10.0 / 610.0, rel_tol=1e-12)
 
     def test_near_crisp_limit_approaches_fraction(self):
         sp = FuzzySpreads(6e-4, 6e-4, 1e-5, 1e-5)
@@ -212,10 +219,9 @@ class TestNoCancellation:
     def test_near_degenerate_value_within_cut_hull(self):
         sp = FuzzySpreads(3e-6, 100.0, 1e-7, 1.0)
         got = zeta(600.0, 10.0, sp)
-        cut_lo, cut_hi = leak_fraction_cuts(600.0, 10.0, sp)
-        assert cut_lo(0.0) <= got <= cut_hi(0.0)
+        assert got in _leak_cut(600.0, 10.0, sp)(0.0)
 
-    @pytest.mark.parametrize("route", [zeta, zeta_quadrature, leak_fraction_cuts])
+    @pytest.mark.parametrize("route", [zeta, zeta_quadrature])
     def test_overflowing_combined_rate_rejected(self, route):
         # the true fraction is about 0.5; with eta = inf both routes gave 0.0
         with pytest.raises(DomainError, match=r"phi \+ psi must be finite \(got inf\)"):
@@ -282,8 +288,8 @@ class TestNearLowerBounds:
         # d1 + d3 rounds to phi + psi here, so eta - d5 would be 0
         phi, psi, spreads = ONE_ULP_BELOW_BOTH_BOUNDS[0]
         assert spreads.d5 == phi + psi
-        cut_lo, cut_hi = leak_fraction_cuts(phi, psi, spreads)
-        assert math.isfinite(cut_hi(0.0)) and cut_hi(0.0) > cut_lo(0.0)
+        hull = _leak_cut(phi, psi, spreads)(0.0)
+        assert math.isfinite(hull.hi) and hull.hi > hull.lo
 
 
 def _count_evaluations(monkeypatch):
@@ -320,11 +326,12 @@ class TestBoundedQuadrature:
         tols = []
         monkeypatch.setattr(fuzzy_eoq.fuzzy, "gauss_kronrod",
                             lambda f, a, b, *, tol: tols.append(tol) or 0.0)
-        cut_lo, cut_hi = leak_fraction_cuts(phi, psi, spreads, relax_bounds=relax)
-        fuzzy_eoq.fuzzy.signed_distance_quadrature(cut_lo, cut_hi)
+        cut = _leak_cut(phi, psi, spreads, relax)
+        fuzzy_eoq.fuzzy.signed_distance_quadrature(lambda a: cut(a).lo, lambda a: cut(a).hi)
         # the oracle integrates the flattened cuts, but sizes its stop from the plain ones
         zeta_quadrature(phi, psi, spreads, relax_bounds=relax)
-        size = 0.5 * (abs(cut_lo(0.5)) + abs(cut_hi(0.5)))
+        half = cut(0.5)
+        size = 0.5 * (abs(half.lo) + abs(half.hi))
         assert low < size < high
         assert tols == [DEFAULT_TOL * size] * 2
 
@@ -372,21 +379,20 @@ class TestBoundedQuadrature:
     def test_lower_cut_is_the_crisp_fraction_at_the_peak(self):
         # (eta + d6) - d6 * a used to cancel to 0 at a = 1 once d6 swamped eta
         sp = FuzzySpreads(1.0, 1.0, 1.0, 1e100)
-        cut_lo, cut_hi = leak_fraction_cuts(600.0, 10.0, sp, relax_bounds=True)
-        assert cut_lo(1.0) == 10.0 / 610.0
-        assert cut_lo(0.0) > 0.0 and cut_hi(0.0) > cut_hi(0.5)
+        cut = _leak_cut(600.0, 10.0, sp, True)
+        assert cut(1.0).lo == 10.0 / 610.0
+        assert cut(0.0).lo > 0.0 and cut(0.0).hi > cut(0.5).hi
 
-    @pytest.mark.parametrize("route", [zeta_quadrature, leak_fraction_cuts])
-    def test_overflowing_cut_denominator_rejected(self, route):
+    def test_overflowing_cut_denominator_rejected(self):
         # eta + d6 overflows; integrating it gave 0.04545 against 0.07779
         sp = FuzzySpreads(1.0, 1e308, 1.0, 1.0)
         with pytest.raises(
             DomainError, match=r"phi \+ psi \+ d2 \+ d4 must be finite \(got inf\)"
         ):
-            route(1e308, 1e307, sp, relax_bounds=True)
+            zeta_quadrature(1e308, 1e307, sp, relax_bounds=True)
 
     @pytest.mark.parametrize("route", [
-        zeta, defuzzified_rates, zeta_quadrature, leak_fraction_cuts,
+        zeta, defuzzified_rates, zeta_quadrature,
         pytest.param(lambda phi, psi, sp, **kw: sp.validate_against(phi, psi, **kw),
                      id="validate_against"),
     ])
@@ -421,16 +427,14 @@ class TestTinyRates:
     def test_scaling_moves_no_rounding_at_normal_rates(self, phi, psi):
         sp = FuzzySpreads(0.1 * phi, 0.7 * phi, 0.3 * psi, 0.9 * psi)
         leakage = leakage_fuzzy(psi, sp)
-        plain = fuzzy_eoq.fuzzy._quotient_cuts(leakage, demand_fuzzy(phi, sp) + leakage)
-        scaled = leak_fraction_cuts(phi, psi, sp)
-        for a in (0.0, 0.125, 1 / 3, 0.5, 0.9, 1.0):
-            assert [cut(a) for cut in scaled] == [cut(a) for cut in plain]
+        plain = fuzzy_eoq.fuzzy._quotient_distance(leakage, demand_fuzzy(phi, sp) + leakage)
+        assert zeta_quadrature(phi, psi, sp) == plain
 
     def test_huge_relaxed_spreads_are_not_scaled_past_binary64(self):
         # scaling up would overflow phi + psi + d2 + d4: the cuts stay unscaled
         sp = FuzzySpreads(1e-301, 1e307, 1e-301, 1.0)
-        cut_lo, cut_hi = leak_fraction_cuts(1e-300, 1e-300, sp, relax_bounds=True)
-        assert math.isfinite(cut_lo(0.0)) and cut_lo(1.0) == 0.5
+        cut = _leak_cut(1e-300, 1e-300, sp, True)
+        assert math.isfinite(cut(0.0).lo) and cut(1.0).lo == 0.5
 
 
 class TestLotRuleInputs:
@@ -465,7 +469,7 @@ class TestPublicChecks:
     check the solver and the audit make too."""
 
     @pytest.mark.parametrize("route", [_validate_against, defuzzified_rates, zeta,
-                                       zeta_quadrature, leak_fraction_cuts])
+                                       zeta_quadrature])
     @pytest.mark.parametrize("phi, psi, d1, message", [
         (math.nan, math.nan, 700.0, r"^phi must be finite \(got nan\)$"),
         (600.0, math.inf, 700.0, r"^psi must be finite \(got inf\)$"),

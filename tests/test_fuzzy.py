@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import fuzzy_eoq.fuzzy
 from fuzzy_eoq import (
     DomainError,
     Interval,
@@ -22,9 +21,6 @@ from conftest import random_dyadic_alpha, random_dyadic_tfn, random_tfn
 tfns = st.randoms(use_true_random=False).map(random_tfn)
 dyadic_tfns = st.randoms(use_true_random=False).map(random_dyadic_tfn)
 dyadic_alphas = st.randoms(use_true_random=False).map(random_dyadic_alpha)
-# shifted onto lower end 1, as the positive-operand quotient needs
-positive_dyadic_tfns = dyadic_tfns.map(
-    lambda b: b + TriangularFuzzyNumber(1.0 - b.beta1, 1.0 - b.beta1, 1.0 - b.beta1))
 
 
 class TestConstruction:
@@ -224,12 +220,6 @@ class TestTfnArithmetic:
         scaled = b.scale(float(k))
         cut = b.alpha_cut(alpha)
         assert scaled.alpha_cut(alpha) == cut.scale(float(k))
-
-    @given(positive_dyadic_tfns, positive_dyadic_tfns, dyadic_alphas)
-    def test_quotient_cuts_are_interval_division_exact(self, num, den, alpha):
-        # the oracle's endpoint formulas repeat cut(num) / cut(den), bitwise
-        cut_lo, cut_hi = fuzzy_eoq.fuzzy._quotient_cuts(num, den)
-        assert Interval(cut_lo(alpha), cut_hi(alpha)) == num.alpha_cut(alpha) / den.alpha_cut(alpha)
 
 
 class TestSignedDistance:

@@ -10,26 +10,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fuzzy_eoq.model
 from fuzzy_eoq import (
     CrispParams,
     DomainError,
     FuzzySpreads,
     SolutionRecord,
-    crisp_baseline,
     crisp_optimal,
     cycle_quantities,
     defuzzified_rates,
     fuzzy_optimal,
-    held_baseline,
     lot_cost,
     optimal_lot_size,
-    solve_against,
     truncated_baseline,
 )
 from fuzzy_eoq.model import _scaled_lot_size, percent_deviation
 
 from conftest import drawn_input
-from domain import valid_input
+from domain import reference_solve, valid_input
 
 PARAMS = CrispParams(600.0, 10.0, 10.0, 100.0)
 ROW1 = FuzzySpreads(100.0, 100.0, 1.0, 1.0)
@@ -375,10 +373,9 @@ class TestBaselines:
     def test_whole_unit_baseline_below_one_unit_rejected(self, p):
         message = r"^the whole-unit baseline needs a crisp optimum and cost of at least one unit"
         with pytest.raises(DomainError, match=message):
-            crisp_baseline(p, paper_baseline=True)
+            truncated_baseline(crisp_optimal(p))
         with pytest.raises(DomainError, match=message):
             fuzzy_optimal(p, ROW1, paper_baseline=True)
-        assert crisp_baseline(p) == crisp_optimal(p)
 
     @pytest.mark.parametrize("p, spreads, message", [
         # the crisp lot sqrt(2 s phi / (h (1 + zeta))) is about 1.84e308; the
@@ -395,7 +392,7 @@ class TestBaselines:
         with pytest.raises(DomainError, match="^held baseline$"):
             _solve(p, spreads)
         with pytest.raises(DomainError, match=f"^{message}$"):
-            crisp_baseline(p)
+            crisp_optimal(p)
         with pytest.raises(DomainError, match=f"^{message}$"):
             fuzzy_optimal(p, spreads)
 
@@ -406,13 +403,12 @@ class TestBaselines:
 
     @pytest.mark.parametrize("paper_baseline", [False, True])
     @given(case=st.randoms(use_true_random=False))
-    def test_is_a_solve_against_the_held_baseline(self, paper_baseline, case):
-        # fuzzy_optimal builds no baseline record, yet returns the same record
-        # or raises the same error
+    def test_is_the_reference_solve(self, paper_baseline, case):
+        # fuzzy_optimal builds no baseline record, yet returns the record the
+        # public pieces give, or raises the same error
         p, spreads, relax = drawn_input(case)
         try:
-            expected = solve_against(p, spreads, held_baseline(p, paper_baseline),
-                                     relax_bounds=relax)
+            expected = reference_solve(p, spreads, paper_baseline, relax)
         except DomainError as exc:
             with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
                 fuzzy_optimal(p, spreads, paper_baseline=paper_baseline, relax_bounds=relax)
@@ -433,9 +429,9 @@ class TestBaselines:
 
 
 def _solve(p, spreads, relax_bounds=False):
-    """``solve_against`` with a held baseline error, which it raises only
-    once the row's own checks pass."""
-    return solve_against(p, spreads, DomainError("held baseline"), relax_bounds=relax_bounds)
+    """The solve step with a held baseline error, which it raises only once
+    the row's own checks pass."""
+    return fuzzy_eoq.model._solve(p, spreads, DomainError("held baseline"), relax_bounds)
 
 
 _NAN, _INF = math.nan, math.inf
@@ -470,7 +466,7 @@ CHECK_CASES = [
     (lot_cost, (0.0, 100.0, 10.0, 600.0, 0.1), r"q > 0 violated \(got 0.0\)"),
     (lot_cost, (-1.0, 100.0, 10.0, 600.0, 0.1), r"q > 0 violated \(got -1.0\)"),
     (lot_cost, (1.0, 100.0, 10.0, 600.0, 0.1), None),
-    # solve_against: the row's spread, zeta and q checks come before a held
+    # the solve step: the row's spread, zeta and q checks come before a held
     # baseline error; q* = sqrt(2 1e300 1e300 / 1e-300) is about 1.4e450
     (_solve, (PARAMS, FuzzySpreads(700.0, 1.0, 1.0, 1.0)),
      r"d1 < phi violated \(d1=700.0, phi=600.0\)"),

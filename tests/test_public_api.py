@@ -7,16 +7,16 @@ PUBLIC_NAMES = {
     "CycleQuantities", "DomainError", "FuzzySpreads", "Interval", "QuadratureError",
     "REFERENCE_PARAMS", "ReferenceRow", "SolutionRecord", "SweepRow", "SweepSpec",
     "TableAudit", "TriangularFuzzyNumber", "__version__",
-    "audit_table", "crisp_baseline", "crisp_optimal",
+    "audit_table", "crisp_optimal",
     "cycle_quantities", "defuzzified_rates", "demand_fuzzy", "fuzzy_optimal",
-    "gauss_kronrod", "held_baseline", "leak_fraction_cuts", "leakage_fuzzy", "load_reference_table",
+    "gauss_kronrod", "leakage_fuzzy", "load_reference_table",
     "lot_cost", "optimal_lot_size", "run_sweep", "signed_distance_quadrature",
-    "solve_against", "truncated_baseline", "zeta", "zeta_quadrature",
+    "truncated_baseline", "zeta", "zeta_quadrature",
 }
 
 
 def test_all_is_exactly_the_public_names():
-    assert len(fuzzy_eoq.__all__) == len(PUBLIC_NAMES) == 37
+    assert len(fuzzy_eoq.__all__) == len(PUBLIC_NAMES) == 33
     assert set(fuzzy_eoq.__all__) == PUBLIC_NAMES
     for name in fuzzy_eoq.__all__:
         assert getattr(fuzzy_eoq, name) is not None

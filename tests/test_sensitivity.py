@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from domain import valid_input
+from domain import reference_solve, valid_input
 from fuzzy_eoq import (
     AUDIT_COLUMNS,
     REFERENCE_PARAMS,
@@ -15,10 +15,8 @@ from fuzzy_eoq import (
     DomainError,
     FuzzySpreads,
     ReferenceRow,
-    SolutionRecord,
     SweepSpec,
     audit_table,
-    crisp_baseline,
     crisp_optimal,
     defuzzified_rates,
     fuzzy_optimal,
@@ -79,20 +77,6 @@ class TestReferenceTable:
             row.d1 = 1.0
 
 
-def _reference_solve(p, spreads, paper_baseline, relax_bounds):
-    """One row solved from the public pieces, in the order a lone solve
-    checks them: spreads, lot rule, then the baseline."""
-    d, z = defuzzified_rates(p.phi, p.psi, spreads, relax_bounds=relax_bounds)
-    q = optimal_lot_size(p.s, p.h, d, z)
-    z_star = lot_cost(q, p.s, p.h, d, z)
-    base = crisp_optimal(p)
-    if paper_baseline:
-        base = truncated_baseline(base)
-    rel_q = percent_deviation(q, base.q_star)
-    rel_z = percent_deviation(z_star, base.z_star)
-    return SolutionRecord(d, z, q, z_star, rel_q, rel_z)
-
-
 def _seeded_rows(rng, p, n):
     """Valid spreads, bound violations of each kind, and spreads tiny
     against the rates."""
@@ -134,7 +118,7 @@ class TestSweep:
                 assert all(res.error is None for res in results)
             for res in results:
                 try:
-                    expected = _reference_solve(p, res.spreads, paper_baseline, relax_bounds)
+                    expected = reference_solve(p, res.spreads, paper_baseline, relax_bounds)
                 except DomainError as exc:
                     assert res.record is None
                     assert res.error == str(exc)
@@ -322,7 +306,9 @@ class TestAuditCells:
     )
     def test_cells_are_the_lot_rule_against_the_baseline(self, p, paper_baseline):
         # paper mode replays the published zeta through the lot rule
-        base = crisp_baseline(p, paper_baseline)
+        base = crisp_optimal(p)
+        if paper_baseline:
+            base = truncated_baseline(base)
         audit = audit_table(p, paper_baseline=paper_baseline)
         assert audit.params == p and audit.paper_baseline == paper_baseline
         for ref, row in zip(load_reference_table(), audit.rows, strict=True):
@@ -389,12 +375,20 @@ class TestAuditCache:
         assert default is not paper
         assert (default.paper_baseline, paper.paper_baseline) == (False, True)
 
-    def test_failures_are_not_kept(self):
+    @pytest.mark.parametrize("p, paper_baseline, message", [
+        # a row's error
+        (CrispParams(600.0, 5.0, 10.0, 100.0), False, r"d3 < psi violated"),
+        # the baseline's errors come before any row's: row 1 breaks d1 < phi here
+        (CrispParams(50.0, 10.0, 10.0, 1e-6), True,
+         r"the whole-unit baseline needs a crisp optimum and cost of at least one unit"),
+        (CrispParams(1.7e16, 1.0, 1e-300, 1e300), False, r"q must be finite \(got inf\)$"),
+    ], ids=["row", "whole-unit-baseline", "baseline-overflow"])
+    def test_failures_are_not_kept(self, p, paper_baseline, message):
         size = _audit.cache_info().currsize
         errors = []
         for _ in range(2):
-            with pytest.raises(DomainError, match="d3 < psi") as info:
-                audit_table(CrispParams(600.0, 5.0, 10.0, 100.0))
+            with pytest.raises(DomainError, match=f"^{message}") as info:
+                audit_table(p, paper_baseline=paper_baseline)
             errors.append(info.value)
         assert errors[0] is not errors[1]
         assert _audit.cache_info().currsize == size
