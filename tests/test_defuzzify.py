@@ -40,9 +40,11 @@ RNGS = st.randoms(use_true_random=False)
 SUBNORMAL_SLACK = 64 * 2.0**-1074
 
 
-def _leak_cut(phi, psi, spreads, relax_bounds=False):
+def leak_fraction_cuts(phi, psi, spreads, *, relax_bounds=False):
     """The leak fraction's alpha-cut as a function of the level, as the
-    paper defines it: ``Interval`` division of the operands' cuts."""
+    paper defines it: ``Interval`` division of the operands' cuts.  The
+    operands come from ``_leak_fraction``, so the oracle's input checks
+    hold here too."""
     num, den = _leak_fraction(phi, psi, spreads, relax_bounds)
     return lambda a: num.alpha_cut(a) / den.alpha_cut(a)
 
@@ -132,13 +134,13 @@ class TestZetaRoutes:
         # the upper cut is at least psi / eta, so zeta is at least half of it,
         # and the mean of the cut midpoints cannot leave the level-0 hull
         p, spreads, relax = drawn_input(rng)
-        hull = _leak_cut(p.phi, p.psi, spreads, relax)(0.0)
+        hull = leak_fraction_cuts(p.phi, p.psi, spreads, relax_bounds=relax)(0.0)
         value = zeta(p.phi, p.psi, spreads, relax_bounds=relax)
         assert value > 0.0 or p.psi / (p.phi + p.psi) < 2.0 * sys.float_info.min
         assert hull.lo - 1e-12 <= value <= hull.hi + 1e-12
 
     def test_cut_ordering_and_peak(self):
-        cut = _leak_cut(600.0, 10.0, FuzzySpreads(100, 100, 7, 6))
+        cut = leak_fraction_cuts(600.0, 10.0, FuzzySpreads(100, 100, 7, 6))
         for k in range(11):
             a = k / 10.0
             assert cut(a).lo <= cut(a).hi + 1e-15
@@ -219,9 +221,9 @@ class TestNoCancellation:
     def test_near_degenerate_value_within_cut_hull(self):
         sp = FuzzySpreads(3e-6, 100.0, 1e-7, 1.0)
         got = zeta(600.0, 10.0, sp)
-        assert got in _leak_cut(600.0, 10.0, sp)(0.0)
+        assert got in leak_fraction_cuts(600.0, 10.0, sp)(0.0)
 
-    @pytest.mark.parametrize("route", [zeta, zeta_quadrature])
+    @pytest.mark.parametrize("route", [zeta, zeta_quadrature, leak_fraction_cuts])
     def test_overflowing_combined_rate_rejected(self, route):
         # the true fraction is about 0.5; with eta = inf both routes gave 0.0
         with pytest.raises(DomainError, match=r"phi \+ psi must be finite \(got inf\)"):
@@ -288,7 +290,7 @@ class TestNearLowerBounds:
         # d1 + d3 rounds to phi + psi here, so eta - d5 would be 0
         phi, psi, spreads = ONE_ULP_BELOW_BOTH_BOUNDS[0]
         assert spreads.d5 == phi + psi
-        hull = _leak_cut(phi, psi, spreads)(0.0)
+        hull = leak_fraction_cuts(phi, psi, spreads)(0.0)
         assert math.isfinite(hull.hi) and hull.hi > hull.lo
 
 
@@ -326,7 +328,7 @@ class TestBoundedQuadrature:
         tols = []
         monkeypatch.setattr(fuzzy_eoq.fuzzy, "gauss_kronrod",
                             lambda f, a, b, *, tol: tols.append(tol) or 0.0)
-        cut = _leak_cut(phi, psi, spreads, relax)
+        cut = leak_fraction_cuts(phi, psi, spreads, relax_bounds=relax)
         fuzzy_eoq.fuzzy.signed_distance_quadrature(lambda a: cut(a).lo, lambda a: cut(a).hi)
         # the oracle integrates the flattened cuts, but sizes its stop from the plain ones
         zeta_quadrature(phi, psi, spreads, relax_bounds=relax)
@@ -379,20 +381,21 @@ class TestBoundedQuadrature:
     def test_lower_cut_is_the_crisp_fraction_at_the_peak(self):
         # (eta + d6) - d6 * a used to cancel to 0 at a = 1 once d6 swamped eta
         sp = FuzzySpreads(1.0, 1.0, 1.0, 1e100)
-        cut = _leak_cut(600.0, 10.0, sp, True)
+        cut = leak_fraction_cuts(600.0, 10.0, sp, relax_bounds=True)
         assert cut(1.0).lo == 10.0 / 610.0
         assert cut(0.0).lo > 0.0 and cut(0.0).hi > cut(0.5).hi
 
-    def test_overflowing_cut_denominator_rejected(self):
+    @pytest.mark.parametrize("route", [zeta_quadrature, leak_fraction_cuts])
+    def test_overflowing_cut_denominator_rejected(self, route):
         # eta + d6 overflows; integrating it gave 0.04545 against 0.07779
         sp = FuzzySpreads(1.0, 1e308, 1.0, 1.0)
         with pytest.raises(
             DomainError, match=r"phi \+ psi \+ d2 \+ d4 must be finite \(got inf\)"
         ):
-            zeta_quadrature(1e308, 1e307, sp, relax_bounds=True)
+            route(1e308, 1e307, sp, relax_bounds=True)
 
     @pytest.mark.parametrize("route", [
-        zeta, defuzzified_rates, zeta_quadrature,
+        zeta, defuzzified_rates, zeta_quadrature, leak_fraction_cuts,
         pytest.param(lambda phi, psi, sp, **kw: sp.validate_against(phi, psi, **kw),
                      id="validate_against"),
     ])
@@ -433,7 +436,7 @@ class TestTinyRates:
     def test_huge_relaxed_spreads_are_not_scaled_past_binary64(self):
         # scaling up would overflow phi + psi + d2 + d4: the cuts stay unscaled
         sp = FuzzySpreads(1e-301, 1e307, 1e-301, 1.0)
-        cut = _leak_cut(1e-300, 1e-300, sp, True)
+        cut = leak_fraction_cuts(1e-300, 1e-300, sp, relax_bounds=True)
         assert math.isfinite(cut(0.0).lo) and cut(1.0).lo == 0.5
 
 
@@ -469,7 +472,7 @@ class TestPublicChecks:
     check the solver and the audit make too."""
 
     @pytest.mark.parametrize("route", [_validate_against, defuzzified_rates, zeta,
-                                       zeta_quadrature])
+                                       zeta_quadrature, leak_fraction_cuts])
     @pytest.mark.parametrize("phi, psi, d1, message", [
         (math.nan, math.nan, 700.0, r"^phi must be finite \(got nan\)$"),
         (600.0, math.inf, 700.0, r"^psi must be finite \(got inf\)$"),
