@@ -14,9 +14,11 @@ the fuzziness into the cost function:
 solve and audit row takes.  ``zeta`` returns the second alone.  Each public
 route checks its input once, in ``FuzzySpreads.validate_against``: the
 rates, then the spread bounds, then the largest cut sum.
-``zeta_quadrature`` integrates the alpha-cut endpoints of that quotient,
-built from ``demand_fuzzy`` and ``leakage_fuzzy``, adaptively instead,
-each cut's pole flattened by one change of variable on every input.
+``zeta_quadrature`` integrates the alpha-cut endpoints of that quotient
+adaptively instead, each cut's pole flattened by one change of variable on
+every input.  It reads the operands as the six floats that
+``leakage_fuzzy`` and ``demand_fuzzy + leakage_fuzzy`` hold, formed by the
+same operations, and builds no fuzzy number on the way.
 It shares no code with ``zeta``: it is the independent oracle that tests
 and the CLI report check the closed form against, and no solve calls it.
 """
@@ -77,9 +79,10 @@ class FuzzySpreads:
         model well defined (positive rates at membership level 0) and are
         always enforced.  The mirror bounds ``d2 < phi`` and ``d4 < psi``
         belong to the model statement but are not mathematically necessary;
-        ``relax_bounds`` lifts exactly those.  Last, ``phi + psi + d2 + d4``,
-        the largest sum the oracle's cut endpoints form, must be finite, so
-        ``zeta`` and the oracle reject the same inputs.
+        ``relax_bounds`` lifts exactly those.  Last, the largest sum the
+        oracle's cut endpoints form, ``(phi + d2) + (psi + d4)`` rounded as
+        the oracle rounds it, must be finite, so ``zeta`` and the oracle
+        reject the same inputs.  It is reported as ``phi + psi + d2 + d4``.
         """
         # a nan or inf rate, or a sum that overflows, makes phi + psi nan or
         # inf: one test on the row path, and only then are the rates named
@@ -97,7 +100,7 @@ class FuzzySpreads:
         if not relax_bounds and not self.d4 < psi:
             raise DomainError(f"d4 < psi violated (d4={self.d4!r}, psi={psi!r})")
         # the bounds passed make every term positive, so only inf can fail
-        total = eta + (self.d2 + self.d4)
+        total = (phi + self.d2) + (psi + self.d4)
         if not total < _INF:
             _require_finite("phi + psi + d2 + d4", total)
 
@@ -114,23 +117,30 @@ def leakage_fuzzy(psi: float, spreads: FuzzySpreads) -> TriangularFuzzyNumber:
 
 def _leak_fraction(
     phi: float, psi: float, spreads: FuzzySpreads, relax_bounds: bool
-) -> tuple[TriangularFuzzyNumber, TriangularFuzzyNumber]:
+) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
     """The leak fraction ``leakage / (demand + leakage)``'s numerator and
-    denominator, validated.
+    denominator, validated, as ``(lo, peak, hi)`` triples: the parameters
+    of ``leakage_fuzzy(psi, spreads)`` and of
+    ``demand_fuzzy(phi, spreads) + leakage_fuzzy(psi, spreads)``, formed by
+    the same operations.  ``validate_against`` makes them finite and
+    ordered, so no fuzzy number is built to check them again.
 
     The quotient is scale-free, so rates with ``phi + psi`` below 1/2 are
     first scaled up by a power of two, which is exact.  At deep-subnormal
     rates the cut coefficients would otherwise be a few multiples of the
-    smallest subnormal, and the integrand a staircase."""
+    smallest subnormal, and the integrand a staircase.  The rates and
+    spreads are scaled before the endpoints are formed: scaling the
+    endpoints afterwards rounds differently at subnormal rates."""
     spreads.validate_against(phi, psi, relax_bounds=relax_bounds)
+    d1, d2, d3, d4 = spreads.d1, spreads.d2, spreads.d3, spreads.d4
     k = -math.frexp(phi + psi)[1]
-    # only upward, and only while the largest cut sum stays finite
-    if k > 0 and math.frexp(phi + psi + spreads.d6)[1] + k <= 1024:
-        phi, psi = math.ldexp(phi, k), math.ldexp(psi, k)
-        spreads = FuzzySpreads(math.ldexp(spreads.d1, k), math.ldexp(spreads.d2, k),
-                               math.ldexp(spreads.d3, k), math.ldexp(spreads.d4, k))
-    leakage = leakage_fuzzy(psi, spreads)
-    return leakage, demand_fuzzy(phi, spreads) + leakage
+    # only upward, and only while the denominator's upper end stays finite
+    if k > 0 and math.frexp((phi + d2) + (psi + d4))[1] + k <= 1024:
+        ldexp = math.ldexp
+        phi, psi = ldexp(phi, k), ldexp(psi, k)
+        d1, d2, d3, d4 = ldexp(d1, k), ldexp(d2, k), ldexp(d3, k), ldexp(d4, k)
+    lo, hi = psi - d3, psi + d4
+    return (lo, psi, hi), ((phi - d1) + lo, phi + psi, (phi + d2) + hi)
 
 
 def _g(t: float) -> float:

@@ -205,9 +205,12 @@ def _stop(lo_half: float, hi_half: float) -> float:
     return DEFAULT_TOL * size if size > 0.0 else DEFAULT_TOL
 
 
-def _quotient_distance(num: TriangularFuzzyNumber, den: TriangularFuzzyNumber) -> float:
-    """Signed distance of ``num / den`` for positive operands, by one
-    ``gauss_kronrod`` pass over both cuts with each pole flattened.
+def _quotient_distance(num: tuple[float, float, float],
+                       den: tuple[float, float, float]) -> float:
+    """Signed distance of ``num / den`` for positive triangular operands,
+    each given as its ``(beta1, beta2, beta3)``, by one ``gauss_kronrod``
+    pass over both cuts with each pole flattened.  The caller guarantees
+    finite, ordered parameters and a positive ``den``; nothing is checked.
 
     The lower cut has its pole ``w = d2 / d_fall`` right of ``a = 1``, the
     upper cut ``v = d1 / d_rise`` left of ``a = 0``.  Each cut is integrated
@@ -221,8 +224,9 @@ def _quotient_distance(num: TriangularFuzzyNumber, den: TriangularFuzzyNumber) -
     per node, and summed under one stop, sized from the plain cuts.
     """
     # alpha_cut's parameters and nonnegative slopes for both operands
-    n1, n_rise, n2, n_fall = num.beta1, num.beta2 - num.beta1, num.beta2, num.beta3 - num.beta2
-    d1, d_rise, d2, d_fall = den.beta1, den.beta2 - den.beta1, den.beta2, den.beta3 - den.beta2
+    n1, n2, n3 = num
+    d1, d2, d3 = den
+    n_rise, n_fall, d_rise, d_fall = n2 - n1, n3 - n2, d2 - d1, d3 - d2
     w, v = _pole_distance(d2, d_fall), _pole_distance(d1, d_rise)
     l_lo, l_hi = math.log1p(1.0 / w), math.log1p(1.0 / v)
     expm1 = math.expm1

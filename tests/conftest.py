@@ -1,5 +1,5 @@
-"""Shared samplers and hypothesis settings for the test suite; the model
-inputs come from ``domain.valid_input``."""
+"""Shared samplers, hypothesis settings and the oracle's evaluation counter
+for the test suite; the model inputs come from ``domain.valid_input``."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import random
 from hypothesis import HealthCheck, assume, settings
 
 from domain import valid_input
+import fuzzy_eoq.fuzzy
 from fuzzy_eoq import CrispParams, FuzzySpreads, TriangularFuzzyNumber
 
 # based on the default profile, so that where CI is set the ci profile's
@@ -59,3 +60,22 @@ def drawn_input(case, family: str | None = None) -> tuple[CrispParams, FuzzySpre
         return valid_input(case, family)
     except RuntimeError:
         assume(False)
+
+
+def count_evaluations(monkeypatch) -> list[int]:
+    """Count the integrand evaluations of every oracle quadrature from here
+    on: one entry per ``gauss_kronrod`` call."""
+    calls = []
+    plain = fuzzy_eoq.fuzzy.gauss_kronrod
+
+    def counting(f, a, b, **kwargs):
+        calls.append(0)
+
+        def g(x):
+            calls[-1] += 1
+            return f(x)
+
+        return plain(g, a, b, **kwargs)
+
+    monkeypatch.setattr(fuzzy_eoq.fuzzy, "gauss_kronrod", counting)
+    return calls

@@ -267,6 +267,29 @@ class TestFuzzy:
         assert (code, out) == (2, "")
         assert err == "error: phi + psi + d2 + d4 must be finite (got inf)\n"
 
+    # the oracle's largest cut end (phi + d2) + (psi + d4): it overflows on the
+    # first, and the command exited 2 with "beta3 must be finite" after its
+    # solve succeeded; only (phi + psi) + (d2 + d4) overflows on the second,
+    # which every route rejected
+    FORWARD_EDGE = ["--phi", "6.944734121350037e+306", "--psi", "9.500246318569825e+307",
+                    "--d1", "6.8893123283304e+306", "--d2", "5.596106290158956e+307",
+                    "--d3", "6.267241213306131e+307", "--d4", "2.1861053277593728e+307"]
+    REVERSE_EDGE = ["--phi", "2.759687991538873e+307", "--psi", "3.290291951548212e+307",
+                    "--d1", "1.3798439957694365e+307", "--d2", "1.3896026207872683e+307",
+                    "--d3", "1.645145975774106e+307", "--d4", "1.0537348784748804e+308"]
+
+    def test_overflowing_cut_end_exits_2(self, capsys):
+        code, out, err = run(capsys, ["fuzzy", *self.FORWARD_EDGE, "--relax-bounds"])
+        assert (code, out) == (2, "")
+        assert err == "error: phi + psi + d2 + d4 must be finite (got inf)\n"
+
+    def test_finite_cut_end_solves(self, capsys):
+        argv = ["fuzzy", *self.REVERSE_EDGE, "--relax-bounds", "--format", "json"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["zeta_closed_form"] == payload["zeta_quadrature"] == 1.1691318070078538
+
     def test_overflowing_lot_size_exits_2(self, capsys):
         # q* = sqrt(2 * 1e300 * 1e300 / 1e-300) is about 1.4e450
         argv = ["fuzzy", "--phi", "1e300", "--s", "1e300", "--h", "1e-300",

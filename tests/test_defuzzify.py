@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+from dataclasses import astuple
 from decimal import Decimal, localcontext
 
 import pytest
@@ -17,6 +18,7 @@ from fuzzy_eoq import (
     TriangularFuzzyNumber,
     defuzzified_rates,
     demand_fuzzy,
+    fuzzy_optimal,
     leakage_fuzzy,
     zeta,
     zeta_quadrature,
@@ -25,7 +27,7 @@ from fuzzy_eoq.defuzzify import _leak_fraction
 from fuzzy_eoq.quadrature import DEFAULT_TOL
 from fuzzy_eoq.sensitivity import load_reference_table
 
-from conftest import drawn_input
+from conftest import count_evaluations, drawn_input
 from domain import FAMILIES, valid_input
 
 # frozen from a high-precision evaluation of the antiderivative
@@ -43,10 +45,24 @@ SUBNORMAL_SLACK = 64 * 2.0**-1074
 def leak_fraction_cuts(phi, psi, spreads, *, relax_bounds=False):
     """The leak fraction's alpha-cut as a function of the level, as the
     paper defines it: ``Interval`` division of the operands' cuts.  The
-    operands come from ``_leak_fraction``, so the oracle's input checks
-    hold here too."""
+    operands are built from ``_leak_fraction``'s triples, so the oracle's
+    input checks hold here too."""
     num, den = _leak_fraction(phi, psi, spreads, relax_bounds)
+    num, den = TriangularFuzzyNumber(*num), TriangularFuzzyNumber(*den)
     return lambda a: num.alpha_cut(a) / den.alpha_cut(a)
+
+
+# The oracle's largest cut end is (phi + d2) + (psi + d4).  On FORWARD_EDGE
+# it overflows while (phi + psi) + (d2 + d4) does not: zeta and the solve
+# returned values while the oracle raised "beta3 must be finite".  On
+# REVERSE_EDGE only (phi + psi) + (d2 + d4) overflows, and every route
+# rejected an input that both zeta routes evaluate to 1.1691318070078538.
+FORWARD_EDGE = (6.944734121350037e+306, 9.500246318569825e+307,
+                FuzzySpreads(6.8893123283304e+306, 5.596106290158956e+307,
+                             6.267241213306131e+307, 2.1861053277593728e+307))
+REVERSE_EDGE = (2.759687991538873e+307, 3.290291951548212e+307,
+                FuzzySpreads(1.3798439957694365e+307, 1.3896026207872683e+307,
+                             1.645145975774106e+307, 1.0537348784748804e+308))
 
 
 class TestSpreads:
@@ -201,6 +217,9 @@ class TestOracle:
     # between the nodes, and the oracle was 1.6e-10 off
     @example(case=(CrispParams(600.0, 10.0, 10.0, 100.0),
                    FuzzySpreads(100.0, 6e13, 1.0, 1.0), True))
+    # the oracle's largest cut end is finite, (phi + psi) + (d2 + d4) is not:
+    # once rejected by every route
+    @example(case=(CrispParams(*REVERSE_EDGE[:2], 1.0, 1.0), REVERSE_EDGE[2], True))
     def test_matches_closed_form(self, family, case):
         p, spreads, relax = drawn_input(case, family)
         # a QuadratureError here would be the evaluation budget running out
@@ -294,22 +313,14 @@ class TestNearLowerBounds:
         assert math.isfinite(hull.hi) and hull.hi > hull.lo
 
 
-def _count_evaluations(monkeypatch):
-    """Count the integrand evaluations of every quadrature from here on."""
-    calls = []
-    plain = fuzzy_eoq.fuzzy.gauss_kronrod
-
-    def counting(f, a, b, **kwargs):
-        calls.append(0)
-
-        def g(x):
-            calls[-1] += 1
-            return f(x)
-
-        return plain(g, a, b, **kwargs)
-
-    monkeypatch.setattr(fuzzy_eoq.fuzzy, "gauss_kronrod", counting)
-    return calls
+# every route that checks the rates and spreads against each other
+EVERY_ROUTE = [
+    zeta, defuzzified_rates, zeta_quadrature, leak_fraction_cuts,
+    pytest.param(lambda phi, psi, sp, **kw: sp.validate_against(phi, psi, **kw),
+                 id="validate_against"),
+    pytest.param(lambda phi, psi, sp, **kw: fuzzy_optimal(CrispParams(phi, psi, 10.0, 100.0),
+                                                          sp, **kw), id="fuzzy_optimal"),
+]
 
 
 class TestBoundedQuadrature:
@@ -345,7 +356,7 @@ class TestBoundedQuadrature:
         assert tols == [DEFAULT_TOL]
 
     def test_reference_row_evaluation_counts(self, monkeypatch):
-        calls = _count_evaluations(monkeypatch)
+        calls = count_evaluations(monkeypatch)
         for row in load_reference_table():
             zeta_quadrature(600.0, 10.0, row.spreads)
         assert calls == [15] * 18
@@ -355,7 +366,7 @@ class TestBoundedQuadrature:
         # both cut poles are flattened, so no family needs many panels: the
         # most on 10,000 draws of each, over three seeds, was 225
         # (near-bound, ulps-below, huge-rate); the bound leaves a third more
-        calls = _count_evaluations(monkeypatch)
+        calls = count_evaluations(monkeypatch)
         rng = random.Random(7)
         for _ in range(500):
             p, spreads, relax = valid_input(rng, family)
@@ -372,7 +383,7 @@ class TestBoundedQuadrature:
 
     @pytest.mark.parametrize("d4", [1e9, 1e10, 1e11, 1e17, 1e100])
     def test_huge_relaxed_upper_spread_finishes(self, d4, monkeypatch):
-        calls = _count_evaluations(monkeypatch)
+        calls = count_evaluations(monkeypatch)
         sp = FuzzySpreads(1.0, 1.0, 1.0, d4)
         got = zeta_quadrature(600.0, 10.0, sp, relax_bounds=True)
         assert _rel(got, zeta(600.0, 10.0, sp, relax_bounds=True)) <= 1e-12
@@ -394,11 +405,7 @@ class TestBoundedQuadrature:
         ):
             route(1e308, 1e307, sp, relax_bounds=True)
 
-    @pytest.mark.parametrize("route", [
-        zeta, defuzzified_rates, zeta_quadrature, leak_fraction_cuts,
-        pytest.param(lambda phi, psi, sp, **kw: sp.validate_against(phi, psi, **kw),
-                     id="validate_against"),
-    ])
+    @pytest.mark.parametrize("route", EVERY_ROUTE)
     def test_overflowing_upper_spreads_rejected_by_every_route(self, route):
         # d2 + d4 overflows; zeta gave nan (g(inf) is inf/inf) with no error
         sp = FuzzySpreads(0.5, 1e308, 0.5, 1e308)
@@ -406,6 +413,22 @@ class TestBoundedQuadrature:
             DomainError, match=r"phi \+ psi \+ d2 \+ d4 must be finite \(got inf\)"
         ):
             route(1.0, 1.0, sp, relax_bounds=True)
+
+    @pytest.mark.parametrize("route", EVERY_ROUTE)
+    def test_overflowing_cut_end_rejected_by_every_route(self, route):
+        # only the oracle's (phi + d2) + (psi + d4) overflows: every route
+        # checks that sum, so zeta no longer solves what the oracle rejects
+        phi, psi, sp = FORWARD_EDGE
+        with pytest.raises(
+            DomainError, match=r"^phi \+ psi \+ d2 \+ d4 must be finite \(got inf\)$"
+        ):
+            route(phi, psi, sp, relax_bounds=True)
+
+    @pytest.mark.parametrize("route", EVERY_ROUTE)
+    def test_finite_cut_end_accepted_by_every_route(self, route):
+        # (phi + psi) + (d2 + d4) overflows, the oracle's sum does not
+        phi, psi, sp = REVERSE_EDGE
+        route(phi, psi, sp, relax_bounds=True)
 
     @pytest.mark.parametrize("route", [zeta, defuzzified_rates])
     def test_overflowing_spread_ratio_rejected(self, route):
@@ -430,7 +453,8 @@ class TestTinyRates:
     def test_scaling_moves_no_rounding_at_normal_rates(self, phi, psi):
         sp = FuzzySpreads(0.1 * phi, 0.7 * phi, 0.3 * psi, 0.9 * psi)
         leakage = leakage_fuzzy(psi, sp)
-        plain = fuzzy_eoq.fuzzy._quotient_distance(leakage, demand_fuzzy(phi, sp) + leakage)
+        plain = fuzzy_eoq.fuzzy._quotient_distance(astuple(leakage),
+                                                   astuple(demand_fuzzy(phi, sp) + leakage))
         assert zeta_quadrature(phi, psi, sp) == plain
 
     def test_huge_relaxed_spreads_are_not_scaled_past_binary64(self):
@@ -438,6 +462,49 @@ class TestTinyRates:
         sp = FuzzySpreads(1e-301, 1e307, 1e-301, 1.0)
         cut = leak_fraction_cuts(1e-300, 1e-300, sp, relax_bounds=True)
         assert math.isfinite(cut(0.0).lo) and cut(1.0).lo == 0.5
+
+
+class TestOracleOperands:
+    """``_leak_fraction`` hands the oracle six floats, not fuzzy numbers:
+    they are the paper's fuzzy leakage and fuzzy demand plus leakage, bit
+    for bit, and ``validate_against`` alone makes them valid operands."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=200)
+    @given(case=RNGS)
+    @example(case=(CrispParams(3.5e-323, 1.5e-323, 1.0, 1.0),
+                   FuzzySpreads(2e-323, 2e-323, 1e-323, 1e-323), False))
+    @example(case=(CrispParams(*REVERSE_EDGE[:2], 1.0, 1.0), REVERSE_EDGE[2], True))
+    def test_triples_are_the_paper_fuzzy_numbers(self, family, case):
+        p, sp, relax = drawn_input(case, family)
+        num, den = _leak_fraction(p.phi, p.psi, sp, relax)
+        phi, psi = p.phi, p.psi
+        if phi + psi < 0.5:
+            # the oracle's power-of-two scaling, applied to the rates and spreads
+            k = -math.frexp(phi + psi)[1]
+            phi, psi = math.ldexp(phi, k), math.ldexp(psi, k)
+            sp = FuzzySpreads(*(math.ldexp(d, k) for d in astuple(sp)))
+        leakage = leakage_fuzzy(psi, sp)
+        assert num == astuple(leakage)
+        assert den == astuple(demand_fuzzy(phi, sp) + leakage)
+        # the finiteness and ordering checks the oracle no longer makes hold
+        TriangularFuzzyNumber(*num)
+        TriangularFuzzyNumber(*den)
+
+    @pytest.mark.parametrize("phi, psi, spreads", [
+        (600.0, 10.0, FuzzySpreads(100.0, 100.0, 1.0, 1.0)),
+        # the subnormal rates take the scaling branch
+        (3.5e-323, 1.5e-323, FuzzySpreads(2e-323, 2e-323, 1e-323, 1e-323)),
+    ], ids=["ordinary", "subnormal"])
+    def test_oracle_builds_no_value_objects(self, phi, psi, spreads, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} built on the oracle path")
+
+        monkeypatch.setattr(TriangularFuzzyNumber, "__post_init__", refuse)
+        monkeypatch.setattr(FuzzySpreads, "__post_init__", refuse)
+        got = zeta_quadrature(phi, psi, spreads)
+        monkeypatch.undo()
+        assert _rel(got, zeta(phi, psi, spreads)) <= 1e-12
 
 
 class TestLotRuleInputs:

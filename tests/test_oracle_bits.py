@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-import fuzzy_eoq.fuzzy
+from conftest import count_evaluations
 from domain import FAMILIES, valid_input
 from fuzzy_eoq import FuzzySpreads, zeta_quadrature
 
@@ -48,19 +48,7 @@ def test_oracle_bits_match_golden(family):
 @pytest.mark.parametrize("family", ["near-bound", "ulps-below"])
 def test_golden_reaches_past_one_panel(family, monkeypatch):
     # one panel is 15 evaluations; these draws must exercise the refinement
-    calls = []
-    plain = fuzzy_eoq.fuzzy.gauss_kronrod
-
-    def counting(f, a, b, **kwargs):
-        calls.append(0)
-
-        def g(x):
-            calls[-1] += 1
-            return f(x)
-
-        return plain(g, a, b, **kwargs)
-
-    monkeypatch.setattr(fuzzy_eoq.fuzzy, "gauss_kronrod", counting)
+    calls = count_evaluations(monkeypatch)
     for *inputs, _ in _load()[family]:
         _value(*inputs)
     assert max(calls) > 15
