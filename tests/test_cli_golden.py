@@ -106,9 +106,15 @@ ARGPARSE = {
     "argparse-fuzzy-d1-abc": ["fuzzy", "--d1", "abc"],
 }
 
-# 2 s delta overflows, yet q* (about 3.4e154) and its cost are finite
 SOLVES = {
+    # 2 s delta overflows, yet q* (about 3.4e154) and its cost are finite
     "crisp-huge-setup-cost": ["crisp", "--s", "1e306", "--h", "1", "--format", "json"],
+    # the whole-unit baseline fails; rows 2 and 4 fail their own checks first,
+    # and rows 1 and 3 carry the baseline's error
+    "sweep-config-paper-baseline-below-one-unit": [
+        "sweep", "--config", "configs/sweep.json", "--s", "1e-6", "--paper-baseline",
+        "--format", "json",
+    ],
 }
 
 CASES = {
