@@ -19,7 +19,7 @@ import json
 import re
 import sys
 from dataclasses import fields
-from functools import cache
+from functools import cache, partial
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
@@ -27,7 +27,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from .defuzzify import FuzzySpreads, zeta_quadrature
 from .errors import DomainError, QuadratureError
-from .model import (CrispParams, CycleQuantities, SolutionRecord, _held_optimum, _solve,
+from .model import (CrispParams, CycleQuantities, SolutionRecord, _baseline, _solve,
                     crisp_optimal, cycle_quantities)
 from .sensitivity import (_AUDIT_MODES, AUDIT_COLUMNS, REFERENCE_PARAMS, AuditRow, SweepSpec,
                           audit_table, load_reference_table, run_sweep)
@@ -290,9 +290,9 @@ def _fuzzy(args: argparse.Namespace) -> _Result:
     p, sp = args.params, args.spreads
     if sp is None:
         raise DomainError("fuzzy solve requires spreads d1, d2, d3, d4 (flags or config)")
-    baseline = _held_optimum(p, args.paper_baseline)
+    baseline = cache(partial(_baseline, p, args.paper_baseline))
     record = _solve(p, sp, baseline, args.relax_bounds)
-    base_q, base_z = baseline  # a pair: _solve raises a held error
+    base_q, base_z = baseline()
     z_quad = zeta_quadrature(p.phi, p.psi, sp, relax_bounds=args.relax_bounds)
     baseline_label = "baseline (truncated)" if args.paper_baseline else "baseline (crisp)"
     return _Result(

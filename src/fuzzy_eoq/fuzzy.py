@@ -23,8 +23,6 @@ from typing import Callable
 from .errors import DomainError
 from .quadrature import DEFAULT_TOL, gauss_kronrod
 
-_INF = math.inf
-
 
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
@@ -117,11 +115,9 @@ class TriangularFuzzyNumber:
     beta3: float
 
     def __post_init__(self) -> None:
-        # one chain on the row path: it holds only for finite, ordered
-        # parameters, and only when it fails is the first non-finite named
-        if not -_INF < self.beta1 <= self.beta2 <= self.beta3 < _INF:
-            for name in ("beta1", "beta2", "beta3"):
-                _require_finite(name, getattr(self, name))
+        for name in ("beta1", "beta2", "beta3"):
+            _require_finite(name, getattr(self, name))
+        if not self.beta1 <= self.beta2 <= self.beta3:
             raise DomainError(
                 "beta1 <= beta2 <= beta3 violated "
                 f"(got ({self.beta1!r}, {self.beta2!r}, {self.beta3!r}))"

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .defuzzify import FuzzySpreads, defuzzified_rates
 from .errors import DomainError
@@ -218,50 +220,39 @@ def percent_deviation(value: float, base: float) -> float:
     return (value - base) / base * 100.0
 
 
-def _held_optimum(
-    p: CrispParams, paper_baseline: bool
-) -> tuple[float, float] | DomainError:
+def _baseline(p: CrispParams, paper_baseline: bool) -> tuple[float, float]:
     """The crisp baseline that fuzzy deviations are measured against, as its
-    lot size and cost ``(q*, Z*)``, or the ``DomainError`` building it raised.
+    lot size and cost ``(q*, Z*)``.
 
     With ``paper_baseline`` both are truncated to whole units, the baseline
-    the published reference table used; otherwise they are exact.  A held
-    error is raised by ``_lot_rule`` only after the row's own checks pass,
-    so a batch that builds its baseline once still reports each row's
-    spread or lot-rule error first, as a solve of that row alone would."""
-    try:
-        _, q, z = _crisp_optimum(p)
-        return _whole_units(q, z) if paper_baseline else (q, z)
-    except DomainError as exc:
-        return exc
+    the published reference table used; otherwise they are exact."""
+    _, q, z = _crisp_optimum(p)
+    return _whole_units(q, z) if paper_baseline else (q, z)
 
 
 def _lot_rule(
-    p: CrispParams, delta: float, zeta_value: float, baseline: tuple[float, float] | DomainError
+    p: CrispParams, delta: float, zeta_value: float, baseline: Callable[[], tuple[float, float]]
 ) -> tuple[float, float, float, float]:
     """Optimal lot size at (delta, zeta_value), its cost, and their percent
-    deviations from the baseline's lot size and cost ``(q*, Z*)``: the step
+    deviations from ``baseline()``'s lot size and cost ``(q*, Z*)``: the step
     every fuzzy row and both audit modes take.  Every caller passes a
     positive, finite ``delta`` and a finite ``zeta_value`` above -1, so only
-    the lot size is checked, by ``lot_cost``; a held baseline error is
-    raised after that check."""
+    the lot size is checked, by ``lot_cost``; the baseline is asked for
+    after that check, so a row's own error comes before the baseline's."""
     q = _lot_size(p.s, p.h, delta, 1.0 + zeta_value)
     z_star = lot_cost(q, p.s, p.h, delta, zeta_value)
-    if isinstance(baseline, DomainError):
-        # a fresh error per row: re-raising one instance would chain tracebacks
-        raise DomainError(str(baseline)) from baseline
-    base_q, base_z = baseline
+    base_q, base_z = baseline()
     return q, z_star, percent_deviation(q, base_q), percent_deviation(z_star, base_z)
 
 
 def _solve(
     p: CrispParams,
     spreads: FuzzySpreads,
-    baseline: tuple[float, float] | DomainError,
+    baseline: Callable[[], tuple[float, float]],
     relax_bounds: bool,
 ) -> SolutionRecord:
-    """One row solved against a baseline from ``_held_optimum``: the step
-    ``fuzzy_optimal``, ``run_sweep`` and the CLI's ``fuzzy`` command share."""
+    """One row solved against ``baseline()``: the step ``fuzzy_optimal``,
+    ``run_sweep`` and the CLI's ``fuzzy`` command share."""
     d, z = defuzzified_rates(p.phi, p.psi, spreads, relax_bounds=relax_bounds)
     return SolutionRecord(d, z, *_lot_rule(p, d, z, baseline))
 
@@ -279,7 +270,7 @@ def fuzzy_optimal(
     optimum truncated to whole units, the baseline the published
     reference table used; otherwise against the exact crisp optimum.
     The result is the only record built: the baseline is its lot size and
-    cost alone, or the error building it raised, raised once the row's own
-    checks pass.
+    cost alone, computed once the row's own checks pass, so an error of
+    the row comes before one of the baseline.
     """
-    return _solve(p, spreads, _held_optimum(p, paper_baseline), relax_bounds)
+    return _solve(p, spreads, partial(_baseline, p, paper_baseline), relax_bounds)

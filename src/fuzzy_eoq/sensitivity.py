@@ -8,9 +8,10 @@ crisp baseline.
 
 ``run_sweep`` re-solves any sequence of spread rows, collecting per-row
 failures instead of aborting.  ``audit_table`` re-derives the table and
-compares column by column.  A sweep or audit builds the crisp baseline
-once and validates each row's spreads once, and each audit is kept for
-later calls with the same parameters and mode.  Two modes:
+compares column by column.  A sweep computes the crisp baseline once, at
+its first row that passes its own checks, and an audit before any row;
+both validate each row's spreads once, and each audit is kept for later
+calls with the same parameters and mode.  Two modes:
 
 * default: every column recomputed from the spreads by this package's
   own pipeline (exact crisp baseline);
@@ -30,13 +31,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 from importlib import resources
 from typing import NamedTuple, Optional
 
 from .defuzzify import FuzzySpreads, defuzzified_rates
 from .errors import DomainError
-from .model import CrispParams, SolutionRecord, _held_optimum, _lot_rule, _solve
+from .model import CrispParams, SolutionRecord, _baseline, _lot_rule, _solve
 
 REFERENCE_PARAMS = CrispParams(phi=600.0, psi=10.0, h=10.0, s=100.0)
 
@@ -83,11 +84,13 @@ def run_sweep(
 
     A row whose spreads violate the bounds for ``spec.params`` yields a
     ``SweepRow`` carrying the error message; remaining rows still run.
-    The crisp baseline's lot size and cost are computed once; if they
-    cannot be, each row carries that error unless its own checks fail first.
+    The crisp baseline's lot size and cost are computed once, at the first
+    row that passes its own checks; if they cannot be, each row that passes
+    its own checks carries that error, as a solve of that row alone would.
     """
     p = spec.params
-    baseline = _held_optimum(p, paper_baseline)
+    # cache keeps no exception, so a failing baseline raises afresh per row
+    baseline = cache(partial(_baseline, p, paper_baseline))
     out = []
     for i, spreads in enumerate(spec.rows):
         try:
@@ -243,15 +246,13 @@ def audit_table(
 
 @lru_cache(maxsize=8)
 def _audit(p: CrispParams, paper_baseline: bool) -> TableAudit:
-    base = _held_optimum(p, paper_baseline)
-    if isinstance(base, DomainError):
-        raise base
+    base = _baseline(p, paper_baseline)  # its error comes before any row's
     lot_zeta, tolerances, relative = _AUDIT_MODES[paper_baseline]
     audit_rows = []
     for i, ref in enumerate(load_reference_table()):
         spreads = ref.spreads
         d, z = defuzzified_rates(p.phi, p.psi, spreads)
-        recomputed = (d, z, *_lot_rule(p, d, lot_zeta(ref, z), base))
+        recomputed = (d, z, *_lot_rule(p, d, lot_zeta(ref, z), lambda: base))
         published = (ref.delta, ref.zeta, ref.q_star, ref.z_star, ref.rel_q, ref.rel_z)
         cells = tuple(map(_audit_cell, AUDIT_COLUMNS, recomputed, published, tolerances, relative))
         audit_rows.append(AuditRow(i, spreads, cells, zeta_sign_contradiction=ref.zeta <= 0.0))

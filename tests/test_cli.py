@@ -15,6 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fuzzy_eoq.model
+import fuzzy_eoq.sensitivity
 from fuzzy_eoq import (
     REFERENCE_PARAMS,
     CrispParams,
@@ -24,6 +26,7 @@ from fuzzy_eoq import (
     audit_table,
     crisp_optimal,
     fuzzy_optimal,
+    load_reference_table,
     run_sweep,
     zeta_quadrature,
 )
@@ -627,6 +630,43 @@ class TestVerifyTable:
         code, _, err = run(capsys, ["verify-table", "--psi", "5"])
         assert code == 2
         assert "d3 < psi" in err
+
+
+def _reference_sweep(paper):
+    spec = SweepSpec(REFERENCE_PARAMS, tuple(row.spreads for row in load_reference_table()))
+    assert all(row.record for row in run_sweep(spec, paper_baseline=paper))
+
+
+def _fuzzy_call(fmt):
+    def call(paper):
+        argv = ["fuzzy", *ROW1_FLAGS, "--format", fmt, *(["--paper-baseline"] if paper else [])]
+        assert run_captured(argv)[0] == 0
+    return call
+
+
+# each batch or command whose baseline is computed once
+BASELINE_ONCE = {
+    "sweep-reference": _reference_sweep,
+    **{f"fuzzy-{fmt}": _fuzzy_call(fmt) for fmt in ("human", "csv", "json")},
+    # the audit function behind audit_table's cache: a first audit
+    "first-audit": lambda paper: fuzzy_eoq.sensitivity._audit.__wrapped__(REFERENCE_PARAMS, paper),
+}
+
+
+class TestBaselineComputedOnce:
+    @pytest.mark.parametrize("paper", [False, True], ids=["default", "paper"])
+    @pytest.mark.parametrize("case", list(BASELINE_ONCE))
+    def test_one_crisp_optimum(self, case, paper, monkeypatch):
+        calls = []
+        crisp_optimum = fuzzy_eoq.model._crisp_optimum
+
+        def counting(p):
+            calls.append(p)
+            return crisp_optimum(p)
+
+        monkeypatch.setattr(fuzzy_eoq.model, "_crisp_optimum", counting)
+        BASELINE_ONCE[case](paper)
+        assert calls == [REFERENCE_PARAMS]
 
 
 class TestConfigHandling:

@@ -428,10 +428,14 @@ class TestBaselines:
         assert abs(rel_z - (-0.6943)) < 1e-3
 
 
+def _failing_baseline():
+    raise DomainError("held baseline")
+
+
 def _solve(p, spreads, relax_bounds=False):
-    """The solve step with a held baseline error, which it raises only once
-    the row's own checks pass."""
-    return fuzzy_eoq.model._solve(p, spreads, DomainError("held baseline"), relax_bounds)
+    """The solve step against a baseline that raises, which it asks for only
+    once the row's own checks pass."""
+    return fuzzy_eoq.model._solve(p, spreads, _failing_baseline, relax_bounds)
 
 
 _NAN, _INF = math.nan, math.inf
@@ -466,8 +470,8 @@ CHECK_CASES = [
     (lot_cost, (0.0, 100.0, 10.0, 600.0, 0.1), r"q > 0 violated \(got 0.0\)"),
     (lot_cost, (-1.0, 100.0, 10.0, 600.0, 0.1), r"q > 0 violated \(got -1.0\)"),
     (lot_cost, (1.0, 100.0, 10.0, 600.0, 0.1), None),
-    # the solve step: the row's spread, zeta and q checks come before a held
-    # baseline error; q* = sqrt(2 1e300 1e300 / 1e-300) is about 1.4e450
+    # the solve step: the row's spread, zeta and q checks come before the
+    # baseline's error; q* = sqrt(2 1e300 1e300 / 1e-300) is about 1.4e450
     (_solve, (PARAMS, FuzzySpreads(700.0, 1.0, 1.0, 1.0)),
      r"d1 < phi violated \(d1=700.0, phi=600.0\)"),
     (_solve, (CrispParams(1e-300, 1e-300, 1.0, 1.0), FuzzySpreads(_TINY, 1.0, _TINY, 1e300), True),
