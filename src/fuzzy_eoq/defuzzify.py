@@ -8,7 +8,10 @@ the fuzziness into the cost function:
   collapses to ``phi + (d2 - d1) / 4``;
 * ``zeta``, the signed distance of the fuzzy leakage fraction
   ``leakage / (demand + leakage)``, an exact antiderivative in logarithms
-  arranged so that nothing cancels.
+  arranged so that little cancels.  One band still does: just above
+  ``_SERIES_LIMIT``, ``_g`` computes ``log1p(t) / t - 1`` directly and
+  loses about 7 bits, so ``_g(-0.01023)`` is 3.6e-14 off a 60-digit
+  ``decimal`` evaluation (ROADMAP item 8, part B).
 
 ``defuzzified_rates`` returns both for one spread row; it is the step every
 solve and audit row takes.  ``zeta`` returns the second alone.  Each public
@@ -26,11 +29,10 @@ and the CLI report check the closed form against, and no solve calls it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .fuzzy import (TriangularFuzzyNumber, _quotient_distance, _require_finite,
-                    _require_positive)
+                    _require_positive, _value_type)
 
 # Below this |t|, log1p(t)/t - 1 is summed as a series: computed directly
 # it would subtract two nearly equal numbers.
@@ -39,7 +41,7 @@ _SERIES_LIMIT = 1e-2
 _INF = math.inf
 
 
-@dataclass(frozen=True, slots=True)
+@_value_type
 class FuzzySpreads:
     """Spreads around the crisp rates chosen by the decision maker.
 
@@ -212,11 +214,15 @@ def zeta(
     """Mean leakage fraction by the exact antiderivative.
 
     Integrating the quotient's cut endpoints over the membership levels
-    gives logarithms of 1 + d6/eta and 1 - d5/eta.  Written through
-    ``log1p(t)/t - 1``, which is summed as a series for small ``t``, the
-    expression has no cancellation, so it keeps full precision from
+    gives logarithms of 1 + d6/eta and 1 - d5/eta, written through
+    ``g(t) = log1p(t)/t - 1``, which is summed as a series for
+    ``|t| < _SERIES_LIMIT``.  Nothing is squared, so the result holds from
     near-degenerate spreads up to the bounds and at both ends of the
-    binary64 range.
+    binary64 range.  It is not free of cancellation: just above
+    ``_SERIES_LIMIT``, ``g`` is computed directly and loses about 7 bits
+    (``g(-0.01023)`` is 3.6e-14 off a 60-digit ``decimal`` evaluation),
+    which reaches ``zeta`` where that term dominates (ROADMAP item 8,
+    part B).
     """
     spreads.validate_against(phi, psi, relax_bounds=relax_bounds)
     return _closed_form(phi, psi, spreads)

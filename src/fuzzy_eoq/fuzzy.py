@@ -17,7 +17,7 @@ integrates the cut endpoints directly is kept alongside as an oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable
 
 from .errors import DomainError
@@ -35,7 +35,46 @@ def _require_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} > 0 violated (got {value!r})")
 
 
-@dataclass(frozen=True, slots=True)
+def _value_type(cls: type) -> type:
+    """Declare ``cls`` one of the package's value types: a frozen, slotted
+    dataclass whose ``__init__`` takes every field, in order and by the
+    field's name and annotation, stores each through its slot's
+    ``__set__`` and then runs ``__post_init__`` if the class has one.
+
+    Only the store differs from the ``__init__`` that dataclasses writes,
+    which goes through ``object.__setattr__`` and so the frozen class's
+    attribute lookup; equality, hashing, repr, pickling,
+    ``FrozenInstanceError`` and the ``dataclasses`` helpers are the
+    dataclass's own.  No field has a default: the ``__init__`` asks for
+    every one, and a default would raise ``TypeError`` here rather than
+    be dropped.
+    """
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    declared = fields(cls)
+    if any(f.default is not MISSING or f.default_factory is not MISSING or not f.init
+           for f in declared):
+        raise TypeError(f"{cls.__qualname__}: a value type's fields take no default")
+    names = [f.name for f in declared]
+    setters = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
+    body = [f"{setter}(self, {name})" for setter, name in zip(setters, names)]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    # the setters are closed over, as dataclasses closes over its helpers
+    source = (f"def make({', '.join(setters)}):\n"
+              f"    def __init__(self, {', '.join(names)}):\n"
+              + "".join(f"        {line}\n" for line in body)
+              + "    return __init__\n")
+    namespace: dict = {}
+    exec(source, {}, namespace)
+    init = namespace["make"](**setters)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    init.__annotations__ = {f.name: f.type for f in declared} | {"return": None}
+    cls.__init__ = init
+    return cls
+
+
+@_value_type
 class Interval:
     """A closed real interval [lo, hi]; the alpha-cut carrier.
 
@@ -101,7 +140,7 @@ class Interval:
         return Interval(self.lo / other.hi, self.hi / other.lo)
 
 
-@dataclass(frozen=True, slots=True)
+@_value_type
 class TriangularFuzzyNumber:
     """Fuzzy quantity (beta1, beta2, beta3): support ends around a peak.
 

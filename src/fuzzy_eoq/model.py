@@ -21,20 +21,19 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
 from .defuzzify import FuzzySpreads, defuzzified_rates
 from .errors import DomainError
-from .fuzzy import _require_finite, _require_positive
+from .fuzzy import _require_finite, _require_positive, _value_type
 
 _MIN_NORMAL = sys.float_info.min
 _MAX = sys.float_info.max
 _INF = math.inf
 
 
-@dataclass(frozen=True, slots=True)
+@_value_type
 class CrispParams:
     """Crisp model inputs: demand rate, leakage rate, holding and setup cost."""
 
@@ -55,7 +54,7 @@ class CrispParams:
         _require_positive("s", self.s)
 
 
-@dataclass(frozen=True, slots=True)
+@_value_type
 class CycleQuantities:
     """Timing of one replenishment cycle and the stock lost during it.
 
@@ -77,7 +76,7 @@ class CycleQuantities:
             raise DomainError(f"leaked >= 0 violated (got {self.leaked!r})")
 
 
-@dataclass(frozen=True, slots=True)
+@_value_type
 class SolutionRecord:
     """One solved instance: defuzzified inputs, the optimum, and the
     percent deviations from the crisp baseline."""

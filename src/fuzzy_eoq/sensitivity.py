@@ -32,11 +32,12 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, partial
-from importlib import resources
+from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .defuzzify import FuzzySpreads, defuzzified_rates
 from .errors import DomainError
+from .fuzzy import _value_type
 from .model import CrispParams, SolutionRecord, _baseline, _lot_rule, _solve
 
 REFERENCE_PARAMS = CrispParams(phi=600.0, psi=10.0, h=10.0, s=100.0)
@@ -56,7 +57,7 @@ _AUDIT_MODES = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@_value_type
 class SweepSpec:
     """A batch of spread rows to solve under one parameter set."""
 
@@ -64,7 +65,7 @@ class SweepSpec:
     rows: tuple[FuzzySpreads, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@_value_type
 class SweepRow:
     """Outcome for one sweep row: a record, or the error that stopped it."""
 
@@ -126,7 +127,7 @@ class ReferenceRow:
 @lru_cache(maxsize=1)
 def load_reference_table() -> tuple[ReferenceRow, ...]:
     """The published sensitivity table bundled with the package."""
-    text = resources.files(__package__).joinpath("data/reference_table.csv").read_text()
+    text = (Path(__file__).parent / "data" / "reference_table.csv").read_text()
     rows = []
     for raw in csv.DictReader(text.splitlines()):
         rows.append(ReferenceRow(**{key: float(val) for key, val in raw.items()}))
@@ -166,7 +167,7 @@ def _audit_cell(
     return AuditCell(column, recomputed, paper, tolerance, relative, abs_dev, rel_dev, passed)
 
 
-@dataclass(frozen=True, slots=True)
+@_value_type
 class AuditRow:
     index: int
     spreads: FuzzySpreads

@@ -3,7 +3,9 @@ for the test suite; the model inputs come from ``domain.valid_input``."""
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 
 from hypothesis import HealthCheck, assume, settings
 
@@ -60,6 +62,17 @@ def drawn_input(case, family: str | None = None) -> tuple[CrispParams, FuzzySpre
         return valid_input(case, family)
     except RuntimeError:
         assume(False)
+
+
+def rates_and_spreads(p: CrispParams, spreads: FuzzySpreads) -> tuple[float, ...]:
+    """The six operands of the leak fraction: phi, psi and d1 to d4."""
+    return (p.phi, p.psi, spreads.d1, spreads.d2, spreads.d3, spreads.d4)
+
+
+def all_normal(values) -> bool:
+    """Every value positive, finite and in the normal range: there scaling
+    by a power of two moves no rounding."""
+    return all(sys.float_info.min <= x < math.inf for x in values)
 
 
 def count_evaluations(monkeypatch) -> list[int]:

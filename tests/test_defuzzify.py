@@ -27,7 +27,7 @@ from fuzzy_eoq.defuzzify import _leak_fraction
 from fuzzy_eoq.quadrature import DEFAULT_TOL
 from fuzzy_eoq.sensitivity import load_reference_table
 
-from conftest import count_evaluations, drawn_input
+from conftest import all_normal, count_evaluations, drawn_input, rates_and_spreads
 from domain import FAMILIES, valid_input
 
 # frozen from a high-precision evaluation of the antiderivative
@@ -505,6 +505,31 @@ class TestOracleOperands:
         got = zeta_quadrature(phi, psi, spreads)
         monkeypatch.undo()
         assert _rel(got, zeta(phi, psi, spreads)) <= 1e-12
+
+
+class TestScaleLaw:
+    """Both zeta routes are scale-free: scaling the rates and spreads by a
+    power of two leaves their bits as they were, wherever the six operands
+    and their scaled copies are normal and the largest cut end stays
+    finite (Chen et al.'s metamorphic testing: no oracle is needed)."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=100)
+    @given(case=RNGS)
+    def test_power_of_two_scaling_keeps_the_bits(self, family, case):
+        p, sp, relax = drawn_input(case, family)
+        operands = rates_and_spreads(p, sp)
+        if not all_normal(operands):
+            return
+        closed = zeta(p.phi, p.psi, sp, relax_bounds=relax)
+        oracle = zeta_quadrature(p.phi, p.psi, sp, relax_bounds=relax)
+        for k in (-3, -1, 1, 2, 5):
+            phi, psi, *spreads = (x * 2.0**k for x in operands)
+            if not all_normal((phi, psi, *spreads, (phi + spreads[1]) + (psi + spreads[3]))):
+                continue
+            scaled = FuzzySpreads(*spreads)
+            assert zeta(phi, psi, scaled, relax_bounds=relax) == closed, k
+            assert zeta_quadrature(phi, psi, scaled, relax_bounds=relax) == oracle, k
 
 
 class TestLotRuleInputs:

@@ -13,6 +13,7 @@ from fuzzy_eoq import (
     TriangularFuzzyNumber,
     signed_distance_quadrature,
 )
+from fuzzy_eoq.fuzzy import _value_type
 
 from conftest import random_dyadic_alpha, random_dyadic_tfn, random_tfn
 
@@ -24,6 +25,14 @@ dyadic_alphas = st.randoms(use_true_random=False).map(random_dyadic_alpha)
 
 
 class TestConstruction:
+    def test_value_type_refuses_a_field_default(self):
+        # the generated __init__ asks for every field, so a default would be dropped
+        class WithDefault:
+            x: float = 0.0
+
+        with pytest.raises(TypeError, match="take no default"):
+            _value_type(WithDefault)
+
     def test_strict_ordering_accepted(self):
         b = TriangularFuzzyNumber(1.0, 2.0, 4.0)
         assert (b.beta1, b.beta2, b.beta3) == (1.0, 2.0, 4.0)

@@ -7,7 +7,7 @@ import sys
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fuzzy_eoq.model
@@ -26,8 +26,8 @@ from fuzzy_eoq import (
 )
 from fuzzy_eoq.model import _scaled_lot_size, percent_deviation
 
-from conftest import drawn_input
-from domain import reference_solve, valid_input
+from conftest import all_normal, drawn_input, rates_and_spreads
+from domain import FAMILIES, reference_solve, valid_input
 
 PARAMS = CrispParams(600.0, 10.0, 10.0, 100.0)
 ROW1 = FuzzySpreads(100.0, 100.0, 1.0, 1.0)
@@ -415,6 +415,21 @@ class TestBaselines:
         else:
             assert fuzzy_optimal(p, spreads, paper_baseline=paper_baseline,
                                  relax_bounds=relax) == expected
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=200)
+    @given(case=st.randoms(use_true_random=False))
+    def test_four_times_the_setup_cost_doubles_the_optimum(self, family, case):
+        # exact: the lot size is sqrt of a ratio that scales by 4, and each
+        # cost term scales by 2, wherever the rates and spreads are normal
+        p, spreads, relax = drawn_input(case, family)
+        if not all_normal(rates_and_spreads(p, spreads)):
+            return
+        rec = fuzzy_optimal(p, spreads, relax_bounds=relax)
+        scaled = fuzzy_optimal(CrispParams(p.phi, p.psi, p.h, 4.0 * p.s), spreads,
+                               relax_bounds=relax)
+        assert (scaled.q_star, scaled.z_star) == (2.0 * rec.q_star, 2.0 * rec.z_star)
+        assert (scaled.rel_q, scaled.rel_z) == (rec.rel_q, rec.rel_z)
 
     def test_rel_metrics_replayed_reference_row(self):
         # replay the first published row's zeta, compare against the
