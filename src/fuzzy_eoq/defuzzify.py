@@ -13,10 +13,11 @@ the fuzziness into the cost function:
   loses about 7 bits, so ``_g(-0.01023)`` is 3.6e-14 off a 60-digit
   ``decimal`` evaluation (ROADMAP item 8, part B).
 
-``defuzzified_rates`` returns both for one spread row; it is the step every
-solve and audit row takes.  ``zeta`` returns the second alone.  Each public
-route checks its input once, in ``FuzzySpreads.validate_against``: the
-rates, then the spread bounds, then the largest cut sum.
+``defuzzified_rates`` returns both for one spread row; every audit row
+calls it, and the solve step takes its two steps inline.  ``zeta`` returns
+the second alone.  Each public route checks its input once, in
+``FuzzySpreads.validate_against``: the rates, then the spread bounds, then
+the largest cut sum.
 ``zeta_quadrature`` integrates the alpha-cut endpoints of that quotient
 adaptively instead, each cut's pole flattened by one change of variable on
 every input.  It reads the operands as the six floats that

@@ -24,7 +24,7 @@ import sys
 from functools import partial
 from typing import Callable
 
-from .defuzzify import FuzzySpreads, defuzzified_rates
+from .defuzzify import FuzzySpreads, _closed_form
 from .errors import DomainError
 from .fuzzy import _require_finite, _require_positive, _value_type
 
@@ -231,17 +231,26 @@ def _baseline(p: CrispParams, paper_baseline: bool) -> tuple[float, float]:
 
 def _lot_rule(
     p: CrispParams, delta: float, zeta_value: float, baseline: Callable[[], tuple[float, float]]
-) -> tuple[float, float, float, float]:
-    """Optimal lot size at (delta, zeta_value), its cost, and their percent
-    deviations from ``baseline()``'s lot size and cost ``(q*, Z*)``: the step
-    every fuzzy row and both audit modes take.  Every caller passes a
-    positive, finite ``delta`` and a finite ``zeta_value`` above -1, so only
-    the lot size is checked, by ``lot_cost``; the baseline is asked for
-    after that check, so a row's own error comes before the baseline's."""
-    q = _lot_size(p.s, p.h, delta, 1.0 + zeta_value)
-    z_star = lot_cost(q, p.s, p.h, delta, zeta_value)
+) -> SolutionRecord:
+    """The record of the optimal lot size at (delta, zeta_value), its cost,
+    and their percent deviations from ``baseline()``'s lot size and cost
+    ``(q*, Z*)``: the step every fuzzy row and both audit modes take.  Every
+    caller passes a positive, finite ``delta`` and a finite ``zeta_value``
+    above -1, so only the lot size is checked, as ``lot_cost`` checks it; the
+    baseline is asked for after that check, so a row's own error comes
+    before the baseline's, and the record checks the rest.  The cost and
+    the deviations are the formulas of ``lot_cost`` and
+    ``percent_deviation``, written here so that a row calls no function for
+    them.  The paper audit passes the published zeta, which the record then
+    holds; an audit reads only the lot size, the cost and the deviations."""
+    s, h = p.s, p.h
+    q = _lot_size(s, h, delta, 1.0 + zeta_value)
+    if not 0.0 < q < _INF:
+        _require_positive("q", q)
+    z_star = q * h / 2.0 + (s / q) * delta + (q * h / 2.0) * zeta_value
     base_q, base_z = baseline()
-    return q, z_star, percent_deviation(q, base_q), percent_deviation(z_star, base_z)
+    return SolutionRecord(delta, zeta_value, q, z_star,
+                          (q - base_q) / base_q * 100.0, (z_star - base_z) / base_z * 100.0)
 
 
 def _solve(
@@ -251,9 +260,13 @@ def _solve(
     relax_bounds: bool,
 ) -> SolutionRecord:
     """One row solved against ``baseline()``: the step ``fuzzy_optimal``,
-    ``run_sweep`` and the CLI's ``fuzzy`` command share."""
-    d, z = defuzzified_rates(p.phi, p.psi, spreads, relax_bounds=relax_bounds)
-    return SolutionRecord(d, z, *_lot_rule(p, d, z, baseline))
+    ``run_sweep`` and the CLI's ``fuzzy`` command share.  It checks the
+    spreads once and forms ``delta`` and ``zeta`` as ``defuzzified_rates``
+    does, then takes the lot-rule step."""
+    phi, psi = p.phi, p.psi
+    spreads.validate_against(phi, psi, relax_bounds=relax_bounds)
+    delta = phi + (spreads.d2 - spreads.d1) / 4.0
+    return _lot_rule(p, delta, _closed_form(phi, psi, spreads), baseline)
 
 
 def fuzzy_optimal(

@@ -29,6 +29,7 @@ the positivity of the recomputed fraction.
 from __future__ import annotations
 
 import csv
+import gc
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, partial
@@ -88,18 +89,32 @@ def run_sweep(
     The crisp baseline's lot size and cost are computed once, at the first
     row that passes its own checks; if they cannot be, each row that passes
     its own checks carries that error, as a solve of that row alone would.
+
+    The cyclic garbage collector is paused while the rows are built and
+    restored to its prior state on every exit, an exception included.  A
+    sweep makes no reference cycles: a row holds its index, the caller's
+    spreads, a record of floats and a message string.  So a collection
+    during the sweep would free nothing; it would only walk the rows built
+    so far again.  The trade-off: cyclic garbage that another thread makes
+    meanwhile is not collected until the sweep returns.
     """
     p = spec.params
     # cache keeps no exception, so a failing baseline raises afresh per row
     baseline = cache(partial(_baseline, p, paper_baseline))
     out = []
-    for i, spreads in enumerate(spec.rows):
-        try:
-            record = _solve(p, spreads, baseline, relax_bounds)
-        except DomainError as exc:
-            out.append(SweepRow(i, spreads, None, str(exc)))
-        else:
-            out.append(SweepRow(i, spreads, record, None))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for i, spreads in enumerate(spec.rows):
+            try:
+                record = _solve(p, spreads, baseline, relax_bounds)
+            except DomainError as exc:
+                out.append(SweepRow(i, spreads, None, str(exc)))
+            else:
+                out.append(SweepRow(i, spreads, record, None))
+    finally:
+        if was_enabled:
+            gc.enable()
     return tuple(out)
 
 
@@ -253,7 +268,8 @@ def _audit(p: CrispParams, paper_baseline: bool) -> TableAudit:
     for i, ref in enumerate(load_reference_table()):
         spreads = ref.spreads
         d, z = defuzzified_rates(p.phi, p.psi, spreads)
-        recomputed = (d, z, *_lot_rule(p, d, lot_zeta(ref, z), lambda: base))
+        lot = _lot_rule(p, d, lot_zeta(ref, z), lambda: base)
+        recomputed = (d, z, lot.q_star, lot.z_star, lot.rel_q, lot.rel_z)
         published = (ref.delta, ref.zeta, ref.q_star, ref.z_star, ref.rel_q, ref.rel_z)
         cells = tuple(map(_audit_cell, AUDIT_COLUMNS, recomputed, published, tolerances, relative))
         audit_rows.append(AuditRow(i, spreads, cells, zeta_sign_contradiction=ref.zeta <= 0.0))

@@ -532,6 +532,27 @@ class TestScaleLaw:
             assert zeta_quadrature(phi, psi, scaled, relax_bounds=relax) == oracle, k
 
 
+class TestHullLaw:
+    """Both zeta routes lie in the hull of the leak fraction's cuts: no
+    lower than the least leakage over the largest total, no higher than the
+    largest leakage over the least total, each formed as the oracle forms
+    its cut ends.  Checked wherever the six operands are normal; the hull is
+    not widened for rounding (Chen et al.'s metamorphic testing)."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=100)
+    @given(case=RNGS)
+    def test_both_routes_lie_in_the_hull(self, family, case):
+        p, sp, relax = drawn_input(case, family)
+        if not all_normal(rates_and_spreads(p, sp)):
+            return
+        phi, psi = p.phi, p.psi
+        lo = (psi - sp.d3) / ((phi + sp.d2) + (psi + sp.d4))
+        hi = (psi + sp.d4) / ((phi - sp.d1) + (psi - sp.d3))
+        assert lo <= zeta(phi, psi, sp, relax_bounds=relax) <= hi
+        assert lo <= zeta_quadrature(phi, psi, sp, relax_bounds=relax) <= hi
+
+
 class TestLotRuleInputs:
     """The lot rule takes ``delta`` and ``zeta`` unchecked from
     ``defuzzified_rates`` and from the published table: ``delta`` must be

@@ -1,13 +1,19 @@
 """Tests for the sweep runner and the reference-table audit."""
 
 import dataclasses
+import gc
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from domain import reference_solve, valid_input
+from conftest import drawn_input
+from domain import FAMILIES, reference_solve, valid_input
 from fuzzy_eoq import (
     AUDIT_COLUMNS,
     REFERENCE_PARAMS,
@@ -32,6 +38,16 @@ from fuzzy_eoq.model import percent_deviation
 from fuzzy_eoq.sensitivity import _audit, _audit_cell
 
 NEGATIVE_ZETA_ROWS = (2, 3, 4, 5, 6, 9, 10, 11, 12, 15, 16, 17, 18)  # 1-based
+CONFIG_ROWS = tuple(
+    FuzzySpreads(**row)
+    for row in json.loads((Path(__file__).parent / "golden" / "configs" / "sweep.json")
+                          .read_text())["sweep"])
+# the crisp optimum of these params is below one unit, so the whole-unit
+# baseline cannot be built
+BELOW_ONE_UNIT = CrispParams(600.0, 10.0, 10.0, 1e-6)
+# a crisp cost of 1.78e308, so some reference rows' costs overflow
+COST_EDGE = CrispParams(600.0, 10.0, 5.1e306, 5.1e306)
+RNGS = st.randoms(use_true_random=False)
 
 
 class TestReferenceTable:
@@ -100,6 +116,28 @@ def _seeded_rows(rng, p, n):
     return tuple(rows)
 
 
+def _family_rows(rng, family, n):
+    """``n`` spread rows under one ``CrispParams`` drawn from ``family``, and
+    the family's ``relax_bounds``.  The first row is the draw's own spreads;
+    each other row is another draw's spreads taken as the same shares of
+    these rates, which may round out of the domain.  A share that over- or
+    underflows at these rates builds no row."""
+    p, spreads, relax = drawn_input(rng, family)
+    rows = [spreads]
+    for _ in range(n - 1):
+        q, other, _ = drawn_input(rng, family)
+        try:
+            rows.append(FuzzySpreads(p.phi * (other.d1 / q.phi), p.phi * (other.d2 / q.phi),
+                                     p.psi * (other.d3 / q.psi), p.psi * (other.d4 / q.psi)))
+        except DomainError:
+            pass
+    return p, tuple(rows), relax
+
+
+def _bits(record):
+    return [getattr(record, field.name).hex() for field in dataclasses.fields(record)]
+
+
 class TestSweep:
     def test_reference_rows_match_single_solves(self):
         rng = random.Random(20220218)
@@ -125,6 +163,24 @@ class TestSweep:
                 else:
                     assert res.error is None
                     assert res.record == expected
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=40)
+    @given(case=RNGS)
+    def test_every_family_matches_reference_solve(self, family, case):
+        p, rows, relax = _family_rows(case, family, 6)
+        for paper_baseline in (False, True):
+            results = run_sweep(SweepSpec(p, rows), paper_baseline=paper_baseline,
+                                relax_bounds=relax)
+            assert [res.spreads for res in results] == list(rows)
+            for res in results:
+                try:
+                    expected = reference_solve(p, res.spreads, paper_baseline, relax)
+                except DomainError as exc:
+                    assert (res.record, res.error) == (None, str(exc))
+                else:
+                    assert res.error is None
+                    assert _bits(res.record) == _bits(expected)
 
     def test_unbuildable_baseline_reported_after_row_errors(self):
         # the crisp optimum of these params is below one unit, so the
@@ -210,6 +266,58 @@ class TestSweep:
         assert plain.q_star == rounded.q_star
         assert plain.z_star == rounded.z_star
         assert plain.rel_q != rounded.rel_q
+
+
+class TestCollectorPause:
+    """``run_sweep`` pauses the cyclic collector while it builds its rows and
+    restores its state on every exit; the rows it builds hold no cycle."""
+
+    # (params, rows, paper_baseline, which rows solve; None: the sweep raises)
+    SWEEPS = {
+        "clean": (REFERENCE_PARAMS, CONFIG_ROWS[:1], False, [True]),
+        "row-errors": (REFERENCE_PARAMS, CONFIG_ROWS, False, [True, False, True, False]),
+        "whole-unit-baseline": (BELOW_ONE_UNIT, CONFIG_ROWS, True, [False] * 4),
+        "not-spreads": (REFERENCE_PARAMS, (CONFIG_ROWS[0], (100.0, 100.0, 1.0, 1.0)), False,
+                        None),
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_state_is_restored(self, sweep, enabled):
+        p, rows, paper_baseline, solved = self.SWEEPS[sweep]
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if solved is None:
+                with pytest.raises(AttributeError):
+                    run_sweep(SweepSpec(p, rows), paper_baseline=paper_baseline)
+            else:
+                results = run_sweep(SweepSpec(p, rows), paper_baseline=paper_baseline)
+                assert [res.error is None for res in results] == solved
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_sweep_leaves_no_cyclic_garbage(self):
+        p = REFERENCE_PARAMS
+        sweeps = (
+            (p, tuple(row.spreads for row in load_reference_table())),
+            # d1 < phi, then d3 < psi broken
+            (p, (FuzzySpreads(700.0, 1.0, 1.0, 1.0), FuzzySpreads(1.0, 1.0, 15.0, 1.0))),
+            (BELOW_ONE_UNIT, CONFIG_ROWS),
+        )
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for (params, rows), paper_baseline in itertools.product(sweeps, (False, True)):
+                results = run_sweep(SweepSpec(params, rows), paper_baseline=paper_baseline)
+                assert len(results) == len(rows)
+            del results
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestAuditStructure:
@@ -356,6 +464,16 @@ class TestAuditErrors:
         with pytest.raises(DomainError, match="d3 < psi"):
             audit_table(CrispParams(600.0, 5.0, 10.0, 100.0))
 
+    def test_overflowing_row_cost_raises_as_its_solve_does(self):
+        # the crisp cost is 1.78e308; row 7's is past the largest float
+        assert crisp_optimal(COST_EDGE).z_star < math.inf
+        row = load_reference_table()[6]
+        with pytest.raises(DomainError) as solve:
+            fuzzy_optimal(COST_EDGE, row.spreads)
+        with pytest.raises(DomainError) as audit:
+            audit_table(COST_EDGE)
+        assert str(audit.value) == str(solve.value) == "z_star must be finite (got inf)"
+
 
 class TestAuditCache:
     """Each (params, mode) audit is computed once per process and kept."""
@@ -382,7 +500,12 @@ class TestAuditCache:
         (CrispParams(50.0, 10.0, 10.0, 1e-6), True,
          r"the whole-unit baseline needs a crisp optimum and cost of at least one unit"),
         (CrispParams(1.7e16, 1.0, 1e-300, 1e300), False, r"q must be finite \(got inf\)$"),
-    ], ids=["row", "whole-unit-baseline", "baseline-overflow"])
+        # the baseline's cost is finite and a row's overflows: the row's
+        # record rejects it, as a solve of that row does
+        (COST_EDGE, False, r"z_star must be finite \(got inf\)$"),
+        (COST_EDGE, True, r"z_star must be finite \(got inf\)$"),
+    ], ids=["row", "whole-unit-baseline", "baseline-overflow", "row-cost-overflow",
+            "paper-row-cost-overflow"])
     def test_failures_are_not_kept(self, p, paper_baseline, message):
         size = _audit.cache_info().currsize
         errors = []
