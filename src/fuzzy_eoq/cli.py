@@ -3,9 +3,10 @@
 ``main`` merges the config file and the flags once; each command returns one ``_Result``,
 and one renderer per output format turns it into text.  JSON is written into a layout
 made once per payload shape and audit mode, the argument parser is built on the first
-call, and ``audit_table`` keeps each audit it computes; all three are reused by every
-later call, so ``main(argv)`` may be called many times in one process, and a repeated
-``verify-table`` audits nothing.
+call, ``audit_table`` keeps each audit it computes, and the text of each kept audit is
+kept per format; all four are reused by every later call, so ``main(argv)`` may be
+called many times in one process, and a repeated ``verify-table`` audits and renders
+nothing.
 
 Exit codes: 0 on success, 1 when a sweep had failing rows or the table
 audit found deviations, 2 on invalid parameters, spreads, or config, on a
@@ -30,7 +31,7 @@ from .errors import DomainError, QuadratureError
 from .model import (CrispParams, CycleQuantities, SolutionRecord, _baseline, _solve,
                     crisp_optimal, cycle_quantities)
 from .sensitivity import (_AUDIT_MODES, AUDIT_COLUMNS, REFERENCE_PARAMS, AuditRow, SweepSpec,
-                          audit_table, load_reference_table, run_sweep)
+                          TableAudit, audit_table, load_reference_table, run_sweep)
 
 _KEYS = [tuple(field.name for field in fields(cls))
          for cls in (CrispParams, FuzzySpreads, SolutionRecord, CycleQuantities)]
@@ -140,12 +141,14 @@ class _Result(NamedTuple):
     """What one command produced: a lazy builder per output form, and the exit code.
     Only the requested builder runs, so a large csv sweep builds no JSON payload.
     The json builder gives a layout and its leaves in slot order.  Table cells need
-    no csv quoting: they are float reprs, integers, names, true, false or empty."""
+    no csv quoting: they are float reprs, integers, names, true, false or empty.
+    A kept result has ``texts``, where ``_render`` keeps its text per format."""
 
     json: Callable[[], tuple[tuple[str, list[Callable[[list], str]]], tuple]]
     table: Callable[[], tuple[list[str], Iterable[Iterable[str]]]]
     lines: Callable[[], Iterable[str]]
     code: int = 0
+    texts: Optional[dict[str, str]] = None
 
 
 def _fmt(value: float) -> str:
@@ -182,6 +185,16 @@ _RENDERERS: dict[str, Callable[[_Result], str]] = {
     "csv": _render_csv,
     "json": _render_json,
 }
+
+
+def _render(result: _Result, fmt: str) -> str:
+    """The result's text in ``fmt``, rendered once per format for a kept result."""
+    if result.texts is None:
+        return _RENDERERS[fmt](result)
+    text = result.texts.get(fmt)
+    if text is None:
+        text = result.texts[fmt] = _RENDERERS[fmt](result)
+    return text
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -345,9 +358,22 @@ def _sweep(args: argparse.Namespace) -> _Result:
     )
 
 
+# the result of each kept audit, keyed by the audit's identity (its hash walks every
+# cell), most recently used last; a result's builders hold its audit, so no other
+# object can take that identity while the result is kept
+_KEPT: dict[int, _Result] = {}
+
+
 def _verify_table(args: argparse.Namespace) -> _Result:
     audit = audit_table(args.params, paper_baseline=args.paper_baseline)
+    result = _KEPT.pop(id(audit), None) or _audit_result(audit)
+    _KEPT[id(audit)] = result
+    if len(_KEPT) > 8:  # as many as audit_table keeps
+        del _KEPT[next(iter(_KEPT))]
+    return result
 
+
+def _audit_result(audit: TableAudit) -> _Result:
     def lines() -> Iterable[str]:
         mode = ("replayed published zeta, truncated baseline" if audit.paper_baseline
                 else "recomputed pipeline, exact baseline")
@@ -394,6 +420,7 @@ def _verify_table(args: argparse.Namespace) -> _Result:
                                         _leaf(row.zeta_sign_contradiction)] for row in audit.rows)),
         lines=lines,
         code=0 if audit.hard_pass and not audit.deviations else 1,
+        texts={},
     )
 
 
@@ -445,7 +472,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args.rows = _sweep_rows(cfg, args)
         del cfg  # a parsed 10^4-row sweep config is megabytes; free it before solving
         result = args.handler(args)
-        _emit(_RENDERERS[args.format](result), args.out)
+        _emit(_render(result, args.format), args.out)
         return result.code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -97,6 +97,13 @@ def run_sweep(
     during the sweep would free nothing; it would only walk the rows built
     so far again.  The trade-off: cyclic garbage that another thread makes
     meanwhile is not collected until the sweep returns.
+
+    The pause ends with one young collection, which walks the rows once and
+    frees nothing: the collector counts the objects made while it was off,
+    so the first allocation after ``gc.enable`` runs it.  That cost is
+    inherent.  Building the result tuple while the collector is still off
+    only moves the collection to the caller's next allocation; it does not
+    remove it.
     """
     p = spec.params
     # cache keeps no exception, so a failing baseline raises afresh per row
@@ -184,6 +191,10 @@ def _audit_cell(
 
 @_value_type
 class AuditRow:
+    """One audited table row: its index and spreads, one cell per column of
+    ``AUDIT_COLUMNS`` in that order, and whether its published zeta is not
+    positive, which contradicts the strictly positive recomputed fraction."""
+
     index: int
     spreads: FuzzySpreads
     cells: tuple[AuditCell, ...]

@@ -30,8 +30,8 @@ from fuzzy_eoq import (
     run_sweep,
     zeta_quadrature,
 )
-from fuzzy_eoq.cli import (_LIST, _NUMBER, _TEXT, _build_parser, _leaf, _render_json, _Result,
-                           _shape, main)
+from fuzzy_eoq.cli import (_KEPT, _LIST, _NUMBER, _RENDERERS, _TEXT, _build_parser, _leaf,
+                           _render_json, _Result, _shape, main)
 
 from conftest import drawn_input
 
@@ -53,6 +53,13 @@ def run_captured(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def fresh_audit(monkeypatch):
+    """Make each later ``verify-table`` compute a new audit, which nothing has rendered."""
+    audit = fuzzy_eoq.sensitivity._audit.__wrapped__
+    monkeypatch.setattr("fuzzy_eoq.cli.audit_table",
+                        lambda params, paper_baseline: audit(params, paper_baseline))
 
 
 def generic_sweep_outputs(entries, paper, relax):
@@ -517,6 +524,7 @@ class TestJsonLayout:
     def test_layouts_are_made_once(self, monkeypatch):
         for argv in (["crisp"], ["fuzzy", *ROW1_FLAGS], ["sweep", "--reference"], ["verify-table"]):
             run_captured([*argv, "--format", "json"])
+        fresh_audit(monkeypatch)
         indented = []
         dumps = json.dumps
 
@@ -538,6 +546,7 @@ class TestJsonLayout:
         # row's sign flag go through the slot filler
         argv = ["verify-table", *flags, "--format", "json"]
         warm = run_captured(argv)
+        fresh_audit(monkeypatch)
         calls = []
         leaf = _leaf
 
@@ -547,7 +556,7 @@ class TestJsonLayout:
 
         monkeypatch.setattr("fuzzy_eoq.cli._leaf", counting)
         assert run_captured(argv) == warm
-        assert len(calls) <= 20
+        assert 0 < len(calls) <= 20
 
     @pytest.mark.parametrize("paper", [False, True])
     def test_audit_cells_match_the_audit_at_other_params(self, paper):
@@ -630,6 +639,65 @@ class TestVerifyTable:
         code, _, err = run(capsys, ["verify-table", "--psi", "5"])
         assert code == 2
         assert "d3 < psi" in err
+
+
+class TestKeptRender:
+    """``verify-table`` renders each audit that ``audit_table`` keeps once per
+    format; a later call with that audit writes the kept text."""
+
+    @pytest.mark.parametrize("fmt", list(_RENDERERS))
+    def test_repeat_renders_nothing(self, monkeypatch, fmt):
+        argv = ["verify-table", "--paper-baseline", "--format", fmt]
+        first = run_captured(argv)
+
+        def fail(*args):
+            raise AssertionError("rendered again")
+
+        for name in _RENDERERS:
+            monkeypatch.setitem(_RENDERERS, name, fail)
+        monkeypatch.setattr("fuzzy_eoq.cli._audit_texts", fail)
+        assert run_captured(argv) == first
+
+    @pytest.mark.parametrize("fresh, renders", [("cache_clear", 1), ("patched", 2)])
+    def test_a_new_audit_is_rendered_afresh(self, monkeypatch, fresh, renders):
+        argv = ["verify-table", "--format", "csv"]
+        first = run_captured(argv)
+        if fresh == "cache_clear":
+            fuzzy_eoq.sensitivity._audit.cache_clear()
+        else:
+            fresh_audit(monkeypatch)
+        rendered = []
+        render = _RENDERERS["csv"]
+
+        def counting(result):
+            rendered.append(result)
+            return render(result)
+
+        monkeypatch.setitem(_RENDERERS, "csv", counting)
+        assert run_captured(argv) == run_captured(argv) == first
+        assert len(rendered) == renders
+
+    def test_out_writes_the_kept_text(self, tmp_path):
+        argv = ["verify-table", "--format", "json"]
+        code, out, _ = run_captured(argv)
+        for path in (tmp_path / "first.json", tmp_path / "again.json"):
+            assert run_captured([*argv, "--out", str(path)]) == (code, "", "")
+            assert path.read_text() == out
+
+    def test_at_most_eight_audits_are_kept(self):
+        phis = range(601, 610)
+        for phi in phis:
+            assert run_captured(["verify-table", "--phi", str(phi), "--format", "csv"])[0] == 1
+        # audit_table keeps the last eight of these audits, and their results are the ones kept
+        latest = {id(audit_table(CrispParams(phi, 10.0, 10.0, 100.0))) for phi in phis[1:]}
+        assert set(_KEPT) == latest
+
+    def test_a_failing_audit_keeps_nothing(self):
+        kept = dict(_KEPT)
+        for _ in range(2):
+            code, out, err = run_captured(["verify-table", "--psi", "5"])
+            assert (code, out) == (2, "") and "d3 < psi" in err
+        assert _KEPT == kept
 
 
 def _reference_sweep(paper):

@@ -20,3 +20,12 @@ def test_all_is_exactly_the_public_names():
     assert set(fuzzy_eoq.__all__) == PUBLIC_NAMES
     for name in fuzzy_eoq.__all__:
         assert getattr(fuzzy_eoq, name) is not None
+
+
+def test_every_public_class_has_its_own_docstring():
+    # dataclasses and NamedTuple give a class without one a generated "Name(...)" line
+    for name in fuzzy_eoq.__all__:
+        obj = getattr(fuzzy_eoq, name)
+        if isinstance(obj, type):
+            doc = obj.__dict__.get("__doc__")
+            assert doc and not doc.startswith(f"{name}("), name
