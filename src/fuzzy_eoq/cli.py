@@ -6,7 +6,11 @@ made once per payload shape and audit mode, the argument parser is built on the 
 call, ``audit_table`` keeps each audit it computes, and the text of each kept audit is
 kept per format; all four are reused by every later call, so ``main(argv)`` may be
 called many times in one process, and a repeated ``verify-table`` audits and renders
-nothing.
+nothing.  A ``sweep --reference`` is solved once per process for each key, the bits of
+the four params (so ``psi = -0.0`` and ``psi = 0.0`` differ) and the two flags, for at
+most 8 keys; its text is kept per format and its row errors with it, so a repeated
+``sweep --reference`` solves and renders nothing and writes the same stdout, stderr and
+exit code.  A sweep of config rows is solved afresh on every call.
 
 Exit codes: 0 on success, 1 when a sweep had failing rows or the table
 audit found deviations, 2 on invalid parameters, spreads, or config, on a
@@ -142,13 +146,15 @@ class _Result(NamedTuple):
     Only the requested builder runs, so a large csv sweep builds no JSON payload.
     The json builder gives a layout and its leaves in slot order.  Table cells need
     no csv quoting: they are float reprs, integers, names, true, false or empty.
-    A kept result has ``texts``, where ``_render`` keeps its text per format."""
+    A kept result has ``texts``, where ``_render`` keeps its text per format.
+    ``err`` is what the command writes to stderr before its output."""
 
     json: Callable[[], tuple[tuple[str, list[Callable[[list], str]]], tuple]]
     table: Callable[[], tuple[list[str], Iterable[Iterable[str]]]]
     lines: Callable[[], Iterable[str]]
     code: int = 0
     texts: Optional[dict[str, str]] = None
+    err: str = ""
 
 
 def _fmt(value: float) -> str:
@@ -329,18 +335,44 @@ def _fuzzy(args: argparse.Namespace) -> _Result:
     )
 
 
+# each kept result, most recently used last: an audit's, keyed by the audit's identity
+# (its hash walks every cell; a result's builders hold its audit, so no other object
+# can take that identity while the result is kept), and a reference sweep's, keyed by
+# the bits of its params and its flags (0.0 and -0.0 print differently)
+_KEPT: dict[int, _Result] = {}
+_KEPT_SWEEPS: dict[tuple, _Result] = {}
+
+
+def _keep(kept: dict, key: object, make: Callable[[], _Result]) -> _Result:
+    """The result kept under ``key``, or ``make()``'s, kept; at most 8, as
+    many as ``audit_table`` keeps."""
+    result = kept.pop(key, None) or make()
+    kept[key] = result
+    if len(kept) > 8:
+        del kept[next(iter(kept))]
+    return result
+
+
 def _sweep(args: argparse.Namespace) -> _Result:
     if not args.rows:
         raise DomainError("sweep requires rows: pass --reference or a config "
                           "with a non-empty sweep list")
-    spec = SweepSpec(params=args.params, rows=args.rows)
-    results = run_sweep(spec, paper_baseline=args.paper_baseline, relax_bounds=args.relax_bounds)
+    p, paper, relax = args.params, args.paper_baseline, args.relax_bounds
+    if not args.reference:  # config rows are never kept
+        return _sweep_result(p, args.rows, paper, relax)
+    key = (*map(float.hex, _param_values(p)), paper, relax)
+    return _keep(_KEPT_SWEEPS, key,
+                 lambda: _sweep_result(p, args.rows, paper, relax)._replace(texts={}))
+
+
+def _sweep_result(p: CrispParams, rows: tuple[FuzzySpreads, ...], paper: bool,
+                  relax: bool) -> _Result:
+    results = run_sweep(SweepSpec(params=p, rows=rows), paper_baseline=paper, relax_bounds=relax)
     solved = [row for row in results if row.record is not None]
     failed = [row for row in results if row.record is None]
-    sys.stderr.write("".join(f"row {row.index + 1}: {row.error}\n" for row in failed))
 
     def lines() -> Iterable[str]:
-        yield from (f"sweep ({_pairs(args.params, _PARAM_KEYS)})", _SWEEP_HEADING)
+        yield from (f"sweep ({_pairs(p, _PARAM_KEYS)})", _SWEEP_HEADING)
         for row in results:
             yield (_SWEEP_FAILED.format(row.index + 1, row.error) if row.record is None else
                    _SWEEP_ROW.format(row.index + 1, *_solution_values(row.spreads, row.record)))
@@ -348,29 +380,20 @@ def _sweep(args: argparse.Namespace) -> _Result:
 
     return _Result(
         json=lambda: (_SWEEP_JSON(), (
-            *_param_values(args.params), _leaf(args.paper_baseline), _leaf(args.relax_bounds),
+            *_param_values(p), _leaf(paper), _leaf(relax),
             [(row.index + 1, *_solution_values(row.spreads, row.record)) for row in solved],
             [(row.index + 1, _leaf(row.error)) for row in failed])),
         table=lambda: (_SOLUTION_HEADER,
                        (_cells(_solution_values(row.spreads, row.record)) for row in solved)),
         lines=lines,
         code=1 if failed else 0,
+        err="".join(f"row {row.index + 1}: {row.error}\n" for row in failed),
     )
-
-
-# the result of each kept audit, keyed by the audit's identity (its hash walks every
-# cell), most recently used last; a result's builders hold its audit, so no other
-# object can take that identity while the result is kept
-_KEPT: dict[int, _Result] = {}
 
 
 def _verify_table(args: argparse.Namespace) -> _Result:
     audit = audit_table(args.params, paper_baseline=args.paper_baseline)
-    result = _KEPT.pop(id(audit), None) or _audit_result(audit)
-    _KEPT[id(audit)] = result
-    if len(_KEPT) > 8:  # as many as audit_table keeps
-        del _KEPT[next(iter(_KEPT))]
-    return result
+    return _keep(_KEPT, id(audit), lambda: _audit_result(audit))
 
 
 def _audit_result(audit: TableAudit) -> _Result:
@@ -472,6 +495,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args.rows = _sweep_rows(cfg, args)
         del cfg  # a parsed 10^4-row sweep config is megabytes; free it before solving
         result = args.handler(args)
+        sys.stderr.write(result.err)
         _emit(_render(result, args.format), args.out)
         return result.code
     except DomainError as exc:

@@ -700,6 +700,116 @@ class TestKeptRender:
         assert _KEPT == kept
 
 
+def counting_sweeps(monkeypatch) -> list:
+    """Record the params of every ``run_sweep`` the CLI makes from here on."""
+    calls = []
+
+    def counting(spec, **kwargs):
+        calls.append(spec.params)
+        return run_sweep(spec, **kwargs)
+
+    monkeypatch.setattr("fuzzy_eoq.cli.run_sweep", counting)
+    return calls
+
+
+class TestKeptSweep:
+    """``sweep --reference`` solves and renders once per process for each
+    key: the bits of the four params and the two flags.  A later call with
+    that key writes the kept stdout and stderr and returns the kept code."""
+
+    @pytest.fixture(autouse=True)
+    def empty_keep(self, monkeypatch):
+        monkeypatch.setattr("fuzzy_eoq.cli._KEPT_SWEEPS", {})
+
+    @pytest.mark.parametrize("flags", FLAG_SETS)
+    @pytest.mark.parametrize("fmt", list(_RENDERERS))
+    def test_repeat_solves_and_renders_nothing(self, monkeypatch, fmt, flags):
+        argv = ["sweep", "--reference", *flags, "--format", fmt]
+        first = run_captured(argv)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("solved or rendered again")
+
+        for name in _RENDERERS:
+            monkeypatch.setitem(_RENDERERS, name, fail)
+        monkeypatch.setattr("fuzzy_eoq.cli.run_sweep", fail)
+        assert run_captured(argv) == first
+
+    @pytest.mark.parametrize("fmt", list(_RENDERERS))
+    def test_row_errors_are_replayed(self, fmt):
+        # phi = 150 is not above d1 in rows 7-18: twelve rows fail, six solve
+        argv = ["sweep", "--reference", "--phi", "150", "--format", fmt]
+        first = run_captured(argv)
+        code, _, err = first
+        assert code == 1
+        assert [line.partition(":")[0] for line in err.splitlines()] == [
+            f"row {i}" for i in range(7, 19)]
+        assert run_captured(argv) == run_captured(argv) == first
+
+    @pytest.mark.parametrize("order", [("0.0", "-0.0"), ("-0.0", "0.0")])
+    def test_signed_zero_psi_is_its_own_key(self, monkeypatch, order):
+        # both zeros fail every row, and each prints its own sign
+        def call(psi):
+            return run_captured(["sweep", "--reference", "--psi", psi, "--format", "json"])
+
+        alone = {}
+        for psi in order:
+            monkeypatch.setattr("fuzzy_eoq.cli._KEPT_SWEEPS", {})
+            alone[psi] = call(psi)
+        monkeypatch.setattr("fuzzy_eoq.cli._KEPT_SWEEPS", {})
+        assert [call(psi) for psi in order * 2] == [alone[psi] for psi in order * 2]
+        code, out, err = alone["-0.0"]
+        assert code == 1 and '"psi": -0.0' in out
+        assert err.count("psi=-0.0)\n") == 18 and "psi=0.0" not in err
+
+    def test_each_flag_set_is_its_own_key(self, monkeypatch):
+        argvs = [["sweep", "--reference", *flags, "--format", "json"] for flags in FLAG_SETS]
+        alone = []
+        for argv in argvs:
+            monkeypatch.setattr("fuzzy_eoq.cli._KEPT_SWEEPS", {})
+            alone.append(run_captured(argv))
+        assert len(set(alone)) == len(FLAG_SETS)
+        monkeypatch.setattr("fuzzy_eoq.cli._KEPT_SWEEPS", {})
+        calls = counting_sweeps(monkeypatch)
+        assert [run_captured(argv) for argv in argvs * 2] == alone * 2
+        assert len(calls) == len(FLAG_SETS)
+
+    def test_at_most_eight_sweeps_are_kept(self, monkeypatch):
+        def call(phi):
+            assert run_captured(["sweep", "--reference", "--phi", str(phi), "--format", "csv"])[0] == 0
+
+        phis = range(601, 610)
+        for phi in phis:
+            call(phi)
+        calls = counting_sweeps(monkeypatch)
+        for phi in phis[1:]:  # the last eight are kept
+            call(phi)
+        assert calls == []
+        call(phis[0])  # the first was dropped; solving it again drops the second
+        call(phis[1])
+        assert [p.phi for p in calls] == [601.0, 602.0]
+        assert len(fuzzy_eoq.cli._KEPT_SWEEPS) == 8
+
+    def test_out_writes_the_kept_text(self, tmp_path):
+        argv = ["sweep", "--reference", "--phi", "150", "--format", "json"]
+        code, out, err = run_captured(argv)
+        assert code == 1 and err
+        for path in (tmp_path / "first.json", tmp_path / "again.json"):
+            assert run_captured([*argv, "--out", str(path)]) == (code, "", err)
+            assert path.read_text() == out
+
+    def test_config_sweep_is_solved_every_call(self, monkeypatch, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"sweep": [VALID_ROW, FAILING_ROW]}))
+        argv = ["sweep", "--config", str(config), "--format", "csv"]
+        calls = counting_sweeps(monkeypatch)
+        first = run_captured(argv)
+        assert first[0] == 1 and first[2].startswith("row 2: d1 < phi violated")
+        assert run_captured(argv) == first
+        assert len(calls) == 2
+        assert fuzzy_eoq.cli._KEPT_SWEEPS == {}
+
+
 def _reference_sweep(paper):
     spec = SweepSpec(REFERENCE_PARAMS, tuple(row.spreads for row in load_reference_table()))
     assert all(row.record for row in run_sweep(spec, paper_baseline=paper))

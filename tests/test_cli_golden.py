@@ -14,6 +14,8 @@ those cases only what fuzzy-eoq decides is compared with the files: the exit
 code, the stream written, the program named in the usage line and the error
 up to the value it quotes.  Their full text is compared with a freshly built
 parser instead, which is what the parser that ``main`` reuses must match.
+Every other case also runs twice in one process, from nothing kept, and
+both calls must match the files.
 
 An output change is intended only with a named correctness fix.  After
 such a fix, ``python tests/test_cli_golden.py`` rewrites the files from
@@ -166,6 +168,17 @@ def test_output_matches_golden(name, status, monkeypatch):
     assert out == want_out
     assert err == want_err
     assert code == want_code
+
+
+@pytest.mark.parametrize("name", [name for name in CASES if name not in ARGPARSE])
+def test_repeated_call_writes_the_golden_again(name, status, monkeypatch):
+    # with nothing kept yet, so the first call computes and renders what a
+    # second call in the same process may write from what the first kept
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.setattr("fuzzy_eoq.cli._KEPT", {})
+    monkeypatch.setattr("fuzzy_eoq.cli._KEPT_SWEEPS", {})
+    want = (status[name]["code"], (GOLDEN / f"{name}.out").read_text(), status[name]["stderr"])
+    assert _run(CASES[name]) == _run(CASES[name]) == want
 
 
 @pytest.mark.parametrize("name", list(ARGPARSE))

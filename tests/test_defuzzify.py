@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 from dataclasses import astuple
 from decimal import Decimal, localcontext
@@ -93,6 +94,22 @@ class TestSpreads:
         low_down = FuzzySpreads(100.0, 100.0, 15.0, 1.0)
         with pytest.raises(DomainError, match="d3 < psi"):
             low_down.validate_against(600.0, 10.0, relax_bounds=True)
+
+    @pytest.mark.parametrize("relax", [False, True], ids=["strict", "relaxed"])
+    @pytest.mark.parametrize("name, rate", [("d1", "phi"), ("d2", "phi"), ("d3", "psi"),
+                                            ("d4", "psi")])
+    def test_a_spread_equal_to_its_rate(self, name, rate, relax):
+        # d1 == phi and d3 == psi are always rejected, d2 == phi and d4 == psi
+        # unless the upper bounds are relaxed
+        rates = {"phi": 600.0, "psi": 10.0}
+        sp = FuzzySpreads(**{"d1": 1.0, "d2": 1.0, "d3": 1.0, "d4": 1.0, name: rates[rate]})
+        if relax and name in ("d2", "d4"):
+            sp.validate_against(600.0, 10.0, relax_bounds=True)
+            return
+        value = rates[rate]
+        with pytest.raises(DomainError, match=re.escape(
+                f"{name} < {rate} violated ({name}={value!r}, {rate}={value!r})")):
+            sp.validate_against(600.0, 10.0, relax_bounds=relax)
 
     def test_fuzzy_rate_constructors(self):
         sp = FuzzySpreads(100.0, 100.0, 1.0, 1.0)
@@ -388,6 +405,16 @@ class TestBoundedQuadrature:
         got = zeta_quadrature(600.0, 10.0, sp, relax_bounds=True)
         assert _rel(got, zeta(600.0, 10.0, sp, relax_bounds=True)) <= 1e-12
         assert calls == [15]
+
+    def test_pole_at_infinity_is_clamped(self, monkeypatch):
+        # upper spreads of 1e-300 make the lower cut's slope round to nothing
+        # beside its offset: its pole distance is clamped to 1 / _POLE_FLOOR,
+        # where the change of variable is a = u to rounding, and one panel settles
+        calls = count_evaluations(monkeypatch)
+        sp = FuzzySpreads(0.5, 1e-300, 0.5, 1e-300)
+        got = zeta_quadrature(1.0, 1.0, sp)
+        assert calls == [15]
+        assert abs(got - zeta(1.0, 1.0, sp)) <= 1e-15
 
     def test_lower_cut_is_the_crisp_fraction_at_the_peak(self):
         # (eta + d6) - d6 * a used to cancel to 0 at a = 1 once d6 swamped eta

@@ -366,6 +366,11 @@ class TestBaselines:
         assert base.q_star == 108.0
         assert base.z_star == 1104.0
 
+    def test_whole_unit_baseline_at_exactly_one_unit(self):
+        # q* = sqrt(2 s phi / h) = 1 and Z* = sqrt(2 s phi h) = 1, both exact
+        base = truncated_baseline(crisp_optimal(CrispParams(1.0, 0.0, 1.0, 0.5)))
+        assert (base.q_star, base.z_star) == (1.0, 1.0)
+
     @pytest.mark.parametrize("p", [
         CrispParams(600.0, 10.0, 10.0, 1e-6),  # q* about 0.011, cost about 0.11
         CrispParams(600.0, 10.0, 1e6, 1e-3),  # q* about 0.0011, cost about 1104
