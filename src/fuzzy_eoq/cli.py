@@ -2,15 +2,13 @@
 
 ``main`` merges the config file and the flags once; each command returns one ``_Result``,
 and one renderer per output format turns it into text.  JSON is written into a layout
-made once per payload shape and audit mode, the argument parser is built on the first
-call, ``audit_table`` keeps each audit it computes, and the text of each kept audit is
-kept per format; all four are reused by every later call, so ``main(argv)`` may be
-called many times in one process, and a repeated ``verify-table`` audits and renders
-nothing.  A ``sweep --reference`` is solved once per process for each key, the bits of
-the four params (so ``psi = -0.0`` and ``psi = 0.0`` differ) and the two flags, for at
-most 8 keys; its text is kept per format and its row errors with it, so a repeated
-``sweep --reference`` solves and renders nothing and writes the same stdout, stderr and
-exit code.  A sweep of config rows is solved afresh on every call.
+made once per payload shape and audit mode, and the argument parser is built on the
+first call, so ``main(argv)`` may be called many times in one process.  A call without
+``--config`` reads nothing but its argv and the bundled table, so its answer is kept by
+its argv: a repeated call writes the kept stdout and stderr, returns the kept exit code,
+and solves and renders nothing.  At most 48 answers are kept, the least recently used
+dropped first.  An answer that ends in an error is not kept, and ``--out`` is written on
+every call.
 
 Exit codes: 0 on success, 1 when a sweep had failing rows or the table
 audit found deviations, 2 on invalid parameters, spreads, or config, on a
@@ -35,7 +33,7 @@ from .errors import DomainError, QuadratureError
 from .model import (CrispParams, CycleQuantities, SolutionRecord, _baseline, _solve,
                     crisp_optimal, cycle_quantities)
 from .sensitivity import (_AUDIT_MODES, AUDIT_COLUMNS, REFERENCE_PARAMS, AuditRow, SweepSpec,
-                          TableAudit, audit_table, load_reference_table, run_sweep)
+                          audit_table, load_reference_table, run_sweep)
 
 _KEYS = [tuple(field.name for field in fields(cls))
          for cls in (CrispParams, FuzzySpreads, SolutionRecord, CycleQuantities)]
@@ -146,14 +144,12 @@ class _Result(NamedTuple):
     Only the requested builder runs, so a large csv sweep builds no JSON payload.
     The json builder gives a layout and its leaves in slot order.  Table cells need
     no csv quoting: they are float reprs, integers, names, true, false or empty.
-    A kept result has ``texts``, where ``_render`` keeps its text per format.
     ``err`` is what the command writes to stderr before its output."""
 
     json: Callable[[], tuple[tuple[str, list[Callable[[list], str]]], tuple]]
     table: Callable[[], tuple[list[str], Iterable[Iterable[str]]]]
     lines: Callable[[], Iterable[str]]
     code: int = 0
-    texts: Optional[dict[str, str]] = None
     err: str = ""
 
 
@@ -191,16 +187,6 @@ _RENDERERS: dict[str, Callable[[_Result], str]] = {
     "csv": _render_csv,
     "json": _render_json,
 }
-
-
-def _render(result: _Result, fmt: str) -> str:
-    """The result's text in ``fmt``, rendered once per format for a kept result."""
-    if result.texts is None:
-        return _RENDERERS[fmt](result)
-    text = result.texts.get(fmt)
-    if text is None:
-        text = result.texts[fmt] = _RENDERERS[fmt](result)
-    return text
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -335,39 +321,13 @@ def _fuzzy(args: argparse.Namespace) -> _Result:
     )
 
 
-# each kept result, most recently used last: an audit's, keyed by the audit's identity
-# (its hash walks every cell; a result's builders hold its audit, so no other object
-# can take that identity while the result is kept), and a reference sweep's, keyed by
-# the bits of its params and its flags (0.0 and -0.0 print differently)
-_KEPT: dict[int, _Result] = {}
-_KEPT_SWEEPS: dict[tuple, _Result] = {}
-
-
-def _keep(kept: dict, key: object, make: Callable[[], _Result]) -> _Result:
-    """The result kept under ``key``, or ``make()``'s, kept; at most 8, as
-    many as ``audit_table`` keeps."""
-    result = kept.pop(key, None) or make()
-    kept[key] = result
-    if len(kept) > 8:
-        del kept[next(iter(kept))]
-    return result
-
-
 def _sweep(args: argparse.Namespace) -> _Result:
     if not args.rows:
         raise DomainError("sweep requires rows: pass --reference or a config "
                           "with a non-empty sweep list")
     p, paper, relax = args.params, args.paper_baseline, args.relax_bounds
-    if not args.reference:  # config rows are never kept
-        return _sweep_result(p, args.rows, paper, relax)
-    key = (*map(float.hex, _param_values(p)), paper, relax)
-    return _keep(_KEPT_SWEEPS, key,
-                 lambda: _sweep_result(p, args.rows, paper, relax)._replace(texts={}))
-
-
-def _sweep_result(p: CrispParams, rows: tuple[FuzzySpreads, ...], paper: bool,
-                  relax: bool) -> _Result:
-    results = run_sweep(SweepSpec(params=p, rows=rows), paper_baseline=paper, relax_bounds=relax)
+    results = run_sweep(SweepSpec(params=p, rows=args.rows), paper_baseline=paper,
+                        relax_bounds=relax)
     solved = [row for row in results if row.record is not None]
     failed = [row for row in results if row.record is None]
 
@@ -393,10 +353,7 @@ def _sweep_result(p: CrispParams, rows: tuple[FuzzySpreads, ...], paper: bool,
 
 def _verify_table(args: argparse.Namespace) -> _Result:
     audit = audit_table(args.params, paper_baseline=args.paper_baseline)
-    return _keep(_KEPT, id(audit), lambda: _audit_result(audit))
 
-
-def _audit_result(audit: TableAudit) -> _Result:
     def lines() -> Iterable[str]:
         mode = ("replayed published zeta, truncated baseline" if audit.paper_baseline
                 else "recomputed pipeline, exact baseline")
@@ -443,7 +400,6 @@ def _audit_result(audit: TableAudit) -> _Result:
                                         _leaf(row.zeta_sign_contradiction)] for row in audit.rows)),
         lines=lines,
         code=0 if audit.hard_pass and not audit.deviations else 1,
-        texts={},
     )
 
 
@@ -484,20 +440,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the answer of each call without --config, keyed by its argv, most recently used last;
+# at most one per command, format and flag set at one parameter set
+_KEPT: dict[tuple[str, ...], tuple[str, str, int]] = {}
+_KEPT_MAX = len(_COMMANDS) * len(_RENDERERS) * 4
+
+
+def _answer(args: argparse.Namespace) -> tuple[str, str, int]:
+    """The call's stderr text, its output text and its exit code."""
+    cfg = _load_config(args.config) if args.config else {}
+    defaults = dict(zip(_PARAM_KEYS, _param_values(REFERENCE_PARAMS)))
+    args.params = CrispParams(**_merged(cfg, args, "params", _PARAM_KEYS, defaults))
+    spreads = _merged(cfg, args, "spreads", _SPREAD_KEYS, {})
+    args.spreads = FuzzySpreads(**spreads) if spreads else None
+    args.rows = _sweep_rows(cfg, args)
+    del cfg  # a parsed 10^4-row sweep config is megabytes; free it before solving
+    result = args.handler(args)
+    return result.err, _RENDERERS[args.format](result), result.code
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    key = tuple(sys.argv[1:] if argv is None else argv)
+    args = _build_parser().parse_args(key)
     try:
-        cfg = _load_config(args.config) if args.config else {}
-        defaults = dict(zip(_PARAM_KEYS, _param_values(REFERENCE_PARAMS)))
-        args.params = CrispParams(**_merged(cfg, args, "params", _PARAM_KEYS, defaults))
-        spreads = _merged(cfg, args, "spreads", _SPREAD_KEYS, {})
-        args.spreads = FuzzySpreads(**spreads) if spreads else None
-        args.rows = _sweep_rows(cfg, args)
-        del cfg  # a parsed 10^4-row sweep config is megabytes; free it before solving
-        result = args.handler(args)
-        sys.stderr.write(result.err)
-        _emit(_render(result, args.format), args.out)
-        return result.code
+        err, text, code = answer = _KEPT.pop(key, None) or _answer(args)
+        if not args.config:  # a config file may change between calls
+            _KEPT[key] = answer
+            if len(_KEPT) > _KEPT_MAX:
+                del _KEPT[next(iter(_KEPT))]
+        sys.stderr.write(err)
+        _emit(text, args.out)
+        return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

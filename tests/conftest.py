@@ -1,5 +1,6 @@
-"""Shared samplers, hypothesis settings and the oracle's evaluation counter
-for the test suite; the model inputs come from ``domain.valid_input``."""
+"""Shared samplers, hypothesis settings, the oracle's evaluation counter and
+an empty CLI keep for the test suite; the model inputs come from
+``domain.valid_input``."""
 
 from __future__ import annotations
 
@@ -7,9 +8,11 @@ import math
 import random
 import sys
 
+import pytest
 from hypothesis import HealthCheck, assume, settings
 
 from domain import valid_input
+import fuzzy_eoq.cli
 import fuzzy_eoq.fuzzy
 from fuzzy_eoq import CrispParams, FuzzySpreads, TriangularFuzzyNumber
 
@@ -24,6 +27,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("package")
+
+
+@pytest.fixture(autouse=True)
+def empty_keep(monkeypatch):
+    """No CLI answer kept by an earlier test: a test that patches what a
+    command calls sees the command run, whatever argv an earlier test used."""
+    monkeypatch.setattr(fuzzy_eoq.cli, "_KEPT", {})
 
 
 def random_tfn(rng: random.Random) -> TriangularFuzzyNumber:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fuzzy_eoq.cli
 import fuzzy_eoq.model
 import fuzzy_eoq.sensitivity
 from fuzzy_eoq import (
@@ -30,8 +31,8 @@ from fuzzy_eoq import (
     run_sweep,
     zeta_quadrature,
 )
-from fuzzy_eoq.cli import (_KEPT, _LIST, _NUMBER, _RENDERERS, _TEXT, _build_parser, _leaf,
-                           _render_json, _Result, _shape, main)
+from fuzzy_eoq.cli import (_LIST, _NUMBER, _RENDERERS, _TEXT, _build_parser, _leaf, _render_json,
+                           _Result, _shape, main)
 
 from conftest import drawn_input
 
@@ -524,6 +525,7 @@ class TestJsonLayout:
     def test_layouts_are_made_once(self, monkeypatch):
         for argv in (["crisp"], ["fuzzy", *ROW1_FLAGS], ["sweep", "--reference"], ["verify-table"]):
             run_captured([*argv, "--format", "json"])
+        fuzzy_eoq.cli._KEPT.clear()
         fresh_audit(monkeypatch)
         indented = []
         dumps = json.dumps
@@ -546,6 +548,7 @@ class TestJsonLayout:
         # row's sign flag go through the slot filler
         argv = ["verify-table", *flags, "--format", "json"]
         warm = run_captured(argv)
+        fuzzy_eoq.cli._KEPT.clear()
         fresh_audit(monkeypatch)
         calls = []
         leaf = _leaf
@@ -642,8 +645,8 @@ class TestVerifyTable:
 
 
 class TestKeptRender:
-    """``verify-table`` renders each audit that ``audit_table`` keeps once per
-    format; a later call with that audit writes the kept text."""
+    """A repeated ``verify-table`` argv writes the kept answer: it neither
+    audits nor renders."""
 
     @pytest.mark.parametrize("fmt", list(_RENDERERS))
     def test_repeat_renders_nothing(self, monkeypatch, fmt):
@@ -658,24 +661,22 @@ class TestKeptRender:
         monkeypatch.setattr("fuzzy_eoq.cli._audit_texts", fail)
         assert run_captured(argv) == first
 
-    @pytest.mark.parametrize("fresh, renders", [("cache_clear", 1), ("patched", 2)])
-    def test_a_new_audit_is_rendered_afresh(self, monkeypatch, fresh, renders):
+    def test_a_repeated_argv_reads_no_audit(self, monkeypatch):
+        # neither a cleared audit cache nor a patched audit_table is asked again
         argv = ["verify-table", "--format", "csv"]
         first = run_captured(argv)
-        if fresh == "cache_clear":
-            fuzzy_eoq.sensitivity._audit.cache_clear()
-        else:
-            fresh_audit(monkeypatch)
-        rendered = []
-        render = _RENDERERS["csv"]
+        fuzzy_eoq.sensitivity._audit.cache_clear()
+        calls = []
 
-        def counting(result):
-            rendered.append(result)
-            return render(result)
+        def counting(name, make):
+            return lambda *args, **kwargs: calls.append(name) or make(*args, **kwargs)
 
-        monkeypatch.setitem(_RENDERERS, "csv", counting)
+        monkeypatch.setattr("fuzzy_eoq.cli.audit_table", counting("audit", audit_table))
+        monkeypatch.setitem(_RENDERERS, "csv", counting("render", _RENDERERS["csv"]))
         assert run_captured(argv) == run_captured(argv) == first
-        assert len(rendered) == renders
+        assert calls == []
+        assert run_captured(["verify-table", "--format", "csv", "--paper-baseline"])[0] == 1
+        assert calls == ["audit", "render"]
 
     def test_out_writes_the_kept_text(self, tmp_path):
         argv = ["verify-table", "--format", "json"]
@@ -684,20 +685,11 @@ class TestKeptRender:
             assert run_captured([*argv, "--out", str(path)]) == (code, "", "")
             assert path.read_text() == out
 
-    def test_at_most_eight_audits_are_kept(self):
-        phis = range(601, 610)
-        for phi in phis:
-            assert run_captured(["verify-table", "--phi", str(phi), "--format", "csv"])[0] == 1
-        # audit_table keeps the last eight of these audits, and their results are the ones kept
-        latest = {id(audit_table(CrispParams(phi, 10.0, 10.0, 100.0))) for phi in phis[1:]}
-        assert set(_KEPT) == latest
-
     def test_a_failing_audit_keeps_nothing(self):
-        kept = dict(_KEPT)
         for _ in range(2):
             code, out, err = run_captured(["verify-table", "--psi", "5"])
             assert (code, out) == (2, "") and "d3 < psi" in err
-        assert _KEPT == kept
+        assert fuzzy_eoq.cli._KEPT == {}
 
 
 def counting_sweeps(monkeypatch) -> list:
@@ -713,13 +705,8 @@ def counting_sweeps(monkeypatch) -> list:
 
 
 class TestKeptSweep:
-    """``sweep --reference`` solves and renders once per process for each
-    key: the bits of the four params and the two flags.  A later call with
-    that key writes the kept stdout and stderr and returns the kept code."""
-
-    @pytest.fixture(autouse=True)
-    def empty_keep(self, monkeypatch):
-        monkeypatch.setattr("fuzzy_eoq.cli._KEPT_SWEEPS", {})
+    """A repeated ``sweep --reference`` argv solves and renders nothing: it
+    writes the kept stdout and stderr and returns the kept code."""
 
     @pytest.mark.parametrize("flags", FLAG_SETS)
     @pytest.mark.parametrize("fmt", list(_RENDERERS))
@@ -754,9 +741,9 @@ class TestKeptSweep:
 
         alone = {}
         for psi in order:
-            monkeypatch.setattr("fuzzy_eoq.cli._KEPT_SWEEPS", {})
+            fuzzy_eoq.cli._KEPT.clear()
             alone[psi] = call(psi)
-        monkeypatch.setattr("fuzzy_eoq.cli._KEPT_SWEEPS", {})
+        fuzzy_eoq.cli._KEPT.clear()
         assert [call(psi) for psi in order * 2] == [alone[psi] for psi in order * 2]
         code, out, err = alone["-0.0"]
         assert code == 1 and '"psi": -0.0' in out
@@ -766,29 +753,13 @@ class TestKeptSweep:
         argvs = [["sweep", "--reference", *flags, "--format", "json"] for flags in FLAG_SETS]
         alone = []
         for argv in argvs:
-            monkeypatch.setattr("fuzzy_eoq.cli._KEPT_SWEEPS", {})
+            fuzzy_eoq.cli._KEPT.clear()
             alone.append(run_captured(argv))
         assert len(set(alone)) == len(FLAG_SETS)
-        monkeypatch.setattr("fuzzy_eoq.cli._KEPT_SWEEPS", {})
+        fuzzy_eoq.cli._KEPT.clear()
         calls = counting_sweeps(monkeypatch)
         assert [run_captured(argv) for argv in argvs * 2] == alone * 2
         assert len(calls) == len(FLAG_SETS)
-
-    def test_at_most_eight_sweeps_are_kept(self, monkeypatch):
-        def call(phi):
-            assert run_captured(["sweep", "--reference", "--phi", str(phi), "--format", "csv"])[0] == 0
-
-        phis = range(601, 610)
-        for phi in phis:
-            call(phi)
-        calls = counting_sweeps(monkeypatch)
-        for phi in phis[1:]:  # the last eight are kept
-            call(phi)
-        assert calls == []
-        call(phis[0])  # the first was dropped; solving it again drops the second
-        call(phis[1])
-        assert [p.phi for p in calls] == [601.0, 602.0]
-        assert len(fuzzy_eoq.cli._KEPT_SWEEPS) == 8
 
     def test_out_writes_the_kept_text(self, tmp_path):
         argv = ["sweep", "--reference", "--phi", "150", "--format", "json"]
@@ -807,7 +778,57 @@ class TestKeptSweep:
         assert first[0] == 1 and first[2].startswith("row 2: d1 < phi violated")
         assert run_captured(argv) == first
         assert len(calls) == 2
-        assert fuzzy_eoq.cli._KEPT_SWEEPS == {}
+        assert fuzzy_eoq.cli._KEPT == {}
+
+
+class TestKeptAnswer:
+    """A call without ``--config`` is kept by its argv, at most 48 of them;
+    a call with ``--config`` reads its file on every call."""
+
+    @pytest.mark.parametrize("fmt", list(_RENDERERS))
+    @pytest.mark.parametrize("argv", [["crisp"], ["fuzzy", *ROW1_FLAGS]], ids=["crisp", "fuzzy"])
+    def test_repeat_solves_nothing(self, monkeypatch, argv, fmt):
+        argv = [*argv, "--format", fmt]
+        first = run_captured(argv)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("solved again")
+
+        for name in ("crisp_optimal", "_solve", "_baseline", "zeta_quadrature"):
+            monkeypatch.setattr(f"fuzzy_eoq.cli.{name}", fail)
+        monkeypatch.setattr(fuzzy_eoq.model, "_crisp_optimum", fail)
+        assert run_captured(argv) == first
+
+    def test_at_most_48_answers_are_kept(self, monkeypatch):
+        # every command, format and flag set at one parameter set, then one more
+        commands = (["crisp"], ["fuzzy", *ROW1_FLAGS], ["sweep", "--reference"], ["verify-table"])
+        argvs = [[*command, "--format", fmt, *flags]
+                 for command in commands for fmt in _RENDERERS for flags in FLAG_SETS]
+        argvs.append(["crisp", "--phi", "700"])
+        assert len(argvs) == 49
+        first = [run_captured(argv) for argv in argvs]
+        answers = []
+        answer = fuzzy_eoq.cli._answer
+        monkeypatch.setattr("fuzzy_eoq.cli._answer",
+                            lambda args: answers.append(args.command) or answer(args))
+        assert [run_captured(argv) for argv in argvs[1:]] == first[1:]
+        assert answers == []
+        assert run_captured(argvs[0]) == first[0]
+        assert answers == ["crisp"]
+        assert len(fuzzy_eoq.cli._KEPT) == 48
+
+    @pytest.mark.parametrize("command", ["crisp", "fuzzy"])
+    def test_a_rewritten_config_gives_its_new_answer(self, tmp_path, command):
+        config = tmp_path / "cfg.json"
+        argv = [command, "--config", str(config), "--format", "json"]
+        spreads = {"d1": 100, "d2": 100, "d3": 1, "d4": 1} if command == "fuzzy" else {}
+        for phi in (600, 700, 600):
+            config.write_text(json.dumps({"params": {"phi": phi}, "spreads": spreads}))
+            flags = ["--phi", str(phi), *(f"--{key}={value}" for key, value in spreads.items())]
+            want = run_captured([command, *flags, "--format", "json"])
+            assert run_captured(argv) == want
+            assert json.loads(want[1])["params"]["phi"] == phi
+        assert all("--config" not in key for key in fuzzy_eoq.cli._KEPT)
 
 
 def _reference_sweep(paper):

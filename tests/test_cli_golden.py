@@ -175,8 +175,6 @@ def test_repeated_call_writes_the_golden_again(name, status, monkeypatch):
     # with nothing kept yet, so the first call computes and renders what a
     # second call in the same process may write from what the first kept
     monkeypatch.chdir(GOLDEN)
-    monkeypatch.setattr("fuzzy_eoq.cli._KEPT", {})
-    monkeypatch.setattr("fuzzy_eoq.cli._KEPT_SWEEPS", {})
     want = (status[name]["code"], (GOLDEN / f"{name}.out").read_text(), status[name]["stderr"])
     assert _run(CASES[name]) == _run(CASES[name]) == want
 

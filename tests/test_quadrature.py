@@ -72,6 +72,16 @@ def test_evaluation_budget_exhaustion_raises(monkeypatch):
         gauss_kronrod(step, 0.0, 1.0)
 
 
+def test_a_budget_spent_to_the_last_evaluation_suffices(monkeypatch):
+    # |x - 1/2| takes one open panel and one split: 15 + 2 * 15 = 45 evaluations
+    kink = lambda x: abs(x - 0.5)
+    monkeypatch.setattr(quadrature, "EVALUATION_BUDGET", 45)
+    assert gauss_kronrod(kink, 0.0, 1.0) == 0.25
+    monkeypatch.setattr(quadrature, "EVALUATION_BUDGET", 44)
+    with pytest.raises(QuadratureError, match="budget of 44 integrand evaluations"):
+        gauss_kronrod(kink, 0.0, 1.0)
+
+
 def test_step_function_converges_with_default_budget():
     # With the full budget the panel holding the jump shrinks until its
     # error is within tolerance.

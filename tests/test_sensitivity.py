@@ -453,6 +453,9 @@ class TestAuditCells:
             (0.0, -0.0, 0.005, True, (0.0, 0.0, True)),
             (1e-300, 0.0, 0.005, True, (1e-300, math.inf, False)),
             (1e-300, 0.0, 0.01, False, (1e-300, math.inf, True)),
+            # exact deviations equal to the tolerance pass
+            (1.5, 1.0, 0.5, False, (0.5, 0.5, True)),
+            (1.25, 1.0, 0.25, True, (0.25, 0.25, True)),
         ]:
             cell = _audit_cell("rel_z", recomputed, paper, tolerance, relative)
             assert (cell.abs_dev, cell.rel_dev, cell.passed) == want
