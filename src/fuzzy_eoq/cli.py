@@ -1,14 +1,16 @@
 """Command-line front end: crisp solves, fuzzy solves, sweeps, table audit.
 
 ``main`` merges the config file and the flags once; each command returns one ``_Result``,
-and one renderer per output format turns it into text.  JSON is written into a layout
-made once per payload shape and audit mode, and the argument parser is built on the
-first call, so ``main(argv)`` may be called many times in one process.  A call without
-``--config`` reads nothing but its argv and the bundled table, so its answer is kept by
-its argv: a repeated call writes the kept stdout and stderr, returns the kept exit code,
-and solves and renders nothing.  At most 48 answers are kept, the least recently used
-dropped first.  An answer that ends in an error is not kept, and ``--out`` is written on
-every call.
+and one renderer per output format turns it into text; JSON is laid out from the
+payload's shape when it is rendered.  ``main(argv)`` may be called many times in one
+process.  A call without ``--config`` reads nothing but its argv and the bundled table, so
+its answer is kept by its argv: a repeated call writes the kept stdout and stderr, returns
+the kept exit code, and solves and renders nothing.  At most 48 answers are kept, the least
+recently used dropped first.  An answer that ends in an error is not kept, and ``--out`` is
+written on every call.  The package keeps four things, each for what needs it: ``_KEPT``
+(``cli-calls`` ``call2_us``), ``_build_parser`` (parsing comes before the ``_KEPT``
+lookup), ``sensitivity._audit`` (``sweep-shared`` ``call_p50_us`` and ``call2_us``) and
+``sensitivity.load_reference_table`` (the package's one data file, read once).
 
 Exit codes: 0 on success, 1 when a sweep had failing rows or the table
 audit found deviations, 2 on invalid parameters, spreads, or config, on a
@@ -32,8 +34,8 @@ from .defuzzify import FuzzySpreads, zeta_quadrature
 from .errors import DomainError, QuadratureError
 from .model import (CrispParams, CycleQuantities, SolutionRecord, _baseline, _solve,
                     crisp_optimal, cycle_quantities)
-from .sensitivity import (_AUDIT_MODES, AUDIT_COLUMNS, REFERENCE_PARAMS, AuditRow, SweepSpec,
-                          audit_table, load_reference_table, run_sweep)
+from .sensitivity import (AUDIT_COLUMNS, REFERENCE_PARAMS, AuditRow, SweepSpec, audit_table,
+                          load_reference_table, run_sweep)
 
 _KEYS = [tuple(field.name for field in fields(cls))
          for cls in (CrispParams, FuzzySpreads, SolutionRecord, CycleQuantities)]
@@ -45,14 +47,14 @@ _SOLUTION_HEADER = [*_SPREAD_KEYS, *_RECORD_KEYS]
 # quotes included: text no other part of a payload can hold, as json escapes quotes
 _NUMBER, _TEXT, _LIST = "\x00", "\x01", "\x02"
 # the audit cell's fields in JSON order, each with its CSV column ("{}": the audit column),
-# or None: JSON only, fixed per column by the audit mode and a literal in the mode's layout
+# or None: JSON only, fixed per column by the audit mode
 _AUDIT_CELL_FIELDS = {"column": None, "recomputed": "{}", "paper": "paper_{}",
                       "abs_dev": "{}_abs_dev", "rel_dev": "{}_rel_dev", "tolerance": None,
                       "relative": None, "passed": "{}_pass"}
 _AUDIT_CSV = {name: template for name, template in _AUDIT_CELL_FIELDS.items() if template}
 _AUDIT_HEADER = ["row", *_SPREAD_KEYS, *(template.format(column) for column in AUDIT_COLUMNS
                  for template in _AUDIT_CSV.values()), "zeta_sign_contradiction"]
-_audit_values = attrgetter(*_AUDIT_CSV)
+_audit_values, _audit_json_values = attrgetter(*_AUDIT_CSV), attrgetter(*_AUDIT_CELL_FIELDS)
 
 
 def _text_table(*columns: tuple[str, int, str]) -> tuple[str, list[str]]:
@@ -87,10 +89,10 @@ def _leaf(value: object) -> str:
     return json.dumps(value) if type(value) is str else _JSON_WORDS[repr(value)]
 
 
-def _audit_texts(row: AuditRow, words: dict[str, str]) -> Iterable[str]:
+def _audit_texts(row: AuditRow) -> Iterable[str]:
     """Each CSV field of the row's cells as text: a float's repr, or the word for a bool or None."""
     texts = [*map(repr, chain.from_iterable(map(_audit_values, row.cells)))]
-    return map(words.get, texts, texts)
+    return map(_CSV_WORDS.get, texts, texts)
 
 
 def _list_layout(indent: str, item: str) -> Callable[[list], str]:
@@ -98,55 +100,44 @@ def _list_layout(indent: str, item: str) -> Callable[[list], str]:
     return lambda leaves: head + sep.join([item % v for v in leaves]) + tail if leaves else "[]"
 
 
-def _shape(sample: dict) -> Callable[[], tuple[str, list[Callable[[list], str]]]]:
-    """The layout of payloads shaped like ``sample``, made on first use and kept.
-    ``sample`` holds ``_NUMBER`` or ``_TEXT`` at each slot, ``[_LIST, item]`` at each list
-    of any number of ``item``-shaped objects, and a literal at any other leaf, which the
-    layout holds as JSON text, written once.  The layout is the indented JSON with ``%r``
-    at each number, ``%s`` at each text slot and each list, and what lays out each list."""
-
-    def layout() -> tuple[str, list[Callable[[list], str]]]:
-        text = json.dumps(sample, indent=2).replace("%", "%%")
-        text = text.replace(json.dumps(_NUMBER), "%r").replace(json.dumps(_TEXT), "%s")
-        parts = _LISTS.split(text)  # text, then per list its indent, its item and text
-        return "%s".join(parts[::3]), list(map(_list_layout, parts[1::3], parts[2::3]))
-
-    return cache(layout)
+def _shape(sample: dict) -> tuple[str, list[Callable[[list], str]]]:
+    """The layout of payloads shaped like ``sample``.  ``sample`` holds ``_NUMBER`` or
+    ``_TEXT`` at each slot, ``[_LIST, item]`` at each list of any number of ``item``-shaped
+    objects, and a literal at any other leaf, which the layout holds as JSON text.  The
+    layout is the indented JSON with ``%r`` at each number, ``%s`` at each text slot and
+    each list, and what lays out each list."""
+    text = json.dumps(sample, indent=2).replace("%", "%%")
+    text = text.replace(json.dumps(_NUMBER), "%r").replace(json.dumps(_TEXT), "%s")
+    parts = _LISTS.split(text)  # text, then per list its indent, its item and text
+    return "%s".join(parts[::3]), list(map(_list_layout, parts[1::3], parts[2::3]))
 
 
 _PARAMS, _SPREADS, _RECORD, _CYCLE = (dict.fromkeys(keys, _NUMBER) for keys in _KEYS)
 _FLAGS = {"paper_baseline": _TEXT, "relax_bounds": _TEXT}
-_CRISP_JSON = _shape({"params": _PARAMS, "record": _RECORD, "cycle": _CYCLE})
-_FUZZY_JSON = _shape({
+_CRISP_JSON = {"params": _PARAMS, "record": _RECORD, "cycle": _CYCLE}
+_FUZZY_JSON = {
     "params": _PARAMS, "spreads": _SPREADS, **_FLAGS, "zeta_closed_form": _NUMBER,
     "zeta_quadrature": _NUMBER, "baseline": {"q_star": _NUMBER, "z_star": _NUMBER},
     "record": _RECORD,
-})
-_SWEEP_JSON = _shape({"params": _PARAMS, **_FLAGS,
-                      "rows": [_LIST, {"row": _NUMBER, "spreads": _SPREADS, **_RECORD}],
-                      "errors": [_LIST, {"row": _NUMBER, "error": _TEXT}]})
-
-
-@cache
-def _audit_json(paper_baseline: bool) -> tuple[str, list[Callable[[list], str]]]:
-    """The audit's layout in one mode, with the cell fields the mode fixes as literals."""
-    _, tolerances, relative = _AUDIT_MODES[paper_baseline]
-    fixed = {"column": AUDIT_COLUMNS, "tolerance": tolerances, "relative": relative}
-    cells = [{name: _TEXT if template else fixed[name][i]
-              for name, template in _AUDIT_CELL_FIELDS.items()} for i in range(len(AUDIT_COLUMNS))]
-    row = {"row": _NUMBER, "spreads": _SPREADS, "zeta_sign_contradiction": _TEXT, "cells": cells}
-    return _shape({"params": _PARAMS, "mode": _TEXT, "hard_pass": _TEXT, "deviation_count": _NUMBER,
-                   "sign_contradiction_rows": [_LIST, _NUMBER], "rows": [_LIST, row]})()
+}
+_SWEEP_JSON = {"params": _PARAMS, **_FLAGS,
+               "rows": [_LIST, {"row": _NUMBER, "spreads": _SPREADS, **_RECORD}],
+               "errors": [_LIST, {"row": _NUMBER, "error": _TEXT}]}
+# a row's cells are a fixed list, as _shape nests no list in a list's item
+_AUDIT_ROW = {"row": _NUMBER, "spreads": _SPREADS, "zeta_sign_contradiction": _TEXT,
+              "cells": [dict.fromkeys(_AUDIT_CELL_FIELDS, _TEXT)] * len(AUDIT_COLUMNS)}
+_AUDIT_JSON = {"params": _PARAMS, "mode": _TEXT, "hard_pass": _TEXT, "deviation_count": _NUMBER,
+               "sign_contradiction_rows": [_LIST, _NUMBER], "rows": [_LIST, _AUDIT_ROW]}
 
 
 class _Result(NamedTuple):
     """What one command produced: a lazy builder per output form, and the exit code.
     Only the requested builder runs, so a large csv sweep builds no JSON payload.
-    The json builder gives a layout and its leaves in slot order.  Table cells need
-    no csv quoting: they are float reprs, integers, names, true, false or empty.
+    The json builder gives a payload's shape and its leaves in slot order.  Table cells
+    need no csv quoting: they are float reprs, integers, names, true, false or empty.
     ``err`` is what the command writes to stderr before its output."""
 
-    json: Callable[[], tuple[tuple[str, list[Callable[[list], str]]], tuple]]
+    json: Callable[[], tuple[dict, tuple]]
     table: Callable[[], tuple[list[str], Iterable[Iterable[str]]]]
     lines: Callable[[], Iterable[str]]
     code: int = 0
@@ -177,7 +168,8 @@ def _render_csv(result: _Result) -> str:
 
 
 def _render_json(result: _Result) -> str:
-    (text, lists), leaves = result.json()
+    sample, leaves = result.json()
+    text, lists = _shape(sample)
     lists = iter(lists)
     return text % tuple(next(lists)(v) if type(v) is list else v for v in leaves) + "\n"
 
@@ -278,7 +270,7 @@ def _crisp(args: argparse.Namespace) -> _Result:
     cycle = cycle_quantities(record.q_star, p)
     params, cycle_values = _param_values(p), _cycle_values(cycle)
     return _Result(
-        json=lambda: (_CRISP_JSON(), (*params, *_record_values(record), *cycle_values)),
+        json=lambda: (_CRISP_JSON, (*params, *_record_values(record), *cycle_values)),
         table=lambda: ([*_PARAM_KEYS, "q_star", "z_star", *_CYCLE_KEYS],
                        [_cells((*params, record.q_star, record.z_star, *cycle_values))]),
         lines=lambda: [
@@ -301,10 +293,10 @@ def _fuzzy(args: argparse.Namespace) -> _Result:
     z_quad = zeta_quadrature(p.phi, p.psi, sp, relax_bounds=args.relax_bounds)
     baseline_label = "baseline (truncated)" if args.paper_baseline else "baseline (crisp)"
     return _Result(
-        json=lambda: (_FUZZY_JSON(), (*_param_values(p), *_spread_values(sp),
-                                    _leaf(args.paper_baseline), _leaf(args.relax_bounds),
-                                    record.zeta, z_quad, base_q, base_z,
-                                    *_record_values(record))),
+        json=lambda: (_FUZZY_JSON, (*_param_values(p), *_spread_values(sp),
+                                  _leaf(args.paper_baseline), _leaf(args.relax_bounds),
+                                  record.zeta, z_quad, base_q, base_z,
+                                  *_record_values(record))),
         table=lambda: (_SOLUTION_HEADER, [_cells(_solution_values(sp, record))]),
         lines=lambda: [
             "fuzzy solve",
@@ -339,7 +331,7 @@ def _sweep(args: argparse.Namespace) -> _Result:
         yield f"  rows solved: {len(solved)}/{len(results)}"
 
     return _Result(
-        json=lambda: (_SWEEP_JSON(), (
+        json=lambda: (_SWEEP_JSON, (
             *_param_values(p), _leaf(paper), _leaf(relax),
             [(row.index + 1, *_solution_values(row.spreads, row.record)) for row in solved],
             [(row.index + 1, _leaf(row.error)) for row in failed])),
@@ -353,6 +345,7 @@ def _sweep(args: argparse.Namespace) -> _Result:
 
 def _verify_table(args: argparse.Namespace) -> _Result:
     audit = audit_table(args.params, paper_baseline=args.paper_baseline)
+    hard_pass, deviations = audit.hard_pass, audit.deviations
 
     def lines() -> Iterable[str]:
         mode = ("replayed published zeta, truncated baseline" if audit.paper_baseline
@@ -370,7 +363,7 @@ def _verify_table(args: argparse.Namespace) -> _Result:
             cells = [row.cell(column) for row in audit.rows]
             max_abs = _fmt(max(cell.abs_dev for cell in cells))
             if cells[0].tolerance is None:
-                above = sum(deviating == column for _, deviating in audit.deviations)
+                above = sum(deviating == column for _, deviating in deviations)
                 yield (f"    {column:<7} informational: max abs dev {max_abs} "
                        f"({above}/{len(cells)} rows deviate)")
             else:
@@ -381,25 +374,26 @@ def _verify_table(args: argparse.Namespace) -> _Result:
         contradictions = audit.sign_contradictions
         yield from (
             "",
-            f"  hard checks: {'PASS' if audit.hard_pass else 'FAIL'}",
-            f"  informational deviations: {len(audit.deviations)} cells",
+            f"  hard checks: {'PASS' if hard_pass else 'FAIL'}",
+            f"  informational deviations: {len(deviations)} cells",
             "  published zeta sign contradictions: "
             f"{len(contradictions)} rows ({', '.join(str(i + 1) for i in contradictions)})",
         )
 
     return _Result(
-        json=lambda: (_audit_json(audit.paper_baseline), (
+        json=lambda: (_AUDIT_JSON, (
             *_param_values(audit.params),
             _leaf("paper-baseline" if audit.paper_baseline else "recomputed"),
-            _leaf(audit.hard_pass), len(audit.deviations),
+            _leaf(hard_pass), len(deviations),
             [i + 1 for i in audit.sign_contradictions],
             [(row.index + 1, *_spread_values(row.spreads), _leaf(row.zeta_sign_contradiction),
-              *_audit_texts(row, _JSON_WORDS)) for row in audit.rows])),
+              *map(_leaf, chain.from_iterable(map(_audit_json_values, row.cells))))
+             for row in audit.rows])),
         table=lambda: (_AUDIT_HEADER, ([str(row.index + 1), *_cells(_spread_values(row.spreads)),
-                                        *_audit_texts(row, _CSV_WORDS),
-                                        _leaf(row.zeta_sign_contradiction)] for row in audit.rows)),
+                                        *_audit_texts(row), _leaf(row.zeta_sign_contradiction)]
+                                       for row in audit.rows)),
         lines=lines,
-        code=0 if audit.hard_pass and not audit.deviations else 1,
+        code=0 if hard_pass and not deviations else 1,
     )
 
 
@@ -428,7 +422,8 @@ _COMMANDS = {
 
 @cache
 def _build_parser() -> argparse.ArgumentParser:
-    # parse_args keeps nothing in the parser between calls, so one serves them all
+    """The parser, built once, as every call parses its argv before the ``_KEPT`` lookup;
+    ``parse_args`` keeps nothing in the parser between calls, so one serves them all."""
     description = "Lot sizing for leaky inventories with fuzzy demand and leakage rates."
     parser = argparse.ArgumentParser(prog="fuzzy-eoq", description=description)
     commands = parser.add_subparsers(dest="command", required=True)
@@ -440,8 +435,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the answer of each call without --config, keyed by its argv, most recently used last;
-# at most one per command, format and flag set at one parameter set
+# the answer of each call without --config by its argv, most recently used last, for
+# cli-calls call2_us; at most one per command, format and flag set at one parameter set
 _KEPT: dict[tuple[str, ...], tuple[str, str, int]] = {}
 _KEPT_MAX = len(_COMMANDS) * len(_RENDERERS) * 4
 

@@ -178,9 +178,14 @@ class TriangularFuzzyNumber:
         """Signed distance to the zero fuzzy point: (b1 + 2 b2 + b3) / 4.
 
         Equals the mean midpoint of the alpha-cuts; cross-checked against
-        ``signed_distance_quadrature`` in the test suite.
+        ``signed_distance_quadrature`` in the test suite.  Where the sum
+        ``b1 + 2 b2 + b3`` overflows, the exact quarters are summed instead,
+        rounded once; quartering first everywhere would lose subnormal bits.
         """
-        return (self.beta1 + 2.0 * self.beta2 + self.beta3) / 4.0
+        total = self.beta1 + 2.0 * self.beta2 + self.beta3
+        if math.isfinite(total):
+            return total / 4.0
+        return math.fsum((0.25 * self.beta1, 0.5 * self.beta2, 0.25 * self.beta3))
 
     def __add__(self, other: "TriangularFuzzyNumber") -> "TriangularFuzzyNumber":
         if not isinstance(other, TriangularFuzzyNumber):

@@ -97,7 +97,8 @@ def gauss_kronrod(
     would round onto its ends, is refused before ``f`` is called.
 
     Raises:
-        DomainError: if ``a > b``, or ``tol`` is negative or nan.
+        DomainError: if ``a`` or ``b`` is not finite, if ``a > b``, or if
+            ``tol`` is negative or nan.
         QuadratureError: if an estimate is not finite, if a panel that
             must be halved cannot be, if ``[a, b]`` is too narrow to hold
             every node inside it, or if the tolerance is not reached
@@ -105,6 +106,9 @@ def gauss_kronrod(
     """
     if not tol >= 0.0:
         raise DomainError(f"tol must be non-negative (got {tol!r})")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        name, bound = ("b", b) if math.isfinite(a) else ("a", a)
+        raise DomainError(f"{name} must be finite (got {bound!r})")
     if a == b:
         return 0.0
     if not a < b:

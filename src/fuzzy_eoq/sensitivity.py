@@ -10,8 +10,11 @@ crisp baseline.
 failures instead of aborting.  ``audit_table`` re-derives the table and
 compares column by column.  A sweep computes the crisp baseline once, at
 its first row that passes its own checks, and an audit before any row;
-both validate each row's spreads once, and each audit is kept for later
-calls with the same parameters and mode.  Two modes:
+both validate each row's spreads once.  The package keeps four things, each
+for what needs it: ``cli._KEPT`` (``cli-calls`` ``call2_us``),
+``cli._build_parser`` (parsing comes before that lookup), ``_audit`` behind
+``audit_table`` (``sweep-shared`` ``call_p50_us`` and ``call2_us``) and
+``load_reference_table`` (the package's one data file, read once).  Two modes:
 
 * default: every column recomputed from the spreads by this package's
   own pipeline (exact crisp baseline);
@@ -31,8 +34,7 @@ from __future__ import annotations
 import csv
 import gc
 import math
-from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache, partial
+from functools import cache, lru_cache, partial
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -125,10 +127,9 @@ def run_sweep(
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@_value_type
 class ReferenceRow:
-    """One published table row, exactly as printed.  Its ``spreads`` are built
-    on first use and kept, so the cached table serves every audit and sweep."""
+    """One published table row, exactly as printed."""
 
     d1: float
     d2: float
@@ -141,14 +142,14 @@ class ReferenceRow:
     rel_q: float
     rel_z: float
 
-    @cached_property
+    @property
     def spreads(self) -> FuzzySpreads:
         return FuzzySpreads(self.d1, self.d2, self.d3, self.d4)
 
 
 @lru_cache(maxsize=1)
 def load_reference_table() -> tuple[ReferenceRow, ...]:
-    """The published sensitivity table bundled with the package."""
+    """The published sensitivity table: the package's one data file, read once."""
     text = (Path(__file__).parent / "data" / "reference_table.csv").read_text()
     rows = []
     for raw in csv.DictReader(text.splitlines()):
@@ -207,10 +208,10 @@ class AuditRow:
         raise DomainError(f"unknown audit column {column!r}")
 
 
-@dataclass(frozen=True)
+@_value_type
 class TableAudit:
     """Full audit: one row per published row, one cell per compared column.
-    Its summaries are computed on first use and kept."""
+    Its summaries are computed from the rows on every read."""
 
     params: CrispParams
     paper_baseline: bool
@@ -223,14 +224,14 @@ class TableAudit:
             if tuple(cell.column for cell in row.cells) != AUDIT_COLUMNS:
                 raise DomainError(f"row {row.index} does not cover {AUDIT_COLUMNS}")
 
-    @cached_property
+    @property
     def hard_pass(self) -> bool:
         return all(
             cell.passed for row in self.rows for cell in row.cells
             if cell.passed is not None
         )
 
-    @cached_property
+    @property
     def deviations(self) -> tuple[tuple[int, str], ...]:
         """(row index, column) of informational cells that do not reproduce."""
         return tuple(
@@ -240,7 +241,7 @@ class TableAudit:
             if cell.tolerance is None and cell.abs_dev > DEVIATION_FLOOR
         )
 
-    @cached_property
+    @property
     def sign_contradictions(self) -> tuple[int, ...]:
         return tuple(row.index for row in self.rows if row.zeta_sign_contradiction)
 
@@ -273,6 +274,7 @@ def audit_table(
 
 @lru_cache(maxsize=8)
 def _audit(p: CrispParams, paper_baseline: bool) -> TableAudit:
+    """``audit_table``'s work, kept for ``sweep-shared`` ``call_p50_us`` and ``call2_us``."""
     base = _baseline(p, paper_baseline)  # its error comes before any row's
     lot_zeta, tolerances, relative = _AUDIT_MODES[paper_baseline]
     audit_rows = []

@@ -32,7 +32,7 @@ from fuzzy_eoq import (
     zeta_quadrature,
 )
 from fuzzy_eoq.cli import (_LIST, _NUMBER, _RENDERERS, _TEXT, _build_parser, _leaf, _render_json,
-                           _Result, _shape, main)
+                           _Result, main)
 
 from conftest import drawn_input
 
@@ -54,13 +54,6 @@ def run_captured(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
-
-
-def fresh_audit(monkeypatch):
-    """Make each later ``verify-table`` compute a new audit, which nothing has rendered."""
-    audit = fuzzy_eoq.sensitivity._audit.__wrapped__
-    monkeypatch.setattr("fuzzy_eoq.cli.audit_table",
-                        lambda params, paper_baseline: audit(params, paper_baseline))
 
 
 def generic_sweep_outputs(entries, paper, relax):
@@ -479,8 +472,8 @@ def as_indented_json(text):
 
 
 class TestJsonLayout:
-    """Every JSON payload is written into a layout made once per payload shape;
-    the text is the one ``json.dumps(indent=2)`` gives for what it holds."""
+    """Every JSON payload is written into a layout made from its shape; the
+    text is the one ``json.dumps(indent=2)`` gives for what it holds."""
 
     @given(
         p=LAYOUT_PARAMS,
@@ -522,45 +515,6 @@ class TestJsonLayout:
         assert '\n  "sign_contradiction_rows": [],\n' in out
         assert out == as_indented_json(out)
 
-    def test_layouts_are_made_once(self, monkeypatch):
-        for argv in (["crisp"], ["fuzzy", *ROW1_FLAGS], ["sweep", "--reference"], ["verify-table"]):
-            run_captured([*argv, "--format", "json"])
-        fuzzy_eoq.cli._KEPT.clear()
-        fresh_audit(monkeypatch)
-        indented = []
-        dumps = json.dumps
-
-        def counting(obj, **kwargs):
-            indented.append(kwargs.get("indent"))
-            return dumps(obj, **kwargs)
-
-        monkeypatch.setattr(json, "dumps", counting)
-        code, out, _ = run_captured(["verify-table", "--format", "json"])
-        monkeypatch.undo()
-        assert None in indented  # the slot filler's strings
-        assert [indent for indent in indented if indent is not None] == []
-        assert code == 1 and out == as_indented_json(out)
-
-    @pytest.mark.parametrize("flags", [[], ["--paper-baseline"]])
-    def test_audit_render_writes_few_leaves(self, monkeypatch, flags):
-        # each cell's column, tolerance and relative are literals in the mode's layout,
-        # and its other fields come from reprs, so only the mode, the verdict and each
-        # row's sign flag go through the slot filler
-        argv = ["verify-table", *flags, "--format", "json"]
-        warm = run_captured(argv)
-        fuzzy_eoq.cli._KEPT.clear()
-        fresh_audit(monkeypatch)
-        calls = []
-        leaf = _leaf
-
-        def counting(value):
-            calls.append(value)
-            return leaf(value)
-
-        monkeypatch.setattr("fuzzy_eoq.cli._leaf", counting)
-        assert run_captured(argv) == warm
-        assert 0 < len(calls) <= 20
-
     @pytest.mark.parametrize("paper", [False, True])
     def test_audit_cells_match_the_audit_at_other_params(self, paper):
         params = CrispParams(phi=700.0, psi=20.0, h=10.0, s=100.0)
@@ -586,10 +540,10 @@ class TestJsonLayout:
         assert _leaf(value) == json.dumps(value)
 
     def test_layout_escapes_its_text_and_fills_every_slot(self):
-        layout = _shape({
+        sample = {
             "100%": _TEXT, "%r": [_LIST, {"text": _TEXT, "n": _NUMBER}], "empty": [_LIST, _NUMBER],
             "fixed": [_TEXT, {"flag": _TEXT}], "nested": {"list": [_LIST, _TEXT]},
-        })
+        }
         texts = ['q"\\%s\x00Ω', "%(x)s", "\U0001f600"]
         payload = {
             "100%": "a%sb", "%r": [{"text": t, "n": n} for t, n in zip(texts, (1.5, -0.0, 7))],
@@ -597,9 +551,8 @@ class TestJsonLayout:
         }
         leaves = (_leaf("a%sb"), [(_leaf(t), n) for t, n in zip(texts, (1.5, -0.0, 7))], [],
                   _leaf(None), _leaf(False), [_leaf(1e-300), _leaf(True)])
-        result = _Result(json=lambda: (layout(), leaves), table=None, lines=None)
+        result = _Result(json=lambda: (sample, leaves), table=None, lines=None)
         assert _render_json(result) == json.dumps(payload, indent=2) + "\n"
-        assert layout() is layout()
 
 
 class TestVerifyTable:

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -237,6 +238,21 @@ class TestSignedDistance:
         assert TriangularFuzzyNumber(1.0, 2.0, 3.0).signed_distance() == 2.0
         assert TriangularFuzzyNumber(1.0, 2.0, 4.0).signed_distance() == 2.25
         assert TriangularFuzzyNumber(5.0, 5.0, 5.0).signed_distance() == 5.0
+
+    @pytest.mark.parametrize("triple", [(1e308, 1.5e308, 1.7e308), (-1.7e308, -1.5e308, -1e308),
+                                        (1.7e308, 1.7e308, 1.7e308)])
+    def test_finite_where_the_sum_overflows(self, triple):
+        # b1 + 2 b2 + b3 overflows; the quarter is the exact value, rounded once
+        exact = (Fraction(triple[0]) + 2 * Fraction(triple[1]) + Fraction(triple[2])) / 4
+        assert TriangularFuzzyNumber(*triple).signed_distance() == float(exact)
+
+    @pytest.mark.parametrize("triple", [(5e-324, 5e-324, 1e-323), (1e-323, 1.5e-323, 2.5e-323),
+                                        (-1.0, 0.1, 0.7), (1e307, 2e307, 4e307)])
+    def test_same_bits_where_the_sum_is_finite(self, triple):
+        # the sum quartered, as ever: quartering each term first would lose
+        # subnormal bits ((5e-324, 5e-324, 1e-323) would give 0.0)
+        b1, b2, b3 = triple
+        assert TriangularFuzzyNumber(*triple).signed_distance() == (b1 + 2.0 * b2 + b3) / 4.0
 
     def test_quadrature_route_matches_on_examples(self):
         for triple in [(1.0, 2.0, 3.0), (1.0, 2.0, 4.0), (-3.0, 0.5, 10.0)]:

@@ -63,6 +63,23 @@ def test_reversed_bounds_rejected():
         gauss_kronrod(math.exp, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("a, b, message", [
+    (0.0, math.inf, "b must be finite (got inf)"),
+    (math.inf, math.inf, "a must be finite (got inf)"),  # not the empty interval's 0.0
+    (-math.inf, 0.0, "a must be finite (got -inf)"),
+    (-math.inf, math.inf, "a must be finite (got -inf)"),
+    (math.nan, 1.0, "a must be finite (got nan)"),
+    (0.0, math.nan, "b must be finite (got nan)"),
+])
+def test_non_finite_bound_named(a, b, message):
+    def f(x):
+        raise AssertionError("integrand called")
+
+    with pytest.raises(DomainError) as excinfo:
+        gauss_kronrod(f, a, b)
+    assert str(excinfo.value) == message
+
+
 def test_evaluation_budget_exhaustion_raises(monkeypatch):
     # Around a jump the error shrinks only with the width of the panel
     # holding it, so a small budget must fail loudly instead of lying.

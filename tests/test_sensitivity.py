@@ -69,17 +69,14 @@ class TestReferenceTable:
         assert table[5].rel_q == 2.8410
         assert table[17].z_star == 1114.12
 
-    def test_spreads_built_once_per_row(self):
+    def test_spreads_are_the_row_spreads(self):
         for row in load_reference_table():
-            spreads = row.spreads
-            assert spreads == FuzzySpreads(row.d1, row.d2, row.d3, row.d4)
-            assert row.spreads is spreads
-            assert load_reference_table()[0].spreads is load_reference_table()[0].spreads
+            assert row.spreads == FuzzySpreads(row.d1, row.d2, row.d3, row.d4)
 
     def test_rows_are_still_plain_values(self):
         fields = (100.0, 100.0, 1.0, 1.0, 600.0, 0.00162, 109.456, 1099.76, 1.3478, -0.6943)
         row = load_reference_table()[0]
-        row.spreads  # the kept spreads are no field: nothing below sees them
+        row.spreads  # a property, no field: nothing below sees it
         fresh = ReferenceRow(*fields)
         assert row == fresh and hash(row) == hash(fresh)
         assert repr(row) == repr(fresh) == (

@@ -1,11 +1,16 @@
 """The package's value types are frozen, slotted dataclasses that behave as
 plain frozen dataclasses do: equality, hashing, repr, pickling, copying and
-``dataclasses`` helpers.  ``ReferenceRow`` and ``TableAudit`` keep an
-instance dict, which their cached values live in.
+``dataclasses`` helpers.  None keeps a cached value: a ``ReferenceRow``'s
+``spreads`` and a ``TableAudit``'s summaries are computed when read.  What
+the package does keep per process is four things, each for what needs it:
+``cli._KEPT`` (``cli-calls`` ``call2_us``), ``cli._build_parser`` (parsing
+comes before that lookup), ``sensitivity._audit`` (``sweep-shared``
+``call_p50_us`` and ``call2_us``) and ``sensitivity.load_reference_table``
+(the package's one data file, read once).
 
 Written with the standard library alone, so any interpreter runs it:
 
-    PYTHONPATH=src python -m unittest discover -s tests -p test_value_types.py
+    PYTHONPATH=src python -m unittest discover -s tests -p 'test_value_type*.py'
 """
 
 import copy
@@ -20,9 +25,11 @@ from fuzzy_eoq import (
     CycleQuantities,
     FuzzySpreads,
     Interval,
+    ReferenceRow,
     SolutionRecord,
     SweepRow,
     SweepSpec,
+    TableAudit,
     TriangularFuzzyNumber,
     audit_table,
     crisp_optimal,
@@ -45,13 +52,15 @@ def _samples():
         SweepRow(0, sp, record, None),
         SweepRow(1, sp, None, "d1 < phi violated (d1=700.0, phi=600.0)"),
         audit_table().rows[0],
+        audit_table(),
+        load_reference_table()[0],
         Interval(1.0, 2.5),
         TriangularFuzzyNumber(500.0, 600.0, 700.0),
     ]
 
 
-SLOTTED = (FuzzySpreads, CrispParams, SolutionRecord, CycleQuantities,
-           SweepSpec, SweepRow, AuditRow, Interval, TriangularFuzzyNumber)
+SLOTTED = (FuzzySpreads, CrispParams, SolutionRecord, CycleQuantities, SweepSpec, SweepRow,
+           AuditRow, TableAudit, ReferenceRow, Interval, TriangularFuzzyNumber)
 
 
 def _rebuild(like, data):
@@ -123,24 +132,6 @@ class TestSlottedValueTypes(unittest.TestCase):
         self.assertEqual(repr(FuzzySpreads(100.0, 100.0, 1.0, 1.0)),
                          "FuzzySpreads(d1=100.0, d2=100.0, d3=1.0, d4=1.0)")
         self.assertEqual(repr(Interval(1.0, 2.5)), "Interval(lo=1.0, hi=2.5)")
-
-
-class TestCachedValuesKept(unittest.TestCase):
-    """The two types with cached values keep their instance dict."""
-
-    def test_reference_row_spreads_built_once(self):
-        row = load_reference_table()[0]
-        spreads = row.spreads
-        self.assertIs(row.spreads, spreads)
-        self.assertIs(vars(row)["spreads"], spreads)
-
-    def test_table_audit_summaries_computed_once(self):
-        audit = audit_table()
-        for name in ("hard_pass", "deviations", "sign_contradictions"):
-            with self.subTest(name):
-                first = getattr(audit, name)
-                self.assertIs(getattr(audit, name), first)
-                self.assertIs(vars(audit)[name], first)
 
 
 if __name__ == "__main__":
