@@ -1,16 +1,15 @@
 """Command-line front end: crisp solves, fuzzy solves, sweeps, table audit.
 
 ``main`` merges the config file and the flags once; each command returns one ``_Result``,
-and one renderer per output format turns it into text; JSON is laid out from the
-payload's shape when it is rendered.  ``main(argv)`` may be called many times in one
-process.  A call without ``--config`` reads nothing but its argv and the bundled table, so
-its answer is kept by its argv: a repeated call writes the kept stdout and stderr, returns
-the kept exit code, and solves and renders nothing.  At most 48 answers are kept, the least
+and one renderer per output format turns it into text; JSON is laid out from the payload's
+shape when it is rendered.  ``main(argv)`` may be called many times in one process.  A call
+without ``--config`` reads nothing but its argv and the bundled table, so its answer is
+kept by its argv: a repeated call writes the kept stdout and stderr, returns the kept exit
+code, and parses, solves and renders nothing.  At most 48 answers are kept, the least
 recently used dropped first.  An answer that ends in an error is not kept, and ``--out`` is
-written on every call.  The package keeps four things, each for what needs it: ``_KEPT``
-(``cli-calls`` ``call2_us``), ``_build_parser`` (parsing comes before the ``_KEPT``
-lookup), ``sensitivity._audit`` (``sweep-shared`` ``call_p50_us`` and ``call2_us``) and
-``sensitivity.load_reference_table`` (the package's one data file, read once).
+written on every call.  The package keeps three things, each for what needs it: ``_KEPT``
+(``cli-calls`` ``call2_us``), ``sensitivity._audit`` (``sweep-shared`` ``call_p50_us`` and
+``call2_us``) and ``load_reference_table`` (the package's one data file, read once).
 
 Exit codes: 0 on success, 1 when a sweep had failing rows or the table
 audit found deviations, 2 on invalid parameters, spreads, or config, on a
@@ -420,10 +419,7 @@ _COMMANDS = {
 }
 
 
-@cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once, as every call parses its argv before the ``_KEPT`` lookup;
-    ``parse_args`` keeps nothing in the parser between calls, so one serves them all."""
     description = "Lot sizing for leaky inventories with fuzzy demand and leakage rates."
     parser = argparse.ArgumentParser(prog="fuzzy-eoq", description=description)
     commands = parser.add_subparsers(dest="command", required=True)
@@ -437,12 +433,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # the answer of each call without --config by its argv, most recently used last, for
 # cli-calls call2_us; at most one per command, format and flag set at one parameter set
-_KEPT: dict[tuple[str, ...], tuple[str, str, int]] = {}
+_KEPT: dict[tuple[str, ...], tuple[str, str, int, Optional[str]]] = {}
 _KEPT_MAX = len(_COMMANDS) * len(_RENDERERS) * 4
 
 
-def _answer(args: argparse.Namespace) -> tuple[str, str, int]:
-    """The call's stderr text, its output text and its exit code."""
+def _answer(argv: tuple[str, ...]) -> tuple[str, str, int, Optional[str]]:
+    """The call's stderr, output text, exit code and ``--out`` path, kept by its argv."""
+    args = _build_parser().parse_args(argv)
     cfg = _load_config(args.config) if args.config else {}
     defaults = dict(zip(_PARAM_KEYS, _param_values(REFERENCE_PARAMS)))
     args.params = CrispParams(**_merged(cfg, args, "params", _PARAM_KEYS, defaults))
@@ -451,20 +448,22 @@ def _answer(args: argparse.Namespace) -> tuple[str, str, int]:
     args.rows = _sweep_rows(cfg, args)
     del cfg  # a parsed 10^4-row sweep config is megabytes; free it before solving
     result = args.handler(args)
-    return result.err, _RENDERERS[args.format](result), result.code
+    answer = result.err, _RENDERERS[args.format](result), result.code, args.out
+    if not args.config:  # a config file may change between calls
+        _KEPT[argv] = answer
+        if len(_KEPT) > _KEPT_MAX:
+            del _KEPT[next(iter(_KEPT))]
+    return answer
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     key = tuple(sys.argv[1:] if argv is None else argv)
-    args = _build_parser().parse_args(key)
     try:
-        err, text, code = answer = _KEPT.pop(key, None) or _answer(args)
-        if not args.config:  # a config file may change between calls
-            _KEPT[key] = answer
-            if len(_KEPT) > _KEPT_MAX:
-                del _KEPT[next(iter(_KEPT))]
+        if kept := _KEPT.pop(key, None):
+            _KEPT[key] = kept  # most recently used last
+        err, text, code, out = kept or _answer(key)
         sys.stderr.write(err)
-        _emit(text, args.out)
+        _emit(text, out)
         return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,6 +35,15 @@ def _require_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} > 0 violated (got {value!r})")
 
 
+def _along(start: float, stop: float, t: float) -> float:
+    """``start + (stop - start) t``; where the width overflows, the same from the halves,
+    which are exact at that size, doubled."""
+    width = stop - start
+    if math.isfinite(width):
+        return start + width * t
+    return 2.0 * (start / 2.0 + (stop / 2.0 - start / 2.0) * t)
+
+
 def _value_type(cls: type) -> type:
     """Declare ``cls`` one of the package's value types: a frozen, slotted
     dataclass whose ``__init__`` takes every field, in order and by the
@@ -167,12 +176,13 @@ class TriangularFuzzyNumber:
         ``[beta1 + (beta2 - beta1) a, beta2 + (beta3 - beta2) (1 - a)]``,
         each a parameter plus a nonnegative term, so neither cancels on
         positive numbers.  The lower end is capped at ``beta2``, which a
-        rounded-up ``beta2 - beta1`` can pass below a negative peak."""
+        rounded-up ``beta2 - beta1`` can pass below a negative peak.  An end
+        whose flank is wider than binary64 holds is formed from halves."""
         _require_finite("alpha", a)
         if not 0.0 <= a <= 1.0:
             raise DomainError(f"0 <= alpha <= 1 violated (got {a!r})")
-        return Interval(min(self.beta1 + (self.beta2 - self.beta1) * a, self.beta2),
-                        self.beta2 + (self.beta3 - self.beta2) * (1.0 - a))
+        return Interval(min(_along(self.beta1, self.beta2, a), self.beta2),
+                        _along(self.beta2, self.beta3, 1.0 - a))
 
     def signed_distance(self) -> float:
         """Signed distance to the zero fuzzy point: (b1 + 2 b2 + b3) / 4.

@@ -106,10 +106,15 @@ def lot_cost(q: float, s: float, h: float, delta: float, zeta_value: float) -> f
     """Cost per unit time of lot size q given defuzzified inputs.
 
     ``delta`` and ``zeta_value`` normally come from ``defuzzified_rates``
-    but may be replayed from any external source.
+    but may be replayed from any external source.  ``q``, ``s``, ``h`` and
+    ``delta`` must be positive and finite, ``zeta_value`` finite.
     """
-    if not 0.0 < q < _INF:
-        _require_positive("q", q)
+    # one chain on the baseline path; the checks name the first bad input
+    if not (0.0 < q < _INF and 0.0 < s < _INF and 0.0 < h < _INF and 0.0 < delta < _INF
+            and -_INF < zeta_value < _INF):
+        for name, value in (("q", q), ("s", s), ("h", h), ("delta", delta)):
+            _require_positive(name, value)
+        _require_finite("zeta", zeta_value)
     return q * h / 2.0 + (s / q) * delta + (q * h / 2.0) * zeta_value
 
 
@@ -215,8 +220,18 @@ def _whole_units(q_star: float, z_star: float) -> tuple[float, float]:
 
 
 def percent_deviation(value: float, base: float) -> float:
-    """Deviation of ``value`` from ``base`` in percent of ``base``."""
-    return (value - base) / base * 100.0
+    """Deviation of ``value`` from ``base`` in percent of ``base``.  Both must be
+    finite, ``base`` nonzero, and the deviation finite."""
+    deviation = (value - base) / base * 100.0 if base else math.nan
+    # a nan or inf input makes the deviation nan or inf; only then are the inputs named
+    if not -_INF < deviation < _INF:
+        _require_finite("value", value)
+        _require_finite("base", base)
+        if not base:
+            raise DomainError(f"base != 0 violated (got {base!r})")
+        raise DomainError(f"percent deviation of {value!r} from {base!r} must be finite "
+                          f"(got {deviation!r})")
+    return deviation
 
 
 def _baseline(p: CrispParams, paper_baseline: bool) -> tuple[float, float]:

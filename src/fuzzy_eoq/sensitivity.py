@@ -10,10 +10,9 @@ crisp baseline.
 failures instead of aborting.  ``audit_table`` re-derives the table and
 compares column by column.  A sweep computes the crisp baseline once, at
 its first row that passes its own checks, and an audit before any row;
-both validate each row's spreads once.  The package keeps four things, each
-for what needs it: ``cli._KEPT`` (``cli-calls`` ``call2_us``),
-``cli._build_parser`` (parsing comes before that lookup), ``_audit`` behind
-``audit_table`` (``sweep-shared`` ``call_p50_us`` and ``call2_us``) and
+both validate each row's spreads once.  The package keeps three things, each
+for what needs it: ``cli._KEPT`` (``cli-calls`` ``call2_us``), ``_audit``
+behind ``audit_table`` (``sweep-shared`` ``call_p50_us`` and ``call2_us``) and
 ``load_reference_table`` (the package's one data file, read once).  Two modes:
 
 * default: every column recomputed from the spreads by this package's

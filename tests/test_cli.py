@@ -31,8 +31,7 @@ from fuzzy_eoq import (
     run_sweep,
     zeta_quadrature,
 )
-from fuzzy_eoq.cli import (_LIST, _NUMBER, _RENDERERS, _TEXT, _build_parser, _leaf, _render_json,
-                           _Result, main)
+from fuzzy_eoq.cli import _LIST, _NUMBER, _RENDERERS, _TEXT, _leaf, _render_json, _Result, main
 
 from conftest import drawn_input
 
@@ -597,97 +596,71 @@ class TestVerifyTable:
         assert "d3 < psi" in err
 
 
-class TestKeptRender:
-    """A repeated ``verify-table`` argv writes the kept answer: it neither
-    audits nor renders."""
-
-    @pytest.mark.parametrize("fmt", list(_RENDERERS))
-    def test_repeat_renders_nothing(self, monkeypatch, fmt):
-        argv = ["verify-table", "--paper-baseline", "--format", fmt]
-        first = run_captured(argv)
-
-        def fail(*args):
-            raise AssertionError("rendered again")
-
-        for name in _RENDERERS:
-            monkeypatch.setitem(_RENDERERS, name, fail)
-        monkeypatch.setattr("fuzzy_eoq.cli._audit_texts", fail)
-        assert run_captured(argv) == first
-
-    def test_a_repeated_argv_reads_no_audit(self, monkeypatch):
-        # neither a cleared audit cache nor a patched audit_table is asked again
-        argv = ["verify-table", "--format", "csv"]
-        first = run_captured(argv)
-        fuzzy_eoq.sensitivity._audit.cache_clear()
-        calls = []
-
-        def counting(name, make):
-            return lambda *args, **kwargs: calls.append(name) or make(*args, **kwargs)
-
-        monkeypatch.setattr("fuzzy_eoq.cli.audit_table", counting("audit", audit_table))
-        monkeypatch.setitem(_RENDERERS, "csv", counting("render", _RENDERERS["csv"]))
-        assert run_captured(argv) == run_captured(argv) == first
-        assert calls == []
-        assert run_captured(["verify-table", "--format", "csv", "--paper-baseline"])[0] == 1
-        assert calls == ["audit", "render"]
-
-    def test_out_writes_the_kept_text(self, tmp_path):
-        argv = ["verify-table", "--format", "json"]
-        code, out, _ = run_captured(argv)
-        for path in (tmp_path / "first.json", tmp_path / "again.json"):
-            assert run_captured([*argv, "--out", str(path)]) == (code, "", "")
-            assert path.read_text() == out
-
-    def test_a_failing_audit_keeps_nothing(self):
-        for _ in range(2):
-            code, out, err = run_captured(["verify-table", "--psi", "5"])
-            assert (code, out) == (2, "") and "d3 < psi" in err
-        assert fuzzy_eoq.cli._KEPT == {}
+# what a call may build, parse, solve, audit or sweep, by the object it is looked up on
+COUNTED = {
+    fuzzy_eoq.cli: ("crisp_optimal", "_solve", "_baseline", "zeta_quadrature", "audit_table",
+                    "run_sweep", "_audit_texts"),
+    fuzzy_eoq.model: ("_crisp_optimum",),
+    argparse.ArgumentParser: ("__init__", "parse_known_args"),
+}
+# every command, format and flag set at one parameter set: as many argvs as are kept
+EVERY_ARGV = [[*command, "--format", fmt, *flags]
+              for command in (["crisp"], ["fuzzy", *ROW1_FLAGS], ["sweep", "--reference"],
+                              ["verify-table"])
+              for fmt in _RENDERERS for flags in FLAG_SETS]
 
 
-def counting_sweeps(monkeypatch) -> list:
-    """Record the params of every ``run_sweep`` the CLI makes from here on."""
+def counting(monkeypatch) -> list:
+    """Record by name, from here on, each parser the CLI builds, each parse, solve, audit
+    and sweep it makes, and each render."""
     calls = []
 
-    def counting(spec, **kwargs):
-        calls.append(spec.params)
-        return run_sweep(spec, **kwargs)
+    def counted(name, make):
+        return lambda *args, **kwargs: calls.append(name) or make(*args, **kwargs)
 
-    monkeypatch.setattr("fuzzy_eoq.cli.run_sweep", counting)
+    for owner, names in COUNTED.items():
+        for name in names:
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    for name, render in list(_RENDERERS.items()):
+        monkeypatch.setitem(_RENDERERS, name, counted("render", render))
     return calls
 
 
-class TestKeptSweep:
-    """A repeated ``sweep --reference`` argv solves and renders nothing: it
-    writes the kept stdout and stderr and returns the kept code."""
+class TestKeptAnswer:
+    """A call without ``--config`` is kept by its argv, at most 48 of them: a repeated argv
+    writes the kept stdout and stderr, returns the kept code, and parses, solves, audits
+    and renders nothing.  A call with ``--config`` reads its file on every call."""
 
-    @pytest.mark.parametrize("flags", FLAG_SETS)
+    def test_a_repeat_parses_solves_and_renders_nothing(self, monkeypatch):
+        # one argv more than are kept drops the least recently used: the first
+        argvs = [*EVERY_ARGV, ["crisp", "--phi", "700"]]
+        first = [run_captured(argv) for argv in argvs]
+        calls = counting(monkeypatch)
+        assert [run_captured(argv) for argv in argvs[1:]] == first[1:]
+        assert calls == []
+        assert run_captured(argvs[0]) == first[0]
+        # a new argv builds one parser, the top-level one and one per command
+        assert calls == [*["__init__"] * 5, *["parse_known_args"] * 2, "crisp_optimal",
+                         "_crisp_optimum", "render"]
+        assert len(fuzzy_eoq.cli._KEPT) == 48
+
     @pytest.mark.parametrize("fmt", list(_RENDERERS))
-    def test_repeat_solves_and_renders_nothing(self, monkeypatch, fmt, flags):
-        argv = ["sweep", "--reference", *flags, "--format", fmt]
-        first = run_captured(argv)
-
-        def fail(*args, **kwargs):
-            raise AssertionError("solved or rendered again")
-
-        for name in _RENDERERS:
-            monkeypatch.setitem(_RENDERERS, name, fail)
-        monkeypatch.setattr("fuzzy_eoq.cli.run_sweep", fail)
-        assert run_captured(argv) == first
-
-    @pytest.mark.parametrize("fmt", list(_RENDERERS))
-    def test_row_errors_are_replayed(self, fmt):
+    def test_row_errors_are_replayed(self, tmp_path, fmt):
         # phi = 150 is not above d1 in rows 7-18: twelve rows fail, six solve
         argv = ["sweep", "--reference", "--phi", "150", "--format", fmt]
-        first = run_captured(argv)
-        code, _, err = first
+        code, out, err = first = run_captured(argv)
         assert code == 1
         assert [line.partition(":")[0] for line in err.splitlines()] == [
             f"row {i}" for i in range(7, 19)]
-        assert run_captured(argv) == run_captured(argv) == first
+        assert run_captured(argv) == first
+        path = tmp_path / "answer"
+        for _ in range(2):  # the second answer is kept, and --out is written again
+            path.unlink(missing_ok=True)
+            assert run_captured([*argv, "--out", str(path)]) == (code, "", err)
+            assert path.read_text() == out
 
     @pytest.mark.parametrize("order", [("0.0", "-0.0"), ("-0.0", "0.0")])
-    def test_signed_zero_psi_is_its_own_key(self, monkeypatch, order):
+    def test_signed_zero_psi_is_its_own_key(self, order):
         # both zeros fail every row, and each prints its own sign
         def call(psi):
             return run_captured(["sweep", "--reference", "--psi", psi, "--format", "json"])
@@ -710,78 +683,35 @@ class TestKeptSweep:
             alone.append(run_captured(argv))
         assert len(set(alone)) == len(FLAG_SETS)
         fuzzy_eoq.cli._KEPT.clear()
-        calls = counting_sweeps(monkeypatch)
+        calls = counting(monkeypatch)
         assert [run_captured(argv) for argv in argvs * 2] == alone * 2
-        assert len(calls) == len(FLAG_SETS)
+        assert calls.count("run_sweep") == len(FLAG_SETS)
 
-    def test_out_writes_the_kept_text(self, tmp_path):
-        argv = ["sweep", "--reference", "--phi", "150", "--format", "json"]
-        code, out, err = run_captured(argv)
-        assert code == 1 and err
-        for path in (tmp_path / "first.json", tmp_path / "again.json"):
-            assert run_captured([*argv, "--out", str(path)]) == (code, "", err)
-            assert path.read_text() == out
-
-    def test_config_sweep_is_solved_every_call(self, monkeypatch, tmp_path):
-        config = tmp_path / "sweep.json"
-        config.write_text(json.dumps({"sweep": [VALID_ROW, FAILING_ROW]}))
-        argv = ["sweep", "--config", str(config), "--format", "csv"]
-        calls = counting_sweeps(monkeypatch)
-        first = run_captured(argv)
-        assert first[0] == 1 and first[2].startswith("row 2: d1 < phi violated")
-        assert run_captured(argv) == first
-        assert len(calls) == 2
+    def test_a_failing_call_keeps_nothing(self):
+        for _ in range(2):
+            code, out, err = run_captured(["verify-table", "--psi", "5"])
+            assert (code, out) == (2, "") and "d3 < psi" in err
         assert fuzzy_eoq.cli._KEPT == {}
 
-
-class TestKeptAnswer:
-    """A call without ``--config`` is kept by its argv, at most 48 of them;
-    a call with ``--config`` reads its file on every call."""
-
-    @pytest.mark.parametrize("fmt", list(_RENDERERS))
-    @pytest.mark.parametrize("argv", [["crisp"], ["fuzzy", *ROW1_FLAGS]], ids=["crisp", "fuzzy"])
-    def test_repeat_solves_nothing(self, monkeypatch, argv, fmt):
-        argv = [*argv, "--format", fmt]
-        first = run_captured(argv)
-
-        def fail(*args, **kwargs):
-            raise AssertionError("solved again")
-
-        for name in ("crisp_optimal", "_solve", "_baseline", "zeta_quadrature"):
-            monkeypatch.setattr(f"fuzzy_eoq.cli.{name}", fail)
-        monkeypatch.setattr(fuzzy_eoq.model, "_crisp_optimum", fail)
-        assert run_captured(argv) == first
-
-    def test_at_most_48_answers_are_kept(self, monkeypatch):
-        # every command, format and flag set at one parameter set, then one more
-        commands = (["crisp"], ["fuzzy", *ROW1_FLAGS], ["sweep", "--reference"], ["verify-table"])
-        argvs = [[*command, "--format", fmt, *flags]
-                 for command in commands for fmt in _RENDERERS for flags in FLAG_SETS]
-        argvs.append(["crisp", "--phi", "700"])
-        assert len(argvs) == 49
-        first = [run_captured(argv) for argv in argvs]
-        answers = []
-        answer = fuzzy_eoq.cli._answer
-        monkeypatch.setattr("fuzzy_eoq.cli._answer",
-                            lambda args: answers.append(args.command) or answer(args))
-        assert [run_captured(argv) for argv in argvs[1:]] == first[1:]
-        assert answers == []
-        assert run_captured(argvs[0]) == first[0]
-        assert answers == ["crisp"]
-        assert len(fuzzy_eoq.cli._KEPT) == 48
-
-    @pytest.mark.parametrize("command", ["crisp", "fuzzy"])
+    @pytest.mark.parametrize("command", ["crisp", "fuzzy", "sweep"])
     def test_a_rewritten_config_gives_its_new_answer(self, tmp_path, command):
         config = tmp_path / "cfg.json"
         argv = [command, "--config", str(config), "--format", "json"]
-        spreads = {"d1": 100, "d2": 100, "d3": 1, "d4": 1} if command == "fuzzy" else {}
+        spreads = {"d1": 100, "d2": 100, "d3": 1, "d4": 1}
+        section = {"fuzzy": {"spreads": spreads}, "sweep": {"sweep": [spreads]}}.get(command, {})
         for phi in (600, 700, 600):
-            config.write_text(json.dumps({"params": {"phi": phi}, "spreads": spreads}))
-            flags = ["--phi", str(phi), *(f"--{key}={value}" for key, value in spreads.items())]
-            want = run_captured([command, *flags, "--format", "json"])
-            assert run_captured(argv) == want
-            assert json.loads(want[1])["params"]["phi"] == phi
-        assert all("--config" not in key for key in fuzzy_eoq.cli._KEPT)
+            config.write_text(json.dumps({"params": {"phi": phi}, **section}))
+            assert json.loads(run_captured(argv)[1])["params"]["phi"] == phi
+        assert fuzzy_eoq.cli._KEPT == {}
+
+    def test_nothing_carries_over_to_the_next_call(self):
+        crisp = run_captured(["crisp", "--format", "json"])
+        assert run_captured(["fuzzy", *ROW1_FLAGS])[0] == 0
+        assert run_captured(["fuzzy"]) == (2, "", "error: fuzzy solve requires spreads "
+                                                  "d1, d2, d3, d4 (flags or config)\n")
+        assert run_captured(["crisp", "--s", "200", "--paper-baseline", "--format", "csv"])[0] == 0
+        fuzzy_eoq.cli._KEPT.clear()
+        assert run_captured(["crisp", "--format", "json"]) == crisp
 
 
 def _reference_sweep(paper):
@@ -946,45 +876,6 @@ class TestRuntimeFailures:
         assert err.startswith(f"error: cannot write {str(target)!r}: ")
         assert err.count("\n") == 1
         assert not target.parent.exists()
-
-
-class TestParserReuse:
-    """``main`` builds its parser once per process and carries nothing from
-    one call into the next."""
-
-    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
-        built = []
-        init = argparse.ArgumentParser.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        _build_parser.cache_clear()
-        try:
-            assert run(capsys, ["crisp"])[0] == 0
-            # the top-level parser and one per subcommand
-            assert built == ["fuzzy-eoq", *(f"fuzzy-eoq {name}" for name in
-                                            ("crisp", "fuzzy", "sweep", "verify-table"))]
-            built.clear()
-            assert run(capsys, ["fuzzy", *ROW1_FLAGS, "--format", "json"])[0] == 0
-            assert run(capsys, ["verify-table", "--paper-baseline"])[0] == 1
-            assert built == []
-        finally:
-            _build_parser.cache_clear()
-
-    def test_spreads_do_not_carry_over(self, capsys):
-        assert run(capsys, ["fuzzy", *ROW1_FLAGS])[0] == 0
-        code, out, err = run(capsys, ["fuzzy"])
-        assert (code, out) == (2, "")
-        assert err == ("error: fuzzy solve requires spreads d1, d2, d3, d4 "
-                       "(flags or config)\n")
-
-    def test_flags_do_not_carry_over(self, capsys):
-        first = run(capsys, ["crisp", "--format", "json"])
-        run(capsys, ["crisp", "--s", "200", "--paper-baseline", "--format", "csv"])
-        assert run(capsys, ["crisp", "--format", "json"]) == first
 
 
 # values no model input may take; the largest float makes any sum of two overflow

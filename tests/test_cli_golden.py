@@ -12,10 +12,8 @@ every terminal.  argparse
 words and lays out that text, and a newer Python may change either, so for
 those cases only what fuzzy-eoq decides is compared with the files: the exit
 code, the stream written, the program named in the usage line and the error
-up to the value it quotes.  Their full text is compared with a freshly built
-parser instead, which is what the parser that ``main`` reuses must match.
-Every other case also runs twice in one process, from nothing kept, and
-both calls must match the files.
+up to the value it quotes.  Every other case also runs twice in one process,
+from nothing kept, and both calls must match the files.
 
 An output change is intended only with a named correctness fix.  After
 such a fix, ``python tests/test_cli_golden.py`` rewrites the files from
@@ -31,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from fuzzy_eoq.cli import _build_parser, main
+from fuzzy_eoq.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 STATUS = GOLDEN / "status.json"
@@ -128,11 +126,11 @@ CASES = {
 }
 
 
-def _run(argv: list[str], entry=main) -> tuple[int, str, str]:
+def _run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = entry(argv)
+            code = main(argv)
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
@@ -177,13 +175,6 @@ def test_repeated_call_writes_the_golden_again(name, status, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     want = (status[name]["code"], (GOLDEN / f"{name}.out").read_text(), status[name]["stderr"])
     assert _run(CASES[name]) == _run(CASES[name]) == want
-
-
-@pytest.mark.parametrize("name", list(ARGPARSE))
-def test_reused_parser_matches_a_fresh_one(name, monkeypatch):
-    monkeypatch.setenv("COLUMNS", COLUMNS)
-    fresh = _build_parser.__wrapped__()
-    assert _run(ARGPARSE[name]) == _run(ARGPARSE[name], fresh.parse_args)
 
 
 def _regenerate() -> None:

@@ -484,6 +484,13 @@ class TestTinyRates:
                                                    astuple(demand_fuzzy(phi, sp) + leakage))
         assert zeta_quadrature(phi, psi, sp) == plain
 
+    def test_scaled_while_the_upper_end_stays_finite(self):
+        # scaled, the denominator's upper end has binary exponent 1024: just
+        # below 2**1024, so the cuts are scaled; unscaled, the oracle gave 0.29733
+        sp = FuzzySpreads(2e-323, math.ldexp(0.6, -46), 1e-323, 1e-323)
+        assert _rel(zeta_quadrature(4e-323, 2e-323, sp, relax_bounds=True),
+                    zeta(4e-323, 2e-323, sp, relax_bounds=True)) <= 1e-12
+
     def test_huge_relaxed_spreads_are_not_scaled_past_binary64(self):
         # scaling up would overflow phi + psi + d2 + d4: the cuts stay unscaled
         sp = FuzzySpreads(1e-301, 1e307, 1e-301, 1.0)

@@ -96,6 +96,19 @@ class TestAlphaCut:
         assert b.beta1 + (b.beta2 - b.beta1) > b.beta2
         assert b.alpha_cut(1.0) == Interval(7.243, 7.243)
 
+    @pytest.mark.parametrize("b, a, cut", [
+        # beta2 - beta1 overflows: the lower end was beta2 at a = 1/4 and nan at a = 0
+        ((-1.7e308, 1.7e308, 1.7e308), 0.25, (-8.5e307, 1.7e308)),
+        ((-1.7e308, 1.7e308, 1.7e308), 0.0, (-1.7e308, 1.7e308)),
+        ((-1.7e308, 1.7e308, 1.7e308), 1.0, (1.7e308, 1.7e308)),
+        # beta3 - beta2 overflows: the upper end was nan at every level
+        ((-1.7e308, -1.7e308, 1.7e308), 0.0, (-1.7e308, 1.7e308)),
+        ((-1.7e308, -1.7e308, 1.7e308), 0.5, (-1.7e308, 0.0)),
+        ((-1.7e308, -1.7e308, 1.7e308), 1.0, (-1.7e308, -1.7e308)),
+    ])
+    def test_ends_where_a_flank_width_overflows(self, b, a, cut):
+        assert TriangularFuzzyNumber(*b).alpha_cut(a) == Interval(*cut)
+
     LEVEL_ERRORS = {
         -0.1: r"^0 <= alpha <= 1 violated \(got -0\.1\)$",
         1.1: r"^0 <= alpha <= 1 violated \(got 1\.1\)$",

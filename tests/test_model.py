@@ -483,13 +483,33 @@ CHECK_CASES = [
     (optimal_lot_size, (1.0, 1.0, 1.0, -0.5), None),
     (optimal_lot_size, (1.0, 1.0, 1.0, -1.0), r"1 \+ zeta > 0 violated \(got zeta=-1.0\)"),
     (optimal_lot_size, (1.0, 1.0, 1.0, -2.0), r"1 \+ zeta > 0 violated \(got zeta=-2.0\)"),
-    # lot_cost checks q alone
+    # lot_cost checks q, then s, h and delta as optimal_lot_size does, then zeta finite
     (lot_cost, (_NAN, 100.0, 10.0, 600.0, 0.1), r"q must be finite \(got nan\)"),
     (lot_cost, (_INF, 100.0, 10.0, 600.0, 0.1), r"q must be finite \(got inf\)"),
     (lot_cost, (-_INF, 100.0, 10.0, 600.0, 0.1), r"q must be finite \(got -inf\)"),
     (lot_cost, (0.0, 100.0, 10.0, 600.0, 0.1), r"q > 0 violated \(got 0.0\)"),
     (lot_cost, (-1.0, 100.0, 10.0, 600.0, 0.1), r"q > 0 violated \(got -1.0\)"),
     (lot_cost, (1.0, 100.0, 10.0, 600.0, 0.1), None),
+    (lot_cost, (1.0, _NAN, 1.0, 1.0, 0.0), r"s must be finite \(got nan\)"),
+    (lot_cost, (1.0, 0.0, _NAN, 1.0, 0.0), r"s > 0 violated \(got 0.0\)"),
+    (lot_cost, (1.0, 1.0, -1.0, 1.0, 0.0), r"h > 0 violated \(got -1.0\)"),
+    (lot_cost, (1.0, 1.0, _INF, 1.0, 0.0), r"h must be finite \(got inf\)"),
+    (lot_cost, (1.0, 1.0, 1.0, -0.0, _NAN), r"delta > 0 violated \(got -0.0\)"),
+    (lot_cost, (1.0, 1.0, 1.0, _INF, 0.0), r"delta must be finite \(got inf\)"),
+    (lot_cost, (1.0, 1.0, 1.0, 1.0, _NAN), r"zeta must be finite \(got nan\)"),
+    (lot_cost, (1.0, 1.0, 1.0, 1.0, -_INF), r"zeta must be finite \(got -inf\)"),
+    (lot_cost, (1.0, 1.0, 1.0, 1.0, -0.5), None),
+    # percent_deviation checks value and base finite, base nonzero, then the deviation
+    (percent_deviation, (_NAN, 1.0), r"value must be finite \(got nan\)"),
+    (percent_deviation, (_INF, 0.0), r"value must be finite \(got inf\)"),
+    (percent_deviation, (1.0, _INF), r"base must be finite \(got inf\)"),
+    (percent_deviation, (1.0, 0.0), r"base != 0 violated \(got 0.0\)"),
+    (percent_deviation, (1.0, -0.0), r"base != 0 violated \(got -0.0\)"),
+    (percent_deviation, (1e308, -1e308),
+     r"percent deviation of 1e\+308 from -1e\+308 must be finite \(got -inf\)"),
+    (percent_deviation, (1.0, 1e-308),
+     r"percent deviation of 1.0 from 1e-308 must be finite \(got inf\)"),
+    (percent_deviation, (1e-320, 5e-324), None),
     # the solve step: the row's spread, zeta and q checks come before the
     # baseline's error; q* = sqrt(2 1e300 1e300 / 1e-300) is about 1.4e450
     (_solve, (PARAMS, FuzzySpreads(700.0, 1.0, 1.0, 1.0)),

@@ -2,11 +2,10 @@
 plain frozen dataclasses do: equality, hashing, repr, pickling, copying and
 ``dataclasses`` helpers.  None keeps a cached value: a ``ReferenceRow``'s
 ``spreads`` and a ``TableAudit``'s summaries are computed when read.  What
-the package does keep per process is four things, each for what needs it:
-``cli._KEPT`` (``cli-calls`` ``call2_us``), ``cli._build_parser`` (parsing
-comes before that lookup), ``sensitivity._audit`` (``sweep-shared``
-``call_p50_us`` and ``call2_us``) and ``sensitivity.load_reference_table``
-(the package's one data file, read once).
+the package does keep per process is three things, each for what needs it:
+``cli._KEPT`` (``cli-calls`` ``call2_us``), ``sensitivity._audit``
+(``sweep-shared`` ``call_p50_us`` and ``call2_us``) and
+``sensitivity.load_reference_table`` (the package's one data file, read once).
 
 Written with the standard library alone, so any interpreter runs it:
 
