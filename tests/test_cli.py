@@ -603,11 +603,11 @@ COUNTED = {
     fuzzy_eoq.model: ("_crisp_optimum",),
     argparse.ArgumentParser: ("__init__", "parse_known_args"),
 }
+COMMANDS = {"crisp": ["crisp"], "fuzzy": ["fuzzy", *ROW1_FLAGS],
+            "sweep": ["sweep", "--reference"], "verify-table": ["verify-table"]}
 # every command, format and flag set at one parameter set: as many argvs as are kept
 EVERY_ARGV = [[*command, "--format", fmt, *flags]
-              for command in (["crisp"], ["fuzzy", *ROW1_FLAGS], ["sweep", "--reference"],
-                              ["verify-table"])
-              for fmt in _RENDERERS for flags in FLAG_SETS]
+              for command in COMMANDS.values() for fmt in _RENDERERS for flags in FLAG_SETS]
 
 
 def counting(monkeypatch) -> list:
@@ -631,7 +631,16 @@ class TestKeptAnswer:
     writes the kept stdout and stderr, returns the kept code, and parses, solves, audits
     and renders nothing.  A call with ``--config`` reads its file on every call."""
 
-    def test_a_repeat_parses_solves_and_renders_nothing(self, monkeypatch):
+    @pytest.mark.parametrize("fmt", list(_RENDERERS))
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_a_repeat_parses_solves_and_renders_nothing(self, monkeypatch, command, fmt):
+        argvs = [[*COMMANDS[command], "--format", fmt, *flags] for flags in FLAG_SETS]
+        first = [run_captured(argv) for argv in argvs]
+        calls = counting(monkeypatch)
+        assert [run_captured(argv) for argv in argvs] == first
+        assert calls == []
+
+    def test_at_most_48_answers_are_kept(self, monkeypatch):
         # one argv more than are kept drops the least recently used: the first
         argvs = [*EVERY_ARGV, ["crisp", "--phi", "700"]]
         first = [run_captured(argv) for argv in argvs]
