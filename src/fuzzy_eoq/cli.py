@@ -1,15 +1,18 @@
 """Command-line front end: crisp solves, fuzzy solves, sweeps, table audit.
 
 ``main`` merges the config file and the flags once; each command returns one ``_Result``,
-and one renderer per output format turns it into text; JSON is laid out from the payload's
-shape when it is rendered.  ``main(argv)`` may be called many times in one process.  A call
-without ``--config`` reads nothing but its argv and the bundled table, so its answer is
-kept by its argv: a repeated call writes the kept stdout and stderr, returns the kept exit
-code, and parses, solves and renders nothing.  At most 48 answers are kept, the least
-recently used dropped first.  An answer that ends in an error is not kept, and ``--out`` is
-written on every call.  The package keeps three things, each for what needs it: ``_KEPT``
-(``cli-calls`` ``call2_us``), ``sensitivity._audit`` (``sweep-shared`` ``call_p50_us`` and
-``call2_us``) and ``load_reference_table`` (the package's one data file, read once).
+and one renderer per output format turns it into text.  A JSON answer is
+``json.dumps(payload, indent=2)`` of plain dicts and lists, except that a sweep lays out
+its ``rows`` list from one per-row template: ``json.dumps`` takes about 2.5 times as long
+over those rows, several times what solving them takes.  ``main(argv)`` may be called many
+times in one process.  A call without ``--config`` reads nothing but its argv and the
+bundled table, so its answer is kept by its argv: a repeated call writes the kept stdout and
+stderr, returns the kept exit code, and parses, solves and renders nothing.  At most 48
+answers are kept, the least recently used dropped first.  An answer that ends in an error is
+not kept, and ``--out`` is written on every call.  The package keeps three things, each for
+what needs it: ``_KEPT`` (``cli-calls`` ``call2_us``), ``sensitivity._audit``
+(``sweep-shared`` ``call_p50_us`` and ``call2_us``) and ``load_reference_table`` (the
+package's one data file, read once).
 
 Exit codes: 0 on success, 1 when a sweep had failing rows or the table
 audit found deviations, 2 on invalid parameters, spreads, or config, on a
@@ -20,9 +23,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from functools import cache, partial
 from itertools import chain
 from operator import attrgetter
@@ -42,9 +44,6 @@ _PARAM_KEYS, _SPREAD_KEYS, _RECORD_KEYS, _CYCLE_KEYS = _KEYS
 _param_values, _spread_values, _record_values, _cycle_values = (attrgetter(*k) for k in _KEYS)
 _SPREAD_SET = frozenset(_SPREAD_KEYS)
 _SOLUTION_HEADER = [*_SPREAD_KEYS, *_RECORD_KEYS]
-# marks in a payload's shape, which json writes as "\u0000", "\u0001" and "\u0002",
-# quotes included: text no other part of a payload can hold, as json escapes quotes
-_NUMBER, _TEXT, _LIST = "\x00", "\x01", "\x02"
 # the audit cell's fields in JSON order, each with its CSV column ("{}": the audit column),
 # or None: JSON only, fixed per column by the audit mode
 _AUDIT_CELL_FIELDS = {"column": None, "recomputed": "{}", "paper": "paper_{}",
@@ -73,19 +72,16 @@ _ZETA_HEADING, _ZETA_CELLS = _text_table(
     ("row", 4, ""), ("d1", 6, "g"), ("d2", 6, "g"), ("d3", 4, "g"), ("d4", 4, "g"),
     ("zeta recomputed", 16, ".10f"), ("zeta published", 15, ".5f"))
 _ZETA_ROW = "  " + " ".join(_ZETA_CELLS) + "  {}"
-# a list laid out in place with _LIST first: its indent, and the item after _LIST
-_LISTS = re.compile(r'\[\n( *)  "\\u0002",\n\1  (.*?)\n\1\]', re.DOTALL)
-# per output format, the text of True, False and None, keyed by their reprs
-_JSON_WORDS = {"True": "true", "False": "false", "None": "null"}
-_CSV_WORDS = {**_JSON_WORDS, "None": ""}
-
-
-def _leaf(value: object) -> str:
-    """The JSON text of a ``_TEXT`` leaf: true, false, null, a quoted string, or
-    the repr of an int or float, which is json's own text for a finite number."""
-    if type(value) in (int, float):
-        return repr(value)
-    return json.dumps(value) if type(value) is str else _JSON_WORDS[repr(value)]
+# the CSV text of True, False and None, keyed by their reprs
+_CSV_WORDS = {"True": "true", "False": "false", "None": ""}
+# a sweep's solved row in its JSON list, with %r at each value: json writes a finite
+# float or an int as its repr
+_SWEEP_ROW_JSON = json.dumps({"row": "%r", "spreads": dict.fromkeys(_SPREAD_KEYS, "%r"),
+                              **dict.fromkeys(_RECORD_KEYS, "%r")},
+                             indent=2).replace('"%r"', "%r").replace("\n", "\n    ")
+# the sweep payload's "rows" until its list is spliced in: json writes it as "\u0000",
+# and only the params and flags come before it, which are numbers and booleans
+_ROWS_MARK = "\x00"
 
 
 def _audit_texts(row: AuditRow) -> Iterable[str]:
@@ -94,49 +90,15 @@ def _audit_texts(row: AuditRow) -> Iterable[str]:
     return map(_CSV_WORDS.get, texts, texts)
 
 
-def _list_layout(indent: str, item: str) -> Callable[[list], str]:
-    head, sep, tail = f"[\n{indent}  ", f",\n{indent}  ", f"\n{indent}]"
-    return lambda leaves: head + sep.join([item % v for v in leaves]) + tail if leaves else "[]"
-
-
-def _shape(sample: dict) -> tuple[str, list[Callable[[list], str]]]:
-    """The layout of payloads shaped like ``sample``.  ``sample`` holds ``_NUMBER`` or
-    ``_TEXT`` at each slot, ``[_LIST, item]`` at each list of any number of ``item``-shaped
-    objects, and a literal at any other leaf, which the layout holds as JSON text.  The
-    layout is the indented JSON with ``%r`` at each number, ``%s`` at each text slot and
-    each list, and what lays out each list."""
-    text = json.dumps(sample, indent=2).replace("%", "%%")
-    text = text.replace(json.dumps(_NUMBER), "%r").replace(json.dumps(_TEXT), "%s")
-    parts = _LISTS.split(text)  # text, then per list its indent, its item and text
-    return "%s".join(parts[::3]), list(map(_list_layout, parts[1::3], parts[2::3]))
-
-
-_PARAMS, _SPREADS, _RECORD, _CYCLE = (dict.fromkeys(keys, _NUMBER) for keys in _KEYS)
-_FLAGS = {"paper_baseline": _TEXT, "relax_bounds": _TEXT}
-_CRISP_JSON = {"params": _PARAMS, "record": _RECORD, "cycle": _CYCLE}
-_FUZZY_JSON = {
-    "params": _PARAMS, "spreads": _SPREADS, **_FLAGS, "zeta_closed_form": _NUMBER,
-    "zeta_quadrature": _NUMBER, "baseline": {"q_star": _NUMBER, "z_star": _NUMBER},
-    "record": _RECORD,
-}
-_SWEEP_JSON = {"params": _PARAMS, **_FLAGS,
-               "rows": [_LIST, {"row": _NUMBER, "spreads": _SPREADS, **_RECORD}],
-               "errors": [_LIST, {"row": _NUMBER, "error": _TEXT}]}
-# a row's cells are a fixed list, as _shape nests no list in a list's item
-_AUDIT_ROW = {"row": _NUMBER, "spreads": _SPREADS, "zeta_sign_contradiction": _TEXT,
-              "cells": [dict.fromkeys(_AUDIT_CELL_FIELDS, _TEXT)] * len(AUDIT_COLUMNS)}
-_AUDIT_JSON = {"params": _PARAMS, "mode": _TEXT, "hard_pass": _TEXT, "deviation_count": _NUMBER,
-               "sign_contradiction_rows": [_LIST, _NUMBER], "rows": [_LIST, _AUDIT_ROW]}
-
-
 class _Result(NamedTuple):
     """What one command produced: a lazy builder per output form, and the exit code.
     Only the requested builder runs, so a large csv sweep builds no JSON payload.
-    The json builder gives a payload's shape and its leaves in slot order.  Table cells
-    need no csv quoting: they are float reprs, integers, names, true, false or empty.
-    ``err`` is what the command writes to stderr before its output."""
+    The json builder gives the answer's JSON text: ``json.dumps(payload, indent=2)`` of
+    plain dicts and lists, into which a sweep splices its rows.  Table cells need no csv
+    quoting: they are float reprs, integers, names, true, false or empty.  ``err`` is what
+    the command writes to stderr before its output."""
 
-    json: Callable[[], tuple[dict, tuple]]
+    json: Callable[[], str]
     table: Callable[[], tuple[list[str], Iterable[Iterable[str]]]]
     lines: Callable[[], Iterable[str]]
     code: int = 0
@@ -166,17 +128,10 @@ def _render_csv(result: _Result) -> str:
     return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
-def _render_json(result: _Result) -> str:
-    sample, leaves = result.json()
-    text, lists = _shape(sample)
-    lists = iter(lists)
-    return text % tuple(next(lists)(v) if type(v) is list else v for v in leaves) + "\n"
-
-
 _RENDERERS: dict[str, Callable[[_Result], str]] = {
     "human": lambda result: "\n".join(result.lines()) + "\n",
     "csv": _render_csv,
-    "json": _render_json,
+    "json": lambda result: result.json() + "\n",
 }
 
 
@@ -267,11 +222,12 @@ def _crisp(args: argparse.Namespace) -> _Result:
     p = args.params
     record = crisp_optimal(p)
     cycle = cycle_quantities(record.q_star, p)
-    params, cycle_values = _param_values(p), _cycle_values(cycle)
     return _Result(
-        json=lambda: (_CRISP_JSON, (*params, *_record_values(record), *cycle_values)),
+        json=lambda: json.dumps({"params": asdict(p), "record": asdict(record),
+                                 "cycle": asdict(cycle)}, indent=2),
         table=lambda: ([*_PARAM_KEYS, "q_star", "z_star", *_CYCLE_KEYS],
-                       [_cells((*params, record.q_star, record.z_star, *cycle_values))]),
+                       [_cells((*_param_values(p), record.q_star, record.z_star,
+                                *_cycle_values(cycle)))]),
         lines=lambda: [
             "crisp solve",
             f"  params: {_pairs(p, _PARAM_KEYS)}",
@@ -292,10 +248,13 @@ def _fuzzy(args: argparse.Namespace) -> _Result:
     z_quad = zeta_quadrature(p.phi, p.psi, sp, relax_bounds=args.relax_bounds)
     baseline_label = "baseline (truncated)" if args.paper_baseline else "baseline (crisp)"
     return _Result(
-        json=lambda: (_FUZZY_JSON, (*_param_values(p), *_spread_values(sp),
-                                  _leaf(args.paper_baseline), _leaf(args.relax_bounds),
-                                  record.zeta, z_quad, base_q, base_z,
-                                  *_record_values(record))),
+        json=lambda: json.dumps({
+            "params": asdict(p), "spreads": asdict(sp),
+            "paper_baseline": args.paper_baseline, "relax_bounds": args.relax_bounds,
+            "zeta_closed_form": record.zeta, "zeta_quadrature": z_quad,
+            "baseline": {"q_star": base_q, "z_star": base_z},
+            "record": asdict(record),
+        }, indent=2),
         table=lambda: (_SOLUTION_HEADER, [_cells(_solution_values(sp, record))]),
         lines=lambda: [
             "fuzzy solve",
@@ -322,6 +281,11 @@ def _sweep(args: argparse.Namespace) -> _Result:
     solved = [row for row in results if row.record is not None]
     failed = [row for row in results if row.record is None]
 
+    def rows_json() -> str:
+        rows = [_SWEEP_ROW_JSON % (row.index + 1, *_solution_values(row.spreads, row.record))
+                for row in solved]
+        return "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+
     def lines() -> Iterable[str]:
         yield from (f"sweep ({_pairs(p, _PARAM_KEYS)})", _SWEEP_HEADING)
         for row in results:
@@ -330,10 +294,11 @@ def _sweep(args: argparse.Namespace) -> _Result:
         yield f"  rows solved: {len(solved)}/{len(results)}"
 
     return _Result(
-        json=lambda: (_SWEEP_JSON, (
-            *_param_values(p), _leaf(paper), _leaf(relax),
-            [(row.index + 1, *_solution_values(row.spreads, row.record)) for row in solved],
-            [(row.index + 1, _leaf(row.error)) for row in failed])),
+        json=lambda: json.dumps({
+            "params": asdict(p), "paper_baseline": paper, "relax_bounds": relax,
+            "rows": _ROWS_MARK,
+            "errors": [{"row": row.index + 1, "error": row.error} for row in failed],
+        }, indent=2).replace(json.dumps(_ROWS_MARK), rows_json(), 1),
         table=lambda: (_SOLUTION_HEADER,
                        (_cells(_solution_values(row.spreads, row.record)) for row in solved)),
         lines=lines,
@@ -380,16 +345,20 @@ def _verify_table(args: argparse.Namespace) -> _Result:
         )
 
     return _Result(
-        json=lambda: (_AUDIT_JSON, (
-            *_param_values(audit.params),
-            _leaf("paper-baseline" if audit.paper_baseline else "recomputed"),
-            _leaf(hard_pass), len(deviations),
-            [i + 1 for i in audit.sign_contradictions],
-            [(row.index + 1, *_spread_values(row.spreads), _leaf(row.zeta_sign_contradiction),
-              *map(_leaf, chain.from_iterable(map(_audit_json_values, row.cells))))
-             for row in audit.rows])),
+        json=lambda: json.dumps({
+            "params": asdict(audit.params),
+            "mode": "paper-baseline" if audit.paper_baseline else "recomputed",
+            "hard_pass": hard_pass, "deviation_count": len(deviations),
+            "sign_contradiction_rows": [i + 1 for i in audit.sign_contradictions],
+            "rows": [{"row": row.index + 1, "spreads": asdict(row.spreads),
+                      "zeta_sign_contradiction": row.zeta_sign_contradiction,
+                      "cells": [dict(zip(_AUDIT_CELL_FIELDS, _audit_json_values(cell)))
+                                for cell in row.cells]}
+                     for row in audit.rows],
+        }, indent=2),
         table=lambda: (_AUDIT_HEADER, ([str(row.index + 1), *_cells(_spread_values(row.spreads)),
-                                        *_audit_texts(row), _leaf(row.zeta_sign_contradiction)]
+                                        *_audit_texts(row),
+                                        _CSV_WORDS[repr(row.zeta_sign_contradiction)]]
                                        for row in audit.rows)),
         lines=lines,
         code=0 if hard_pass and not deviations else 1,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import partial
-from typing import Callable
+from typing import Callable, Optional
 
 from .defuzzify import FuzzySpreads, _closed_form
 from .errors import DomainError
@@ -245,7 +245,11 @@ def _baseline(p: CrispParams, paper_baseline: bool) -> tuple[float, float]:
 
 
 def _lot_rule(
-    p: CrispParams, delta: float, zeta_value: float, baseline: Callable[[], tuple[float, float]]
+    p: CrispParams,
+    delta: float,
+    zeta_value: float,
+    baseline: Callable[[], tuple[float, float]],
+    delta4: Optional[float] = None,
 ) -> SolutionRecord:
     """The record of the optimal lot size at (delta, zeta_value), its cost,
     and their percent deviations from ``baseline()``'s lot size and cost
@@ -257,12 +261,22 @@ def _lot_rule(
     the deviations are the formulas of ``lot_cost`` and
     ``percent_deviation``, written here so that a row calls no function for
     them.  The paper audit passes the published zeta, which the record then
-    holds; an audit reads only the lot size, the cost and the deviations."""
+    holds; an audit reads only the lot size, the cost and the deviations.
+
+    ``delta4``, which ``_solve`` passes where ``delta`` is subnormal, is
+    4 delta formed without that grid's rounding.  The lot size and cost are
+    then formed from it, as sqrt(2 s (4 delta) / (h 4 (1 + zeta))) and (s/q) (4 delta) / 4,
+    so the rounding of ``delta`` to the subnormal grid does not reach them;
+    the record still holds the rounded ``delta``."""
     s, h = p.s, p.h
-    q = _lot_size(s, h, delta, 1.0 + zeta_value)
+    if delta4 is None:
+        q = _lot_size(s, h, delta, 1.0 + zeta_value)
+    else:
+        q = _scaled_lot_size(s, h, delta4, 4.0 * (1.0 + zeta_value))
     if not 0.0 < q < _INF:
         _require_positive("q", q)
-    z_star = q * h / 2.0 + (s / q) * delta + (q * h / 2.0) * zeta_value
+    ordering = (s / q) * delta if delta4 is None else (s / q) * delta4 / 4.0
+    z_star = q * h / 2.0 + ordering + (q * h / 2.0) * zeta_value
     base_q, base_z = baseline()
     return SolutionRecord(delta, zeta_value, q, z_star,
                           (q - base_q) / base_q * 100.0, (z_star - base_z) / base_z * 100.0)
@@ -277,11 +291,18 @@ def _solve(
     """One row solved against ``baseline()``: the step ``fuzzy_optimal``,
     ``run_sweep`` and the CLI's ``fuzzy`` command share.  It checks the
     spreads once and forms ``delta`` and ``zeta`` as ``defuzzified_rates``
-    does, then takes the lot-rule step."""
+    does, then takes the lot-rule step.  Where ``delta`` is subnormal, and
+    so rounded to the subnormal grid, the step also gets 4 delta =
+    4 phi + (d2 - d1): every operand is then below 2**-1020, so it is exact
+    where it is itself subnormal, and a normal number otherwise."""
     phi, psi = p.phi, p.psi
     spreads.validate_against(phi, psi, relax_bounds=relax_bounds)
-    delta = phi + (spreads.d2 - spreads.d1) / 4.0
-    return _lot_rule(p, delta, _closed_form(phi, psi, spreads), baseline)
+    d = spreads.d2 - spreads.d1
+    delta = phi + d / 4.0
+    zeta_value = _closed_form(phi, psi, spreads)
+    if delta < _MIN_NORMAL:
+        return _lot_rule(p, delta, zeta_value, baseline, 4.0 * phi + d)
+    return _lot_rule(p, delta, zeta_value, baseline)
 
 
 def fuzzy_optimal(

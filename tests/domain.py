@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 from fuzzy_eoq import (CrispParams, DomainError, FuzzySpreads, SolutionRecord, crisp_optimal,
                        defuzzified_rates, lot_cost, optimal_lot_size, truncated_baseline, zeta)
@@ -147,10 +148,19 @@ def valid_input(rng: random.Random,
 def reference_solve(p: CrispParams, spreads: FuzzySpreads, paper_baseline: bool,
                     relax_bounds: bool) -> SolutionRecord:
     """One row solved from the public pieces, in the order a lone solve
-    checks them: spreads, lot rule, then the baseline."""
+    checks them: spreads, lot rule, then the baseline.  Where ``delta`` is
+    subnormal, its rounding to the subnormal grid stays out of the lot size
+    and cost: they come from 4 delta = 4 phi + (d2 - d1), which is not
+    rounded to that grid, and 4 h, which leave the lot size as it is and
+    make the cost 4 Z*."""
     d, z = defuzzified_rates(p.phi, p.psi, spreads, relax_bounds=relax_bounds)
-    q = optimal_lot_size(p.s, p.h, d, z)
-    z_star = lot_cost(q, p.s, p.h, d, z)
+    if d >= sys.float_info.min:
+        q = optimal_lot_size(p.s, p.h, d, z)
+        z_star = lot_cost(q, p.s, p.h, d, z)
+    else:
+        d4, h4 = 4.0 * p.phi + (spreads.d2 - spreads.d1), 4.0 * p.h
+        q = optimal_lot_size(p.s, h4, d4, z)
+        z_star = lot_cost(q, p.s, h4, d4, z) / 4.0
     base = crisp_optimal(p)
     if paper_baseline:
         base = truncated_baseline(base)

@@ -21,6 +21,7 @@ import fuzzy_eoq.sensitivity
 from fuzzy_eoq import (
     REFERENCE_PARAMS,
     CrispParams,
+    DomainError,
     FuzzySpreads,
     QuadratureError,
     SweepSpec,
@@ -31,7 +32,7 @@ from fuzzy_eoq import (
     run_sweep,
     zeta_quadrature,
 )
-from fuzzy_eoq.cli import _LIST, _NUMBER, _RENDERERS, _TEXT, _leaf, _render_json, _Result, main
+from fuzzy_eoq.cli import _RENDERERS, main
 
 from conftest import drawn_input
 
@@ -313,6 +314,19 @@ class TestFuzzy:
         assert math.isclose(record["q_star"], q_star, rel_tol=1e-15)
         assert math.isclose(record["z_star"], 10.0 * q_star, rel_tol=1e-12)
 
+    def test_subnormal_delta_is_not_rounded_into_the_optimum(self, capsys):
+        # delta = 7.5 * 2**-1074 rounds to 8 * 2**-1074, printed 4e-323, 6.7 % above it;
+        # q* and Z* come from 4 delta = 30 * 2**-1074, which is exact.  The references
+        # are 60-digit evaluations from the exact delta and the printed zeta
+        argv = ["fuzzy", "--phi", "4e-323", "--psi", "1e-323", "--h", "18.09589962483555",
+                "--s", "54.72878854872085", "--d1", "1.5e-323", "--d2", "5e-324",
+                "--d3", "5e-324", "--d4", "5e-324", "--format", "csv"]
+        code, out, _ = run(capsys, argv)
+        row = next(csv.DictReader(out.splitlines()))
+        assert (code, row["delta"], row["zeta"]) == (0, "4e-323", "0.23140213775779034")
+        assert math.isclose(float(row["q_star"]), 1.349136321407059e-161, rel_tol=1e-15)
+        assert math.isclose(float(row["z_star"]), 3.0063249166954765e-160, rel_tol=1e-15)
+
 
 class TestSweep:
     def test_reference_csv(self, capsys):
@@ -403,7 +417,8 @@ class TestSweep:
 
 class TestSweepOutputBytes:
     """The sweep writes its solved rows from one template per format; the
-    bytes equal those of the generic renderers."""
+    bytes equal those of the generic renderers, ``json.dumps(indent=2)`` and
+    ``csv.writer``."""
 
     @given(
         entries=st.lists(st.fixed_dictionaries({k: SPREAD_VALUES for k in SPREAD_KEYS}),
@@ -421,6 +436,29 @@ class TestSweepOutputBytes:
         for fmt, expected in (("json", json_text), ("csv", csv_text)):
             argv = ["sweep", "--config", str(config), *flags, "--format", fmt]
             assert run_captured(argv) == (code, expected, err)
+
+    @pytest.mark.parametrize("entries, error", [
+        ([VALID_ROW, FAILING_ROW, VALID_ROW], None),  # solved and failed rows
+        ([FAILING_ROW, FAILING_ROW], None),  # "rows": []
+        ([VALID_ROW, VALID_ROW], None),  # "errors": []
+        ([FAILING_ROW, VALID_ROW, FAILING_ROW],
+         'say "100%" %r %s back\\slash Ωmega – ü \U0001f600'),
+        ([VALID_ROW, FAILING_ROW], "\x00"),  # the text that stands for "rows" until its splice
+    ])
+    def test_json_is_json_dumps_of_the_rows(self, monkeypatch, tmp_path, entries, error):
+        if error is not None:  # each failing row's message replaced by error
+            def solve(*args, real=fuzzy_eoq.sensitivity._solve):
+                try:
+                    return real(*args)
+                except DomainError:
+                    raise DomainError(error) from None
+            monkeypatch.setattr(fuzzy_eoq.sensitivity, "_solve", solve)
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"sweep": entries}))
+        code, json_text, _, err = generic_sweep_outputs(entries, False, False)
+        assert error is None or err.count(error) == entries.count(FAILING_ROW)
+        argv = ["sweep", "--config", str(config), "--format", "json"]
+        assert run_captured(argv) == (code, json_text, err)
 
     def test_large_config_parses_back_bit_for_bit(self, tmp_path):
         rng = random.Random(7)
@@ -471,8 +509,7 @@ def as_indented_json(text):
 
 
 class TestJsonLayout:
-    """Every JSON payload is written into a layout made from its shape; the
-    text is the one ``json.dumps(indent=2)`` gives for what it holds."""
+    """Every JSON answer is the text ``json.dumps(indent=2)`` gives for what it holds."""
 
     @given(
         p=LAYOUT_PARAMS,
@@ -529,29 +566,6 @@ class TestJsonLayout:
                 for key in ("column", "tolerance", "relative", "passed", "recomputed", "paper"):
                     value = getattr(expected, key)
                     assert cell[key] == value and type(cell[key]) is type(value), key
-
-    @pytest.mark.parametrize("value", [
-        True, False, None, "", 'say "hi"', "back\\slash", "100%", "%r %s %%", "nul\x00byte",
-        "\x01 \x1f \x7f", "Ωmega – ü", "\U0001f600", "\ud800",
-        0, -7, 10**20, 0.0, -0.0, 0.1, 1e-09, 5e-324, 1.7976931348623157e308,
-    ])
-    def test_slot_filler_writes_json_text(self, value):
-        assert _leaf(value) == json.dumps(value)
-
-    def test_layout_escapes_its_text_and_fills_every_slot(self):
-        sample = {
-            "100%": _TEXT, "%r": [_LIST, {"text": _TEXT, "n": _NUMBER}], "empty": [_LIST, _NUMBER],
-            "fixed": [_TEXT, {"flag": _TEXT}], "nested": {"list": [_LIST, _TEXT]},
-        }
-        texts = ['q"\\%s\x00Ω', "%(x)s", "\U0001f600"]
-        payload = {
-            "100%": "a%sb", "%r": [{"text": t, "n": n} for t, n in zip(texts, (1.5, -0.0, 7))],
-            "empty": [], "fixed": [None, {"flag": False}], "nested": {"list": [1e-300, True]},
-        }
-        leaves = (_leaf("a%sb"), [(_leaf(t), n) for t, n in zip(texts, (1.5, -0.0, 7))], [],
-                  _leaf(None), _leaf(False), [_leaf(1e-300), _leaf(True)])
-        result = _Result(json=lambda: (sample, leaves), table=None, lines=None)
-        assert _render_json(result) == json.dumps(payload, indent=2) + "\n"
 
 
 class TestVerifyTable:
