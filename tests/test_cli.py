@@ -32,7 +32,7 @@ from fuzzy_eoq import (
     run_sweep,
     zeta_quadrature,
 )
-from fuzzy_eoq.cli import _RENDERERS, main
+from fuzzy_eoq.cli import _RENDERERS, _SWEEP_ROW_JSON, main
 
 from conftest import drawn_input
 
@@ -444,6 +444,10 @@ class TestSweepOutputBytes:
         ([FAILING_ROW, VALID_ROW, FAILING_ROW],
          'say "100%" %r %s back\\slash Ωmega – ü \U0001f600'),
         ([VALID_ROW, FAILING_ROW], "\x00"),  # the text that stands for "rows" until its splice
+        *(([FAILING_ROW, VALID_ROW], text) for text in [
+            "", 'say "hi"', "back\\slash", "100%", "%r %s %%", "nul\x00byte", "\x01 \x1f \x7f",
+            "Ωmega – ü", "\U0001f600", "\ud800",
+        ]),
     ])
     def test_json_is_json_dumps_of_the_rows(self, monkeypatch, tmp_path, entries, error):
         if error is not None:  # each failing row's message replaced by error
@@ -456,9 +460,23 @@ class TestSweepOutputBytes:
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({"sweep": entries}))
         code, json_text, _, err = generic_sweep_outputs(entries, False, False)
-        assert error is None or err.count(error) == entries.count(FAILING_ROW)
+        errors = json.loads(json_text)["errors"]
+        assert len(errors) == entries.count(FAILING_ROW)
+        assert error is None or all(e["error"] == error for e in errors)
         argv = ["sweep", "--config", str(config), "--format", "json"]
         assert run_captured(argv) == (code, json_text, err)
+
+    @pytest.mark.parametrize("value", [
+        0, -7, 10**20, 0.0, -0.0, 0.1, 1e-09, 5e-324, 1e-310, 2.2250738585072014e-308,
+        1.7976931348623157e308,
+    ])
+    def test_row_template_writes_each_value_as_json(self, value):
+        # each slot of the solved row's template holds a finite float or an int
+        # (the row number); json writes either as its repr
+        row = {"row": value, "spreads": dict.fromkeys(SPREAD_KEYS, value),
+               **dict.fromkeys(RECORD_KEYS, value)}
+        filled = _SWEEP_ROW_JSON % ((value,) * (1 + len(SPREAD_KEYS) + len(RECORD_KEYS)))
+        assert '{\n  "rows": [\n    ' + filled + "\n  ]\n}" == json.dumps({"rows": [row]}, indent=2)
 
     def test_large_config_parses_back_bit_for_bit(self, tmp_path):
         rng = random.Random(7)
