@@ -8,9 +8,10 @@ the fuzziness into the cost function:
   collapses to ``phi + (d2 - d1) / 4``;
 * ``zeta``, the signed distance of the fuzzy leakage fraction
   ``leakage / (demand + leakage)``, an exact antiderivative in logarithms
-  arranged so that little cancels.  One band still does: just above
-  ``_SERIES_LIMIT``, ``_g`` computes ``log1p(t) / t - 1`` directly and
-  loses about 7 bits, so ``_g(-0.01023)`` is 3.6e-14 off a 60-digit
+  written through ``h(t) = (log1p(t)/t - 1)/t`` and arranged so that
+  little cancels.  One band still does: just above ``_SERIES_LIMIT``,
+  ``_h`` computes ``log1p(t) / t - 1`` directly and loses about 7 bits,
+  so ``g(t) = t h(t)`` at ``t = -0.01023`` is 3.6e-14 off a 60-digit
   ``decimal`` evaluation (ROADMAP item 8, part B).
 
 ``defuzzified_rates`` returns both for one spread row; every audit row
@@ -35,8 +36,8 @@ from .errors import DomainError
 from .fuzzy import (TriangularFuzzyNumber, _quotient_distance, _require_finite,
                     _require_positive, _value_type)
 
-# Below this |t|, log1p(t)/t - 1 is summed as a series: computed directly
-# it would subtract two nearly equal numbers.
+# Below this |t|, (log1p(t)/t - 1)/t is summed as a series: computed
+# directly it would subtract two nearly equal numbers.
 _SERIES_LIMIT = 1e-2
 
 _INF = math.inf
@@ -146,37 +147,44 @@ def _leak_fraction(
     return (lo, psi, hi), ((phi - d1) + lo, phi + psi, (phi + d2) + hi)
 
 
-def _g(t: float) -> float:
-    """log1p(t)/t - 1 for t > -1, without the cancellation of computing
-    it directly near t = 0."""
+def _h(t: float) -> float:
+    """(log1p(t)/t - 1)/t for t > -1, without the cancellation of computing
+    it directly near t = 0, where it tends to -1/2."""
     if abs(t) < _SERIES_LIMIT:
-        # sum of (-t)^k / (k + 1) for k = 1..9 in Horner form; the first
+        # sum of (-t)^k / (k + 2) for k = 0..8 in Horner form; the first
         # term left out is below 2e-19 of the sum
-        return t * (-1 / 2 + t * (1 / 3 + t * (-1 / 4 + t * (1 / 5 + t * (
-            -1 / 6 + t * (1 / 7 + t * (-1 / 8 + t * (1 / 9 - t / 10))))))))
-    return math.log1p(t) / t - 1.0
+        return -1 / 2 + t * (1 / 3 + t * (-1 / 4 + t * (1 / 5 + t * (
+            -1 / 6 + t * (1 / 7 + t * (-1 / 8 + t * (1 / 9 - t / 10)))))))
+    return (math.log1p(t) / t - 1.0) / t
 
 
 def _closed_form(phi: float, psi: float, spreads: FuzzySpreads) -> float:
-    # With x = d6/eta, y = d5/eta and w = psi/eta the antiderivative is
-    #   zeta = 1/2 [w (2 + g(x) + g(-y)) + (d3/d6) g(x) + (d4/d5) g(-y)].
-    # Only w g(x) > -w and (d3/d6) g(x) > -w/2 are negative, against
-    # w (2 + g(-y)) >= 2w, so the bracket stays above w/2 and at most a
+    # With x = d6/eta, y = d5/eta, w = psi/eta and h(t) = (log1p(t)/t - 1)/t
+    # the antiderivative is
+    #   zeta = 1/2 [w (2 + x h(x) - y h(-y)) + (d3/eta) h(x) - (d4/eta) h(-y)].
+    # The spread terms are over eta, not (d3/d6) g(x) and (d4/d5) g(-y)
+    # with g(t) = t h(t): where x or y underflows, g rounds to 0 while
+    # d3/d6 or d4/d5 can overflow, and h(0) = -1/2 keeps the term.
+    # Only w x h(x) > -w and (d3/eta) h(x) > -w/2 are negative, against
+    # w (2 - y h(-y)) >= 2w, so the bracket stays above w/2 and at most a
     # couple of bits cancel.  Nothing is squared, so tiny or huge rates do
     # not underflow or overflow on the way; only relaxed upper spreads that
-    # dwarf tiny rates can overflow d6/eta or d4/d5, and that is rejected.
+    # dwarf tiny rates can overflow d6/eta, and that is rejected.
     eta = phi + psi
-    d5, d6 = spreads.d1 + spreads.d3, spreads.d2 + spreads.d4
-    gx = _g(d6 / eta)
+    x = (spreads.d2 + spreads.d4) / eta
+    hx = _h(x)
+    d5 = spreads.d1 + spreads.d3
     y = d5 / eta
     if y < 0.5:
-        gy = _g(-y)
+        hy = _h(-y)
+        gy, ty = -y * hy, -spreads.d4 / eta * hy
     else:
         # 1 - y cancels as d1 -> phi and d3 -> psi; each residual is one
         # rounding of exact inputs (exact there, by Sterbenz), and the
         # bounds keep their sum positive
         gy = math.log(((phi - spreads.d1) + (psi - spreads.d3)) / eta) / -y - 1.0
-    value = 0.5 * (psi / eta * (2.0 + gx + gy) + spreads.d3 / d6 * gx + spreads.d4 / d5 * gy)
+        ty = spreads.d4 / d5 * gy
+    value = 0.5 * (psi / eta * (2.0 + x * hx + gy) + spreads.d3 / eta * hx + ty)
     if not -_INF < value < _INF:
         _require_finite("zeta", value)
     return value
@@ -215,15 +223,18 @@ def zeta(
     """Mean leakage fraction by the exact antiderivative.
 
     Integrating the quotient's cut endpoints over the membership levels
-    gives logarithms of 1 + d6/eta and 1 - d5/eta, written through
-    ``g(t) = log1p(t)/t - 1``, which is summed as a series for
-    ``|t| < _SERIES_LIMIT``.  Nothing is squared, so the result holds from
+    gives logarithms of 1 + x and 1 - y, with x = d6/eta and y = d5/eta,
+    written through ``h(t) = (log1p(t)/t - 1)/t``, which is summed as a
+    series for ``|t| < _SERIES_LIMIT`` and tends to -1/2 at t = 0.  Each
+    spread's term is its spread over eta times ``h``, so it is kept where
+    x or y underflows.  Nothing is squared, so the result holds from
     near-degenerate spreads up to the bounds and at both ends of the
-    binary64 range.  It is not free of cancellation: just above
-    ``_SERIES_LIMIT``, ``g`` is computed directly and loses about 7 bits
-    (``g(-0.01023)`` is 3.6e-14 off a 60-digit ``decimal`` evaluation),
-    which reaches ``zeta`` where that term dominates (ROADMAP item 8,
-    part B).
+    binary64 range.  The one valid input rejected is a relaxed upper
+    spread so far above tiny rates that d6/eta overflows.  It is not free
+    of cancellation: just above ``_SERIES_LIMIT``, ``h`` is computed
+    directly and loses about 7 bits (``t h(t)`` at ``t = -0.01023`` is
+    3.6e-14 off a 60-digit ``decimal`` evaluation), which reaches ``zeta``
+    where that term dominates (ROADMAP item 8, part B).
     """
     spreads.validate_against(phi, psi, relax_bounds=relax_bounds)
     return _closed_form(phi, psi, spreads)

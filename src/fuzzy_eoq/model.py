@@ -107,15 +107,22 @@ def lot_cost(q: float, s: float, h: float, delta: float, zeta_value: float) -> f
 
     ``delta`` and ``zeta_value`` normally come from ``defuzzified_rates``
     but may be replayed from any external source.  ``q``, ``s``, ``h`` and
-    ``delta`` must be positive and finite, ``zeta_value`` finite.
+    ``delta`` must be positive and finite, ``zeta_value`` finite with
+    1 + zeta > 0 as ``optimal_lot_size`` requires, and the cost finite.
     """
-    # one chain on the baseline path; the checks name the first bad input
+    # one chain on the baseline path; the checks name the first bad input.
+    # 1 + zeta > 0 exactly when zeta > -1: rounding keeps the sign of a
+    # nonzero sum, and the sum is 0 only at zeta = -1
     if not (0.0 < q < _INF and 0.0 < s < _INF and 0.0 < h < _INF and 0.0 < delta < _INF
-            and -_INF < zeta_value < _INF):
+            and -1.0 < zeta_value < _INF):
         for name, value in (("q", q), ("s", s), ("h", h), ("delta", delta)):
             _require_positive(name, value)
         _require_finite("zeta", zeta_value)
-    return q * h / 2.0 + (s / q) * delta + (q * h / 2.0) * zeta_value
+        raise DomainError(f"1 + zeta > 0 violated (got zeta={zeta_value!r})")
+    cost = q * h / 2.0 + (s / q) * delta + (q * h / 2.0) * zeta_value
+    if not cost < _INF:
+        _require_finite("z_star", cost)
+    return cost
 
 
 def optimal_lot_size(s: float, h: float, delta: float, zeta_value: float) -> float:
@@ -178,13 +185,14 @@ def crisp_optimal(p: CrispParams) -> SolutionRecord:
 
 def _crisp_optimum(p: CrispParams) -> tuple[float, float, float]:
     """``crisp_optimal``'s zeta, lot size and cost, with the errors its
-    record would raise, in the same order: ``lot_cost``'s check of the lot
-    size, then ``SolutionRecord``'s of the cost.  The other fields are
-    finite and positive for every ``CrispParams``."""
+    record would raise, in the same order: ``lot_cost``'s checks of the lot
+    size and of a cost that overflows, then ``SolutionRecord``'s of a cost
+    that underflows to 0.  The other fields are finite and positive for
+    every ``CrispParams``."""
     zeta_value = p.psi / (p.phi + p.psi)
     q = _lot_size(p.s, p.h, p.phi, 1.0 + zeta_value)
     z = lot_cost(q, p.s, p.h, p.phi, zeta_value)
-    if not 0.0 < z < _INF:
+    if not z > 0.0:
         _require_positive("z_star", z)
     return zeta_value, q, z
 

@@ -3,10 +3,14 @@
 ``valid_input(rng, family)`` draws ``(params, spreads, relax_bounds)`` from
 one family of ``FAMILIES``, or from their weighted mix when ``family`` is
 ``None``; the README's testing notes give each family's ranges.  Every
-input it returns passes ``FuzzySpreads.validate_against`` and ``zeta``: a
-draw that rounds out of the domain is drawn again, at most ``_TRIES``
-times.  ``ordinary`` draws ``phi``, ``psi/phi``, ``h``, ``s`` and then
-``d1`` to ``d4``, always in that order, so a fixed seed keeps its inputs.
+input it returns is in the domain by its definition: the params and
+spreads construct, ``FuzzySpreads.validate_against`` passes, and
+``d6/eta`` is finite, ``zeta``'s one documented exclusion.  A draw that
+rounds out of the domain is drawn again, at most ``_TRIES`` times.  No
+solve route is asked, so a route that rejects a valid input fails its
+test instead of having the draw replaced.  ``ordinary`` draws ``phi``,
+``psi/phi``, ``h``, ``s`` and then ``d1`` to ``d4``, always in that
+order, so a fixed seed keeps its inputs.
 ``reference_solve`` solves one row from the public pieces alone, the
 reference every solve path is checked against.
 
@@ -24,7 +28,7 @@ import random
 import sys
 
 from fuzzy_eoq import (CrispParams, DomainError, FuzzySpreads, SolutionRecord, crisp_optimal,
-                       defuzzified_rates, lot_cost, optimal_lot_size, truncated_baseline, zeta)
+                       defuzzified_rates, lot_cost, optimal_lot_size, truncated_baseline)
 from fuzzy_eoq.model import percent_deviation
 
 # a family whose draws round out of the domain this often is broken
@@ -138,10 +142,11 @@ def valid_input(rng: random.Random,
         phi, psi, h, s, spreads = draw(rng)
         try:
             params, spreads = CrispParams(phi, psi, h, s), FuzzySpreads(*spreads)
-            zeta(phi, psi, spreads, relax_bounds=relax_bounds)
+            spreads.validate_against(phi, psi, relax_bounds=relax_bounds)
         except DomainError:
             continue
-        return params, spreads, relax_bounds
+        if spreads.d6 / (phi + psi) < math.inf:
+            return params, spreads, relax_bounds
     raise RuntimeError(f"no valid {family} input in {_TRIES} draws")
 
 

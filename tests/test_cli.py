@@ -238,6 +238,14 @@ class TestFuzzy:
          "--d1", "5e299", "--d2", "5e299", "--d3", "5e299", "--d4", "5e299"],
         ["--phi", "1e308", "--psi", "1e307", "--h", "1", "--s", "1e-307",
          "--d1", "5e307", "--d2", "5e307", "--d3", "5e306", "--d4", "5e306"],
+        # a leak fraction of 1e-10: the oracle's stop is scaled from the cut endpoints
+        ["--phi", "1", "--psi", "1e-10", "--d1", "0.5", "--d2", "0.5",
+         "--d3", "5e-11", "--d4", "5e-11"],
+        # x = d6/eta underflows to 0 while d3/d6 overflows: (d3/d6) g(x) was
+        # inf * 0, and the call exited 2 with "zeta must be finite (got nan)"
+        ["--phi", "1469516.8582250515", "--psi", "9.689232406243604e+134",
+         "--d1", "5.583931377191346e-172", "--d2", "3.3213145525315674e-277",
+         "--d3", "2.1019611373856962e+98", "--d4", "5e-324"],
     ])
     def test_binary64_extreme_rates_solve(self, capsys, argv):
         code, out, err = run(capsys, ["fuzzy", *argv, "--format", "json"])

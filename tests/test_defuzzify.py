@@ -266,6 +266,37 @@ class TestNoCancellation:
             route(1e308, 1e308, FuzzySpreads(1.0, 1.0, 1.0, 1.0))
 
 
+def _tiny_share(rng, rate):
+    """A spread log-uniform from 1e-330 of ``rate`` up to it, floored at the
+    smallest subnormal."""
+    return max(rate * 10.0 ** rng.uniform(-330.0, 0.0), 5e-324)
+
+
+class TestUnderflowingRatios:
+    """Where x = d6/eta or y = d5/eta underflows, the closed form keeps each
+    spread's term as (d3/eta) h(x) or (d4/eta) h(-y), with h(0) = -1/2.
+    Formed as (d3/d6) g(x) or (d4/d5) g(-y), a huge ratio met a g that
+    rounded to 0: the term was lost, or inf * 0 made zeta nan."""
+
+    def test_term_of_an_underflowing_x_is_kept(self):
+        # x underflows to 0: zeta returned 1.1931471805599455e-300
+        phi, psi, sp = 1e300, 1.0, FuzzySpreads(0.5e300, 1e-30, 0.5, 1e-30)
+        assert zeta(phi, psi, sp) == 1.0681471805599455e-300
+        assert _rel(zeta(phi, psi, sp), zeta_quadrature(phi, psi, sp)) <= 1e-12
+
+    def test_underflow_draws_are_accepted_and_match_the_oracle(self):
+        # rates log-uniform in 1e-300..1e300, d1 and d3 a 0.01..0.99 share of
+        # theirs, d2 and d4 down to 1e-330 of theirs: 52 of these draws were
+        # rejected with nan, and 18 more were over 1e-12 off the oracle
+        rng = random.Random(5)
+        for _ in range(3000):
+            phi, psi = 10.0 ** rng.uniform(-300.0, 300.0), 10.0 ** rng.uniform(-300.0, 300.0)
+            sp = FuzzySpreads(phi * rng.uniform(0.01, 0.99), _tiny_share(rng, phi),
+                              psi * rng.uniform(0.01, 0.99), _tiny_share(rng, psi))
+            got, want = zeta(phi, psi, sp), zeta_quadrature(phi, psi, sp)
+            assert abs(got - want) <= 1e-12 * want + SUBNORMAL_SLACK, (phi, psi, sp)
+
+
 def _zeta_decimal(phi, psi, spreads):
     """zeta from the same antiderivative in 60-digit stdlib decimal, taken
     from the exact binary64 inputs: a route binary64 rounding cannot reach."""
@@ -474,6 +505,7 @@ class TestTinyRates:
     def test_staircase_example(self):
         # unscaled, the oracle returned 0.40254 against 0.39832 with no error
         sp = FuzzySpreads(2e-323, 2e-323, 1e-323, 1e-323)
+        assert zeta_quadrature(3.5e-323, 1.5e-323, sp) == 0.39832202392438676
         assert _rel(zeta_quadrature(3.5e-323, 1.5e-323, sp), zeta(3.5e-323, 1.5e-323, sp)) <= 1e-12
 
     @pytest.mark.parametrize("phi, psi", [(0.3, 0.1), (1e-3, 1e-4), (1e-200, 3e-201)])

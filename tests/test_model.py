@@ -483,7 +483,8 @@ CHECK_CASES = [
     (optimal_lot_size, (1.0, 1.0, 1.0, -0.5), None),
     (optimal_lot_size, (1.0, 1.0, 1.0, -1.0), r"1 \+ zeta > 0 violated \(got zeta=-1.0\)"),
     (optimal_lot_size, (1.0, 1.0, 1.0, -2.0), r"1 \+ zeta > 0 violated \(got zeta=-2.0\)"),
-    # lot_cost checks q, then s, h and delta as optimal_lot_size does, then zeta finite
+    # lot_cost checks q, then s, h, delta, zeta and 1 + zeta as optimal_lot_size does,
+    # then the cost finite
     (lot_cost, (_NAN, 100.0, 10.0, 600.0, 0.1), r"q must be finite \(got nan\)"),
     (lot_cost, (_INF, 100.0, 10.0, 600.0, 0.1), r"q must be finite \(got inf\)"),
     (lot_cost, (-_INF, 100.0, 10.0, 600.0, 0.1), r"q must be finite \(got -inf\)"),
@@ -499,6 +500,10 @@ CHECK_CASES = [
     (lot_cost, (1.0, 1.0, 1.0, 1.0, _NAN), r"zeta must be finite \(got nan\)"),
     (lot_cost, (1.0, 1.0, 1.0, 1.0, -_INF), r"zeta must be finite \(got -inf\)"),
     (lot_cost, (1.0, 1.0, 1.0, 1.0, -0.5), None),
+    (lot_cost, (1.0, 1.0, 1.0, 1.0, -1.0), r"1 \+ zeta > 0 violated \(got zeta=-1.0\)"),
+    (lot_cost, (1.0, 1.0, 1.0, 1.0, -5.0), r"1 \+ zeta > 0 violated \(got zeta=-5.0\)"),
+    (lot_cost, (6.07908246689861e-239, 5.378832340062271e+211, 8.745498592846944e+158,
+                8.882909583464342e-163, 0.49543508709194095), r"z_star must be finite \(got inf\)"),
     # percent_deviation checks value and base finite, base nonzero, then the deviation
     (percent_deviation, (_NAN, 1.0), r"value must be finite \(got nan\)"),
     (percent_deviation, (_INF, 0.0), r"value must be finite \(got inf\)"),
