@@ -15,8 +15,8 @@ the fuzziness into the cost function:
   ``decimal`` evaluation (ROADMAP item 8, part B).
 
 ``defuzzified_rates`` returns both for one spread row; every audit row
-calls it, and the solve step takes its two steps inline.  ``zeta`` returns
-the second alone.  Each public route checks its input once, in
+calls it, ``zeta`` returns its second, and the solve step takes its two
+steps inline.  Each public route checks its input once, in
 ``FuzzySpreads.validate_against``: the rates, then the spread bounds, then
 the largest cut sum.
 ``zeta_quadrature`` integrates the alpha-cut endpoints of that quotient
@@ -220,7 +220,8 @@ def zeta(
     *,
     relax_bounds: bool = False,
 ) -> float:
-    """Mean leakage fraction by the exact antiderivative.
+    """Mean leakage fraction by the exact antiderivative: the second value
+    of ``defuzzified_rates``, with its one input check.
 
     Integrating the quotient's cut endpoints over the membership levels
     gives logarithms of 1 + x and 1 - y, with x = d6/eta and y = d5/eta,
@@ -236,8 +237,7 @@ def zeta(
     3.6e-14 off a 60-digit ``decimal`` evaluation), which reaches ``zeta``
     where that term dominates (ROADMAP item 8, part B).
     """
-    spreads.validate_against(phi, psi, relax_bounds=relax_bounds)
-    return _closed_form(phi, psi, spreads)
+    return defuzzified_rates(phi, psi, spreads, relax_bounds=relax_bounds)[1]
 
 
 def defuzzified_rates(

@@ -131,7 +131,8 @@ def optimal_lot_size(s: float, h: float, delta: float, zeta_value: float) -> flo
     Stationary point of ``lot_cost`` in q; the second derivative
     2 s delta / q^3 is strictly positive there, so it is the minimum.
     Every lot size that binary64 can hold is returned, also when
-    2 s delta or h (1 + zeta) alone cannot be held; a larger one is inf.
+    2 s delta or h (1 + zeta) alone cannot be held; one that overflows or
+    rounds to 0 raises the solve path's ``DomainError``.
     """
     _require_positive("s", s)
     _require_positive("h", h)
@@ -159,16 +160,19 @@ def _scaled_lot_size(s: float, h: float, delta: float, w: float) -> float:
     """sqrt(2 s delta / (h w)) from the quotient of the significands, which
     lies in (0.5, 8), and half the exponent, so no step overflows or
     underflows.  Scaling by powers of two does not move a rounding, so
-    where every step of the plain formula stays normal the bits are its."""
+    where every step of the plain formula stays normal the bits are its.
+    A lot size that overflows or rounds to 0 raises its error here."""
     (ms, es), (md, ed) = math.frexp(s), math.frexp(delta)
     (mh, eh), (mw, ew) = math.frexp(h), math.frexp(w)
     m, e = 2.0 * ms * md / (mh * mw), es + ed - eh - ew
     if e % 2:
         m, e = 2.0 * m, e - 1
     try:
-        return math.ldexp(math.sqrt(m), e // 2)
+        q = math.ldexp(math.sqrt(m), e // 2)
     except OverflowError:
-        return math.inf
+        q = _INF
+    _require_positive("q", q)
+    return q
 
 
 def crisp_optimal(p: CrispParams) -> SolutionRecord:
@@ -179,22 +183,7 @@ def crisp_optimal(p: CrispParams) -> SolutionRecord:
     sqrt(2 s phi (phi + psi) / (h (phi + 2 psi))).  The relative columns
     are zero by definition: this record is its own baseline.
     """
-    zeta_value, q, z = _crisp_optimum(p)
-    return SolutionRecord(p.phi, zeta_value, q, z, 0.0, 0.0)
-
-
-def _crisp_optimum(p: CrispParams) -> tuple[float, float, float]:
-    """``crisp_optimal``'s zeta, lot size and cost, with the errors its
-    record would raise, in the same order: ``lot_cost``'s checks of the lot
-    size and of a cost that overflows, then ``SolutionRecord``'s of a cost
-    that underflows to 0.  The other fields are finite and positive for
-    every ``CrispParams``."""
-    zeta_value = p.psi / (p.phi + p.psi)
-    q = _lot_size(p.s, p.h, p.phi, 1.0 + zeta_value)
-    z = lot_cost(q, p.s, p.h, p.phi, zeta_value)
-    if not z > 0.0:
-        _require_positive("z_star", z)
-    return zeta_value, q, z
+    return SolutionRecord(p.phi, p.psi / (p.phi + p.psi), *_baseline(p, False), 0.0, 0.0)
 
 
 def cycle_quantities(q: float, p: CrispParams) -> CycleQuantities:
@@ -243,12 +232,17 @@ def percent_deviation(value: float, base: float) -> float:
 
 
 def _baseline(p: CrispParams, paper_baseline: bool) -> tuple[float, float]:
-    """The crisp baseline that fuzzy deviations are measured against, as its
-    lot size and cost ``(q*, Z*)``.
-
-    With ``paper_baseline`` both are truncated to whole units, the baseline
-    the published reference table used; otherwise they are exact."""
-    _, q, z = _crisp_optimum(p)
+    """The crisp baseline that fuzzy deviations are measured against:
+    ``crisp_optimal``'s lot size and cost ``(q*, Z*)``, truncated to whole
+    units with ``paper_baseline`` as the published reference table used
+    them.  The errors come in the order that record would raise them: the
+    lot size's, ``lot_cost``'s of a cost that overflows, then one of a cost
+    that underflows to 0; its other fields are finite and positive."""
+    zeta_value = p.psi / (p.phi + p.psi)
+    q = _lot_size(p.s, p.h, p.phi, 1.0 + zeta_value)
+    z = lot_cost(q, p.s, p.h, p.phi, zeta_value)
+    if not z > 0.0:
+        _require_positive("z_star", z)
     return _whole_units(q, z) if paper_baseline else (q, z)
 
 
@@ -263,13 +257,13 @@ def _lot_rule(
     and their percent deviations from ``baseline()``'s lot size and cost
     ``(q*, Z*)``: the step every fuzzy row and both audit modes take.  Every
     caller passes a positive, finite ``delta`` and a finite ``zeta_value``
-    above -1, so only the lot size is checked, as ``lot_cost`` checks it; the
-    baseline is asked for after that check, so a row's own error comes
-    before the baseline's, and the record checks the rest.  The cost and
-    the deviations are the formulas of ``lot_cost`` and
-    ``percent_deviation``, written here so that a row calls no function for
-    them.  The paper audit passes the published zeta, which the record then
-    holds; an audit reads only the lot size, the cost and the deviations.
+    above -1, and the lot size is checked where it is formed, before the
+    baseline is asked for, so a row's own error comes before the
+    baseline's; the record checks the rest.  The cost and the deviations
+    are the formulas of ``lot_cost`` and ``percent_deviation``, written
+    here so that a row calls no function for them.  The paper audit passes
+    the published zeta, which the record then holds; an audit reads only
+    the lot size, the cost and the deviations.
 
     ``delta4``, which ``_solve`` passes where ``delta`` is subnormal, is
     4 delta formed without that grid's rounding.  The lot size and cost are
@@ -281,8 +275,6 @@ def _lot_rule(
         q = _lot_size(s, h, delta, 1.0 + zeta_value)
     else:
         q = _scaled_lot_size(s, h, delta4, 4.0 * (1.0 + zeta_value))
-    if not 0.0 < q < _INF:
-        _require_positive("q", q)
     ordering = (s / q) * delta if delta4 is None else (s / q) * delta4 / 4.0
     z_star = q * h / 2.0 + ordering + (q * h / 2.0) * zeta_value
     base_q, base_z = baseline()

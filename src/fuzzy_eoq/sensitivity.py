@@ -49,13 +49,11 @@ AUDIT_COLUMNS = ("delta", "zeta", "q_star", "z_star", "rel_q", "rel_z")
 # Informational cells count as deviations above this floor.
 DEVIATION_FLOOR = 1e-9
 
-# Per audit mode: the zeta the lot rule runs at, from the published row and
-# the recomputed zeta; then, per AUDIT_COLUMNS entry, the cell's tolerance
-# (None: informational) and whether it bounds the relative deviation.
+# Per audit mode, and per AUDIT_COLUMNS entry: the cell's tolerance (None:
+# informational) and whether it bounds the relative deviation.
 _AUDIT_MODES = {
-    False: (lambda ref, z: z, (1e-9, None, None, None, None, None), (False,) * 6),
-    True: (lambda ref, z: ref.zeta, (1e-9, None, 0.005, 0.005, 0.01, None),
-           (False, False, True, True, False, False)),
+    False: ((1e-9, None, None, None, None, None), (False,) * 6),
+    True: ((1e-9, None, 0.005, 0.005, 0.01, None), (False, False, True, True, False, False)),
 }
 
 
@@ -275,12 +273,12 @@ def audit_table(
 def _audit(p: CrispParams, paper_baseline: bool) -> TableAudit:
     """``audit_table``'s work, kept for ``sweep-shared`` ``call_p50_us`` and ``call2_us``."""
     base = _baseline(p, paper_baseline)  # its error comes before any row's
-    lot_zeta, tolerances, relative = _AUDIT_MODES[paper_baseline]
+    tolerances, relative = _AUDIT_MODES[paper_baseline]
     audit_rows = []
     for i, ref in enumerate(load_reference_table()):
         spreads = ref.spreads
         d, z = defuzzified_rates(p.phi, p.psi, spreads)
-        lot = _lot_rule(p, d, lot_zeta(ref, z), lambda: base)
+        lot = _lot_rule(p, d, ref.zeta if paper_baseline else z, lambda: base)
         recomputed = (d, z, lot.q_star, lot.z_star, lot.rel_q, lot.rel_z)
         published = (ref.delta, ref.zeta, ref.q_star, ref.z_star, ref.rel_q, ref.rel_z)
         cells = tuple(map(_audit_cell, AUDIT_COLUMNS, recomputed, published, tolerances, relative))

@@ -118,6 +118,20 @@ def _relaxed_huge_upper(rng):
     return phi, psi, *_costs(rng), (d1, d2, d3, psi * _log_uniform(rng, 0.0, 15.0))
 
 
+def _lopsided(rng):
+    def spread(rate, top):
+        # 10**u in halves, which neither underflow nor overflow; a spread
+        # that overflows is out of the domain and drawn again
+        half = 10.0 ** (rng.uniform(-330.0, top) / 2.0)
+        return max(rate * half * half, 5e-324)
+
+    phi, psi = _log_uniform(rng, -300.0, 300.0), _log_uniform(rng, -300.0, 300.0)
+    bound = math.log10(0.999)
+    upper = 15.0 if rng.randint(0, 1) else bound
+    return phi, psi, *_costs(rng), (spread(phi, bound), spread(phi, upper),
+                                    spread(psi, bound), spread(psi, upper))
+
+
 # name: (draw returning phi, psi, h, s and the spreads, relax_bounds, weight in the mix)
 FAMILIES = {
     "ordinary": (_ordinary, False, 4),
@@ -128,6 +142,7 @@ FAMILIES = {
     "tiny-rate": (_tiny_rate, False, 1),
     "huge-rate": (_huge_rate, True, 1),
     "relaxed-huge-upper": (_relaxed_huge_upper, True, 1),
+    "lopsided": (_lopsided, True, 1),
 }
 
 

@@ -640,7 +640,7 @@ class TestVerifyTable:
 COUNTED = {
     fuzzy_eoq.cli: ("crisp_optimal", "_solve", "_baseline", "zeta_quadrature", "audit_table",
                     "run_sweep", "_audit_texts"),
-    fuzzy_eoq.model: ("_crisp_optimum",),
+    fuzzy_eoq.model: ("lot_cost",),
     argparse.ArgumentParser: ("__init__", "parse_known_args"),
 }
 COMMANDS = {"crisp": ["crisp"], "fuzzy": ["fuzzy", *ROW1_FLAGS],
@@ -690,7 +690,7 @@ class TestKeptAnswer:
         assert run_captured(argvs[0]) == first[0]
         # a new argv builds one parser, the top-level one and one per command
         assert calls == [*["__init__"] * 5, *["parse_known_args"] * 2, "crisp_optimal",
-                         "_crisp_optimum", "render"]
+                         "lot_cost", "render"]
         assert len(fuzzy_eoq.cli._KEPT) == 48
 
     @pytest.mark.parametrize("fmt", list(_RENDERERS))
@@ -788,16 +788,18 @@ class TestBaselineComputedOnce:
     @pytest.mark.parametrize("paper", [False, True], ids=["default", "paper"])
     @pytest.mark.parametrize("case", list(BASELINE_ONCE))
     def test_one_crisp_optimum(self, case, paper, monkeypatch):
+        # only the baseline calls lot_cost, at the crisp s, h and delta = phi
         calls = []
-        crisp_optimum = fuzzy_eoq.model._crisp_optimum
+        lot_cost = fuzzy_eoq.model.lot_cost
 
-        def counting(p):
-            calls.append(p)
-            return crisp_optimum(p)
+        def counting(q, s, h, delta, zeta_value):
+            calls.append((s, h, delta))
+            return lot_cost(q, s, h, delta, zeta_value)
 
-        monkeypatch.setattr(fuzzy_eoq.model, "_crisp_optimum", counting)
+        monkeypatch.setattr(fuzzy_eoq.model, "lot_cost", counting)
         BASELINE_ONCE[case](paper)
-        assert calls == [REFERENCE_PARAMS]
+        p = REFERENCE_PARAMS
+        assert calls == [(p.s, p.h, p.phi)]
 
 
 class TestConfigHandling:

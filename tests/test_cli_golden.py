@@ -65,6 +65,10 @@ ERRORS = {
     "error-crisp-rate-overflow": [
         "crisp", "--phi", "1e308", "--psi", "1e308", "--h", "1", "--s", "1e-300",
     ],
+    # the crisp cost, about 1.6e-485, underflows to 0
+    "error-crisp-cost-underflow": [
+        "crisp", "--phi", "5e-324", "--psi", "0", "--h", "5e-324", "--s", "5e-324",
+    ],
     "error-verify-psi-5": ["verify-table", "--psi", "5"],
     "error-sweep-reference-and-config": [
         "sweep", "--reference", "--config", "configs/sweep.json",

@@ -1,9 +1,9 @@
 """Known defects, one test per input that shows one, each asserting the correct answer.
 
-Each test is a strict xfail naming the ROADMAP item that describes its defect, so tier-1
-lists the defects that remain (``pytest -rxX``), and a change that mends one fails here
-until its mark is deleted.  Each pins its failure to the ``AssertionError`` of a wrong
-answer.
+Each test is a strict xfail naming the ROADMAP item that describes its defect, so every
+run lists the defects that remain (``-rxX`` is in pytest's ``addopts``), and a change
+that mends one fails here until its mark is deleted.  Each pins its failure to the
+``AssertionError`` of a wrong answer.
 """
 
 import csv
@@ -12,11 +12,25 @@ import math
 
 import pytest
 
+import reference
+from fuzzy_eoq import FuzzySpreads, zeta
 from fuzzy_eoq.cli import main
 
 
 def known_defect(item):
     return pytest.mark.xfail(strict=True, reason=f"ROADMAP item {item}", raises=AssertionError)
+
+
+@known_defect(8)
+def test_zeta_keeps_its_bits_just_above_the_series_limit():
+    # part B: y = d5/eta is just above the series limit, where h(-y) is formed directly and
+    # loses about 7 bits; zeta returns 32222.30786537877, where the reference gives
+    # 32222.307865377832, 2.9e-14 relative
+    phi, psi = 1.0117409504616682e-157, 8003175.981221273
+    sp = FuzzySpreads(1.011740950461668e-157, 1.1074852349356327e-144, 87457.31425458548,
+                      1023985468637.4556)
+    want = reference.zeta(phi, psi, sp)
+    assert abs(zeta(phi, psi, sp, relax_bounds=True) - want) <= 1e-15 * want
 
 
 @known_defect(9)

@@ -1,6 +1,8 @@
 """Tests for the crisp and fuzzy lot-size models."""
 
+import dataclasses
 import math
+import operator
 import random
 import re
 import sys
@@ -12,10 +14,15 @@ from hypothesis import strategies as st
 
 import fuzzy_eoq.model
 from fuzzy_eoq import (
+    AUDIT_COLUMNS,
     CrispParams,
+    CycleQuantities,
     DomainError,
     FuzzySpreads,
+    Interval,
     SolutionRecord,
+    TriangularFuzzyNumber,
+    audit_table,
     crisp_optimal,
     cycle_quantities,
     defuzzified_rates,
@@ -207,7 +214,7 @@ def _lot_size_decimal(s, h, delta, zeta_value):
 
 class TestLotSizeRange:
     """Every lot size binary64 can hold is returned, whatever 2 s delta and
-    h (1 + zeta) do on the way."""
+    h (1 + zeta) do on the way; a larger one raises the solve path's error."""
 
     @pytest.mark.parametrize("s, h, delta, zeta_value", [
         (1e306, 1.0, 600.0, 10.0 / 610.0),  # 2 s delta overflows
@@ -223,8 +230,9 @@ class TestLotSizeRange:
         want = _lot_size_decimal(s, h, delta, zeta_value)
         assert abs(Decimal(q) - want) <= Decimal("1e-15") * want
 
-    def test_lot_size_beyond_binary64_is_inf(self):
-        assert optimal_lot_size(1.7976931348623157e308, 5e-324, 1e10, 0.0) == math.inf
+    def test_lot_size_beyond_binary64_raises(self):
+        with pytest.raises(DomainError, match=r"^q must be finite \(got inf\)$"):
+            optimal_lot_size(1.7976931348623157e308, 5e-324, 1e10, 0.0)
 
     def test_matches_decimal_reference_across_the_range(self):
         # s and h log-uniform over 1e-323..1e308; below the normal range
@@ -234,11 +242,13 @@ class TestLotSizeRange:
         for _ in range(20_000):
             s, h = (10.0 ** rng.uniform(-323.0, 308.0) for _ in range(2))
             delta, zeta_value = 10.0 ** rng.uniform(-3.0, 6.0), rng.uniform(0.0, 1.0)
-            q = optimal_lot_size(s, h, delta, zeta_value)
             want = _lot_size_decimal(s, h, delta, zeta_value)
             if want > largest:
-                assert q == math.inf
-            elif want >= tiny:
+                with pytest.raises(DomainError, match=r"^q must be finite \(got inf\)$"):
+                    optimal_lot_size(s, h, delta, zeta_value)
+                continue
+            q = optimal_lot_size(s, h, delta, zeta_value)
+            if want >= tiny:
                 assert abs(Decimal(q) - want) <= Decimal("1e-15") * want, (s, h, delta, zeta_value)
             else:
                 assert abs(Decimal(q) - want) <= Decimal(2) ** -1074, (s, h, delta, zeta_value)
@@ -483,6 +493,11 @@ CHECK_CASES = [
     (optimal_lot_size, (1.0, 1.0, 1.0, -0.5), None),
     (optimal_lot_size, (1.0, 1.0, 1.0, -1.0), r"1 \+ zeta > 0 violated \(got zeta=-1.0\)"),
     (optimal_lot_size, (1.0, 1.0, 1.0, -2.0), r"1 \+ zeta > 0 violated \(got zeta=-2.0\)"),
+    # then the lot size, with the solve path's messages: it overflows, or its
+    # true value, about 1.4e-450, rounds to 0
+    (optimal_lot_size, (1.7976931348623157e308, 5e-324, 1e10, 0.0),
+     r"q must be finite \(got inf\)"),
+    (optimal_lot_size, (1e-300, 1e300, 1e-300, 0.0), r"q > 0 violated \(got 0.0\)"),
     # lot_cost checks q, then s, h, delta, zeta and 1 + zeta as optimal_lot_size does,
     # then the cost finite
     (lot_cost, (_NAN, 100.0, 10.0, 600.0, 0.1), r"q must be finite \(got nan\)"),
@@ -563,3 +578,41 @@ class TestCheckOrder:
         else:
             with pytest.raises(DomainError, match=f"^{message}$"):
                 route(*args)
+
+
+def _cells_reversed(audit):
+    row = dataclasses.replace(audit.rows[0], cells=audit.rows[0].cells[::-1])
+    return dataclasses.replace(audit, rows=(row, *audit.rows[1:]))
+
+
+# each fuzzy-arithmetic operator with a plain number as its right operand
+_WITH_A_NUMBER = [
+    *[(Interval(1.0, 2.0), op)
+      for op in (operator.add, operator.sub, operator.mul, operator.truediv)],
+    *[(TriangularFuzzyNumber(1.0, 2.0, 3.0), op) for op in (operator.add, operator.sub)],
+]
+
+# checks that no solve, sweep or audit reaches: a value type built wrong, an
+# unknown audit column, and arithmetic with a plain number
+UNREACHED_CHECKS = [
+    pytest.param(lambda: CycleQuantities(1.0, 2.0, 0.0), DomainError,
+                 r"t1 <= t violated \(got t1=2.0, t=1.0\)", id="cycle-t1-above-t"),
+    pytest.param(lambda: CycleQuantities(1.0, 0.5, -1.0), DomainError,
+                 r"leaked >= 0 violated \(got -1.0\)", id="cycle-negative-leak"),
+    pytest.param(lambda: dataclasses.replace(audit_table(), rows=audit_table().rows[:17]),
+                 DomainError, r"expected 18 audit rows \(got 17\)", id="audit-17-rows"),
+    pytest.param(lambda: _cells_reversed(audit_table()), DomainError,
+                 re.escape(f"row 0 does not cover {AUDIT_COLUMNS}"), id="audit-cells-reversed"),
+    pytest.param(lambda: audit_table().rows[0].cell("nope"), DomainError,
+                 r"unknown audit column 'nope'", id="audit-unknown-column"),
+    *[pytest.param(lambda value=value, op=op: op(value, 1), TypeError,
+                   r"unsupported operand type\(s\)",
+                   id=f"{type(value).__name__}-{op.__name__}-number")
+      for value, op in _WITH_A_NUMBER],
+]
+
+
+@pytest.mark.parametrize("make, error, message", UNREACHED_CHECKS)
+def test_checks_no_solve_reaches(make, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        make()
