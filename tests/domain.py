@@ -40,6 +40,15 @@ def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
     return 10.0 ** rng.uniform(lo, hi)
 
 
+def log_uniform_share(rng: random.Random, rate: float, lo: float, hi: float) -> float:
+    """``rate`` times 10 to a power drawn uniformly in ``lo..hi``, floored at the
+    smallest subnormal.  The power is formed in two halves, which neither underflow
+    nor overflow, so the share keeps its bits where ``10**u`` alone would be 0 or
+    subnormal."""
+    half = 10.0 ** (rng.uniform(lo, hi) / 2.0)
+    return max(rate * half * half, 5e-324)
+
+
 def _costs(rng: random.Random) -> tuple[float, float]:
     return rng.uniform(0.5, 50.0), rng.uniform(5.0, 2000.0)
 
@@ -119,11 +128,9 @@ def _relaxed_huge_upper(rng):
 
 
 def _lopsided(rng):
+    # a spread that overflows is out of the domain and drawn again
     def spread(rate, top):
-        # 10**u in halves, which neither underflow nor overflow; a spread
-        # that overflows is out of the domain and drawn again
-        half = 10.0 ** (rng.uniform(-330.0, top) / 2.0)
-        return max(rate * half * half, 5e-324)
+        return log_uniform_share(rng, rate, -330.0, top)
 
     phi, psi = _log_uniform(rng, -300.0, 300.0), _log_uniform(rng, -300.0, 300.0)
     bound = math.log10(0.999)

@@ -12,8 +12,10 @@ every terminal.  argparse
 words and lays out that text, and a newer Python may change either, so for
 those cases only what fuzzy-eoq decides is compared with the files: the exit
 code, the stream written, the program named in the usage line and the error
-up to the value it quotes.  Every other case also runs twice in one process,
-from nothing kept, and both calls must match the files.
+up to the value it quotes.  ``test_output_matches_golden`` runs every other
+case twice in one process, from nothing kept, and both calls must match the
+files.  ``test_readme_transcripts_match_main`` runs each ``$ fuzzy-eoq``
+transcript of the README and compares the lines it shows.
 
 An output change is intended only with a named correctness fix.  After
 such a fix, ``python tests/test_cli_golden.py`` rewrites the files from
@@ -25,14 +27,18 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from fuzzy_eoq.cli import main
+from fuzzy_eoq.sensitivity import _audit
 
 GOLDEN = Path(__file__).parent / "golden"
 STATUS = GOLDEN / "status.json"
+README = Path(__file__).parent.parent / "README.md"
 COLUMNS = "80"
 
 ROW1 = ["--d1", "100", "--d2", "100", "--d3", "1", "--d4", "1"]
@@ -161,24 +167,33 @@ def test_every_case_has_a_golden_file(status):
 def test_output_matches_golden(name, status, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     monkeypatch.setenv("COLUMNS", COLUMNS)
-    code, out, err = _run(CASES[name])
-    want_out = (GOLDEN / f"{name}.out").read_text()
-    want_code, want_err = status[name]["code"], status[name]["stderr"]
+    want = status[name]["code"], (GOLDEN / f"{name}.out").read_text(), status[name]["stderr"]
     if name in ARGPARSE:
-        assert _owned(code, out, err) == _owned(want_code, want_out, want_err)
+        assert _owned(*_run(CASES[name])) == _owned(*want)
         return
-    assert out == want_out
-    assert err == want_err
-    assert code == want_code
+    # from nothing kept, not even an audit, so the first call computes and renders
+    # what the second may write from what the first kept
+    _audit.cache_clear()
+    assert _run(CASES[name]) == want
+    assert _run(CASES[name]) == want
 
 
-@pytest.mark.parametrize("name", [name for name in CASES if name not in ARGPARSE])
-def test_repeated_call_writes_the_golden_again(name, status, monkeypatch):
-    # with nothing kept yet, so the first call computes and renders what a
-    # second call in the same process may write from what the first kept
-    monkeypatch.chdir(GOLDEN)
-    want = (status[name]["code"], (GOLDEN / f"{name}.out").read_text(), status[name]["stderr"])
-    assert _run(CASES[name]) == _run(CASES[name]) == want
+def test_readme_transcripts_match_main():
+    # each "$ fuzzy-eoq <argv>" block, maybe piped to head -N or tail -N, then the lines shown
+    blocks = re.findall(r"^```\n\$ fuzzy-eoq ([^\n]*)\n(.*?)^```$", README.read_text(),
+                        re.MULTILINE | re.DOTALL)
+    commands = set()
+    for command_line, shown in blocks:
+        command, _, pipe = command_line.partition(" | ")
+        argv = shlex.split(command)
+        commands.add(argv[0])
+        _, out, err = _run(argv)
+        lines = out.splitlines()
+        if pipe:
+            tool, count = pipe.split(" -")
+            lines = {"head": lines[:int(count)], "tail": lines[-int(count):]}[tool]
+        assert (err, lines) == ("", shown.splitlines()), command_line
+    assert commands == {"crisp", "fuzzy", "sweep", "verify-table"}
 
 
 def _regenerate() -> None:

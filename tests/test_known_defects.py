@@ -1,9 +1,9 @@
 """Known defects, one test per input that shows one, each asserting the correct answer.
 
-Each test is a strict xfail naming the ROADMAP item that describes its defect, so every
-run lists the defects that remain (``-rxX`` is in pytest's ``addopts``), and a change
-that mends one fails here until its mark is deleted.  Each pins its failure to the
-``AssertionError`` of a wrong answer.
+Each test is an xfail naming the ROADMAP item that describes its defect, so every run
+lists the defects that remain (``-rxX`` is in pytest's ``addopts``).  ``pyproject.toml``
+sets ``xfail_strict``, so a change that mends one fails here until its mark is deleted.
+Each pins its failure to the ``AssertionError`` of a wrong answer.
 """
 
 import csv
@@ -18,7 +18,7 @@ from fuzzy_eoq.cli import main
 
 
 def known_defect(item):
-    return pytest.mark.xfail(strict=True, reason=f"ROADMAP item {item}", raises=AssertionError)
+    return pytest.mark.xfail(reason=f"ROADMAP item {item}", raises=AssertionError)
 
 
 @known_defect(8)
