@@ -96,26 +96,57 @@ FAILING_ROW = {"d1": 700.0, "d2": 1, "d3": 1, "d4": 1}
 
 
 class TestCrisp:
+    def test_default_params_human(self, capsys):
+        code, out, err = run(capsys, ["crisp"])
+        assert code == 0
+        assert "108.657" in out
+        assert "1104.38" in out
+        assert err == ""
+
+    def test_json_round_trips_exactly(self, capsys):
+        code, out, _ = run(capsys, ["crisp", "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        rec = crisp_optimal(REFERENCE_PARAMS)
+        assert payload["record"]["q_star"] == rec.q_star
+        assert payload["record"]["z_star"] == rec.z_star
+        assert payload["params"] == {"phi": 600.0, "psi": 10.0, "h": 10.0, "s": 100.0}
+
+    def test_csv_round_trips_exactly(self, capsys):
+        code, out, _ = run(capsys, ["crisp", "--format", "csv"])
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert len(rows) == 1
+        rec = crisp_optimal(REFERENCE_PARAMS)
+        assert float(rows[0]["q_star"]) == rec.q_star
+
     def test_param_overrides(self, capsys):
         code, out, _ = run(capsys, ["crisp", "--psi", "0", "--format", "json"])
         assert code == 0
         payload = json.loads(out)
         assert math.isclose(payload["record"]["q_star"], math.sqrt(12000.0), rel_tol=1e-12)
 
+    def test_invalid_params_exit_2(self, capsys):
+        code, out, err = run(capsys, ["crisp", "--h", "0"])
+        assert code == 2
+        assert "h > 0 violated" in err
+        assert out == ""
+
+    def test_overflowing_combined_rate_exits_2(self, capsys):
+        argv = ["crisp", "--phi", "1e308", "--psi", "1e308", "--h", "1", "--s", "1e-300"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: phi + psi must be finite (got inf)\n"
+
     def test_huge_setup_cost_solves(self, capsys):
         # 2 s phi overflows; q* is about 3.4e154 and its cost about 3.5e154
-        argv = ["crisp", "--s", "1e306", "--h", "1"]
-        code, out, err = run(capsys, [*argv, "--format", "json"])
+        code, out, err = run(capsys, ["crisp", "--s", "1e306", "--h", "1", "--format", "json"])
         assert (code, err) == (0, "")
         record = json.loads(out)["record"]
-        rec = crisp_optimal(CrispParams(600.0, 10.0, 1.0, 1e306))
-        assert record == dataclasses.asdict(rec)
+        p = CrispParams(600.0, 10.0, 1.0, 1e306)
+        assert record == dataclasses.asdict(crisp_optimal(p))
         q_star = math.sqrt(1200.0 / (1.0 + 10.0 / 610.0)) * 1e153
         assert math.isclose(record["q_star"], q_star, rel_tol=1e-15)
-        # csv cells round-trip the same binary64 values
-        code, out, _ = run(capsys, [*argv, "--format", "csv"])
-        row = next(csv.DictReader(out.splitlines()))
-        assert (code, float(row["q_star"]), float(row["z_star"])) == (0, rec.q_star, rec.z_star)
 
     def test_huge_rates_solve(self, capsys):
         # the cost term psi * q * h overflowed, giving exit 2 on a valid problem
@@ -147,10 +178,44 @@ class TestFuzzy:
         assert math.isclose(rec.zeta, payload["zeta_quadrature"], rel_tol=1e-12)
         assert "zeta_route" not in payload
 
+    def test_missing_spreads_exit_2(self, capsys):
+        code, _, err = run(capsys, ["fuzzy"])
+        assert code == 2
+        assert "requires spreads" in err
+
+    def test_partial_spreads_exit_2(self, capsys):
+        code, _, err = run(capsys, ["fuzzy", "--d1", "100"])
+        assert code == 2
+        assert "missing" in err
+
     def test_spread_bound_violation_exit_2(self, capsys):
         code, _, err = run(capsys, ["fuzzy", "--d1", "100", "--d2", "100", "--d3", "15", "--d4", "1"])
         assert code == 2
         assert "d3 < psi violated" in err
+
+    def test_relax_bounds_lifts_upper_spread(self, capsys):
+        argv = ["fuzzy", "--d1", "100", "--d2", "900", "--d3", "1", "--d4", "1"]
+        code, _, err = run(capsys, argv)
+        assert code == 2 and "d2 < phi" in err
+        code, out, _ = run(capsys, [*argv, "--relax-bounds", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["record"]["delta"] == 800.0
+
+    def test_paper_baseline_reports_truncated_units(self, capsys):
+        code, out, _ = run(capsys, ["fuzzy", *ROW1_FLAGS, "--paper-baseline", "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["baseline"] == {"q_star": 108.0, "z_star": 1104.0}
+
+    def test_near_degenerate_spreads_match_quadrature(self, capsys):
+        argv = ["fuzzy", "--d1", "3e-6", "--d2", "100", "--d3", "1e-7", "--d4", "1"]
+        code, out, _ = run(capsys, [*argv, "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["zeta_closed_form"] == payload["record"]["zeta"]
+        assert math.isclose(
+            payload["zeta_closed_form"], payload["zeta_quadrature"], rel_tol=1e-12
+        )
 
     def test_lower_spreads_next_to_the_bounds_solve(self, capsys):
         # d1 and d3 a fraction about 1e-9 below their rates: per-panel
@@ -272,6 +337,55 @@ class TestFuzzy:
 
 
 class TestSweep:
+    def test_reference_csv(self, capsys):
+        code, out, _ = run(capsys, ["sweep", "--reference", "--format", "csv"])
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert len(rows) == 18
+        assert [float(r["delta"]) for r in rows[:6]] == [600.0] * 6
+        # csv cells round-trip binary64 exactly
+        rec = fuzzy_optimal(REFERENCE_PARAMS, FuzzySpreads(100, 100, 1, 1))
+        assert float(rows[0]["q_star"]) == rec.q_star
+        assert float(rows[0]["zeta"]) == rec.zeta
+
+    def test_config_rows_with_failures_exit_1(self, capsys, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "sweep": [
+                {"d1": 100, "d2": 100, "d3": 1, "d4": 1},
+                {"d1": 100, "d2": 100, "d3": 15, "d4": 1},
+                {"d1": 150, "d2": 200, "d3": 1, "d4": 1},
+            ]
+        }))
+        code, out, err = run(capsys, ["sweep", "--config", str(config), "--format", "csv"])
+        assert code == 1
+        assert "row 2: d3 < psi violated" in err
+        rows = list(csv.DictReader(out.splitlines()))
+        assert len(rows) == 2  # failing row omitted from the data
+
+    def test_json_payload_reports_errors(self, capsys, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "sweep": [
+                {"d1": 100, "d2": 100, "d3": 1, "d4": 1},
+                {"d1": 100, "d2": 100, "d3": 15, "d4": 1},
+            ]
+        }))
+        code, out, _ = run(capsys, ["sweep", "--config", str(config), "--format", "json"])
+        assert code == 1
+        payload = json.loads(out)
+        assert len(payload["rows"]) == 1
+        assert payload["errors"][0]["row"] == 2
+
+    def test_no_rows_exit_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, ["sweep"])
+        assert code == 2
+        assert "sweep requires rows" in err
+        config = tmp_path / "empty.json"
+        config.write_text(json.dumps({"sweep": []}))
+        code, _, err = run(capsys, ["sweep", "--config", str(config)])
+        assert code == 2
+
     def test_config_params_honored_and_flags_override(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
@@ -285,6 +399,20 @@ class TestSweep:
         code, _, err = run(capsys, ["sweep", "--config", str(config), "--psi", "10"])
         assert code == 1
         assert "d3 < psi" in err
+
+    def test_malformed_row_is_config_error(self, capsys, tmp_path):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"sweep": [{"d1": -1, "d2": 100, "d3": 1, "d4": 1}]}))
+        code, _, err = run(capsys, ["sweep", "--config", str(config)])
+        assert code == 2
+        assert "sweep[0]" in err
+
+    def test_reference_plus_config_sweep_conflict(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"sweep": [{"d1": 100, "d2": 100, "d3": 1, "d4": 1}]}))
+        code, _, err = run(capsys, ["sweep", "--reference", "--config", str(config)])
+        assert code == 2
+        assert "not both" in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
@@ -466,6 +594,48 @@ class TestJsonLayout:
                     assert cell[key] == value and type(cell[key]) is type(value), key
 
 
+class TestVerifyTable:
+    def test_default_mode_exits_1_with_deviations(self, capsys):
+        code, out, _ = run(capsys, ["verify-table"])
+        assert code == 1
+        assert "hard checks: PASS" in out
+        assert "sign contradictions: 13 rows" in out
+
+    def test_paper_baseline_hard_columns_pass(self, capsys):
+        code, out, _ = run(capsys, ["verify-table", "--paper-baseline"])
+        assert code == 1  # zeta column still deviates informationally
+        assert "hard checks: PASS" in out
+        assert "18/18 pass" in out
+
+    def test_csv_schema(self, capsys):
+        code, out, _ = run(capsys, ["verify-table", "--format", "csv"])
+        assert code == 1
+        rows = list(csv.DictReader(out.splitlines()))
+        assert len(rows) == 18
+        first = rows[0]
+        for column in ("delta", "zeta", "q_star", "z_star", "rel_q", "rel_z"):
+            assert column in first
+            assert f"paper_{column}" in first
+            assert f"{column}_abs_dev" in first
+        assert first["paper_zeta"] == "0.00162"
+        assert first["zeta_sign_contradiction"] == "false"
+        assert rows[1]["zeta_sign_contradiction"] == "true"
+
+    def test_json_schema(self, capsys):
+        code, out, _ = run(capsys, ["verify-table", "--format", "json"])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["hard_pass"] is True
+        assert payload["sign_contradiction_rows"] == [2, 3, 4, 5, 6, 9, 10, 11, 12, 15, 16, 17, 18]
+        assert len(payload["rows"]) == 18
+        assert payload["rows"][0]["cells"][0]["column"] == "delta"
+
+    def test_incompatible_params_exit_2(self, capsys):
+        code, _, err = run(capsys, ["verify-table", "--psi", "5"])
+        assert code == 2
+        assert "d3 < psi" in err
+
+
 # what a call may build, parse, solve, audit or sweep, by the object it is looked up on
 COUNTED = {
     fuzzy_eoq.cli: ("crisp_optimal", "_solve", "_baseline", "zeta_quadrature", "audit_table",
@@ -633,6 +803,32 @@ class TestBaselineComputedOnce:
 
 
 class TestConfigHandling:
+    def test_unknown_config_key_rejected(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"paramz": {}}))
+        code, _, err = run(capsys, ["crisp", "--config", str(config)])
+        assert code == 2
+        assert "unknown key" in err
+
+    def test_non_numeric_param_rejected(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"params": {"phi": "six hundred"}}))
+        code, _, err = run(capsys, ["crisp", "--config", str(config)])
+        assert code == 2
+        assert "must be a number" in err
+
+    def test_invalid_json_rejected(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text("{not json")
+        code, _, err = run(capsys, ["crisp", "--config", str(config)])
+        assert code == 2
+        assert "not valid JSON" in err
+
+    def test_missing_file_rejected(self, capsys, tmp_path):
+        code, _, err = run(capsys, ["crisp", "--config", str(tmp_path / "nope.json")])
+        assert code == 2
+        assert "cannot read" in err
+
     def test_config_spreads_used_by_fuzzy(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"spreads": {"d1": 100, "d2": 100, "d3": 1, "d4": 1}}))

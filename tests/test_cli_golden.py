@@ -12,10 +12,10 @@ every terminal.  argparse
 words and lays out that text, and a newer Python may change either, so for
 those cases only what fuzzy-eoq decides is compared with the files: the exit
 code, the stream written, the program named in the usage line and the error
-up to the value it quotes.  ``test_output_matches_golden`` runs every other
-case twice in one process, from nothing kept, and both calls must match the
-files.  ``test_readme_transcripts_match_main`` runs each ``$ fuzzy-eoq``
-transcript of the README and compares the lines it shows.
+up to the value it quotes.  ``test_repeated_call_writes_the_golden_again``
+runs every other case twice in one process, from nothing kept, and both calls
+must match the files.  ``test_readme_transcripts_match_main`` runs each
+``$ fuzzy-eoq`` transcript of the README and compares the lines it shows.
 
 An output change is intended only with a named correctness fix.  After
 such a fix, ``python tests/test_cli_golden.py`` rewrites the files from
@@ -171,11 +171,17 @@ def test_output_matches_golden(name, status, monkeypatch):
     if name in ARGPARSE:
         assert _owned(*_run(CASES[name])) == _owned(*want)
         return
+    assert _run(CASES[name]) == want
+
+
+@pytest.mark.parametrize("name", [name for name in CASES if name not in ARGPARSE])
+def test_repeated_call_writes_the_golden_again(name, status, monkeypatch):
     # from nothing kept, not even an audit, so the first call computes and renders
-    # what the second may write from what the first kept
+    # what a second call in the same process may write from what the first kept
+    monkeypatch.chdir(GOLDEN)
+    want = (status[name]["code"], (GOLDEN / f"{name}.out").read_text(), status[name]["stderr"])
     _audit.cache_clear()
-    assert _run(CASES[name]) == want
-    assert _run(CASES[name]) == want
+    assert _run(CASES[name]) == _run(CASES[name]) == want
 
 
 def test_readme_transcripts_match_main():

@@ -33,6 +33,7 @@ from fuzzy_eoq import (
     truncated_baseline,
     zeta_quadrature,
 )
+from fuzzy_eoq.cli import main
 from fuzzy_eoq.model import percent_deviation
 from fuzzy_eoq.sensitivity import _audit, _audit_cell
 
@@ -529,3 +530,14 @@ class TestAuditCache:
         assert len(audit.sign_contradictions) == len(NEGATIVE_ZETA_ROWS)
         assert all(row.zeta_sign_contradiction for row in audit.rows
                    if row.index + 1 in NEGATIVE_ZETA_ROWS)
+
+    @pytest.mark.parametrize("mode", [[], ["--paper-baseline"]], ids=["default", "paper"])
+    @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+    def test_verify_table_writes_the_same_bytes_twice(self, capsys, fmt, mode):
+        _audit.cache_clear()
+        outputs = []
+        for _ in range(2):
+            code = main(["verify-table", *mode, "--format", fmt])
+            outputs.append((code, *capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 1
