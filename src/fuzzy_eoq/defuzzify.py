@@ -67,13 +67,13 @@ class FuzzySpreads:
 
     @property
     def d5(self) -> float:
-        """Combined downward spread of demand plus leakage."""
-        return self.d1 + self.d3
+        """d1 + d3, the combined downward spread; ``DomainError`` where it overflows."""
+        return _require_finite("d1 + d3", self.d1 + self.d3)
 
     @property
     def d6(self) -> float:
-        """Combined upward spread of demand plus leakage."""
-        return self.d2 + self.d4
+        """d2 + d4, the combined upward spread; ``DomainError`` where it overflows."""
+        return _require_finite("d2 + d4", self.d2 + self.d4)
 
     def validate_against(self, phi: float, psi: float, *, relax_bounds: bool = False) -> None:
         """Check the crisp rates, then the spread bounds against them.

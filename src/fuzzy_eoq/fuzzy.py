@@ -24,15 +24,22 @@ from .errors import DomainError
 from .quadrature import DEFAULT_TOL, gauss_kronrod
 
 
-def _require_finite(name: str, value: float) -> None:
+def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite (got {value!r})")
+    return value
 
 
 def _require_positive(name: str, value: float) -> None:
     _require_finite(name, value)
     if not value > 0.0:
         raise DomainError(f"{name} > 0 violated (got {value!r})")
+
+
+def _require_positive_operands(operation: str, a: Interval, b: Interval) -> None:
+    if not (a.lo > 0.0 and b.lo > 0.0):
+        raise DomainError(f"interval {operation} requires lo > 0 on both operands "
+                          f"(got lo={a.lo!r} and lo={b.lo!r})")
 
 
 def _along(start: float, stop: float, t: float) -> float:
@@ -102,10 +109,6 @@ class Interval:
         if not self.lo <= self.hi:
             raise DomainError(f"lo <= hi violated (got [{self.lo!r}, {self.hi!r}])")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def __contains__(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
@@ -131,21 +134,13 @@ class Interval:
     def __mul__(self, other: "Interval") -> "Interval":
         if not isinstance(other, Interval):
             return NotImplemented
-        if not (self.lo > 0.0 and other.lo > 0.0):
-            raise DomainError(
-                "interval multiplication requires lo > 0 on both operands "
-                f"(got lo={self.lo!r} and lo={other.lo!r})"
-            )
+        _require_positive_operands("multiplication", self, other)
         return Interval(self.lo * other.lo, self.hi * other.hi)
 
     def __truediv__(self, other: "Interval") -> "Interval":
         if not isinstance(other, Interval):
             return NotImplemented
-        if not (self.lo > 0.0 and other.lo > 0.0):
-            raise DomainError(
-                "interval division requires lo > 0 on both operands "
-                f"(got lo={self.lo!r} and lo={other.lo!r})"
-            )
+        _require_positive_operands("division", self, other)
         return Interval(self.lo / other.hi, self.hi / other.lo)
 
 
@@ -305,7 +300,8 @@ def signed_distance_quadrature(
     pointwise; this is the oracle route for every closed-form signed
     distance in the package.  The stop is ``DEFAULT_TOL`` relative to
     ``size``, the mean of ``|cut_lo(1/2)|`` and ``|cut_hi(1/2)|``, and
-    absolute where ``size`` is 0.
+    absolute where ``size`` is 0.  An exception that a cut function
+    raises propagates unchanged, as in ``gauss_kronrod``.
     """
     return gauss_kronrod(lambda a: 0.5 * (cut_lo(a) + cut_hi(a)), 0.0, 1.0,
                          tol=_stop(cut_lo(0.5), cut_hi(0.5)))

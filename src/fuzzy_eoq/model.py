@@ -115,10 +115,8 @@ def lot_cost(q: float, s: float, h: float, delta: float, zeta_value: float) -> f
     # nonzero sum, and the sum is 0 only at zeta = -1
     if not (0.0 < q < _INF and 0.0 < s < _INF and 0.0 < h < _INF and 0.0 < delta < _INF
             and -1.0 < zeta_value < _INF):
-        for name, value in (("q", q), ("s", s), ("h", h), ("delta", delta)):
-            _require_positive(name, value)
-        _require_finite("zeta", zeta_value)
-        raise DomainError(f"1 + zeta > 0 violated (got zeta={zeta_value!r})")
+        _require_positive("q", q)
+        _check_lot_inputs(s, h, delta, zeta_value)
     cost = q * h / 2.0 + (s / q) * delta + (q * h / 2.0) * zeta_value
     if not cost < _INF:
         _require_finite("z_star", cost)
@@ -134,14 +132,17 @@ def optimal_lot_size(s: float, h: float, delta: float, zeta_value: float) -> flo
     2 s delta or h (1 + zeta) alone cannot be held; one that overflows or
     rounds to 0 raises the solve path's ``DomainError``.
     """
-    _require_positive("s", s)
-    _require_positive("h", h)
-    _require_positive("delta", delta)
+    _check_lot_inputs(s, h, delta, zeta_value)
+    return _lot_size(s, h, delta, 1.0 + zeta_value)
+
+
+def _check_lot_inputs(s: float, h: float, delta: float, zeta_value: float) -> None:
+    """Raise the error of the first bad input ``optimal_lot_size`` and ``lot_cost`` share."""
+    for name, value in (("s", s), ("h", h), ("delta", delta)):
+        _require_positive(name, value)
     _require_finite("zeta", zeta_value)
-    w = 1.0 + zeta_value
-    if not w > 0.0:
+    if not 1.0 + zeta_value > 0.0:
         raise DomainError(f"1 + zeta > 0 violated (got zeta={zeta_value!r})")
-    return _lot_size(s, h, delta, w)
 
 
 def _lot_size(s: float, h: float, delta: float, w: float) -> float:

@@ -103,6 +103,7 @@ def gauss_kronrod(
             must be halved cannot be, if ``[a, b]`` is too narrow to hold
             every node inside it, or if the tolerance is not reached
             within ``EVALUATION_BUDGET`` integrand evaluations.
+        Any exception ``f`` raises, unchanged: it is the caller's own.
     """
     if not tol >= 0.0:
         raise DomainError(f"tol must be non-negative (got {tol!r})")

@@ -235,8 +235,8 @@ def test_criterion_8_cut_property_suites():
         lo2 = rng.uniform(0.001, 100.0)
         p = Interval(lo1, lo1 + rng.uniform(0.0, 50.0))
         q = Interval(lo2, lo2 + rng.uniform(0.0, 50.0))
-        x = p.lo + rng.uniform(0.0, 1.0) * p.width
-        y = q.lo + rng.uniform(0.0, 1.0) * q.width
+        x = p.lo + rng.uniform(0.0, 1.0) * (p.hi - p.lo)
+        y = q.lo + rng.uniform(0.0, 1.0) * (q.hi - q.lo)
         if x not in p or y not in q:
             continue
         k = rng.uniform(-10.0, 10.0)

@@ -935,14 +935,15 @@ NON_FINITE = re.compile(r"\b(nan|inf(inity)?)\b", re.IGNORECASE)
 
 
 class TestContract:
-    """A ``crisp`` or ``fuzzy`` call on any input, valid or not, exits 0, 1 or
-    2 within a bounded time and prints no non-finite number; nothing escapes
-    ``main`` but argparse's usage error."""
+    """A ``crisp``, ``fuzzy``, ``sweep --reference`` or ``verify-table`` call on
+    any input, valid or not, exits 0, 1 or 2 within a bounded time and prints
+    no non-finite number; nothing escapes ``main`` but argparse's usage error."""
 
     @settings(max_examples=200)
     @given(
         rng=st.randoms(use_true_random=False),
-        command=st.sampled_from(["crisp", "fuzzy"]),
+        command=st.sampled_from([["crisp"], ["fuzzy"], ["sweep", "--reference"],
+                                 ["verify-table"]]),
         invalid=st.dictionaries(st.sampled_from(PARAM_KEYS + SPREAD_KEYS),
                                 st.sampled_from(INVALID_VALUES), max_size=2),
         fmt=st.sampled_from(["human", "csv", "json"]),
@@ -950,9 +951,10 @@ class TestContract:
     )
     def test_any_input_ends_in_an_exit_code(self, rng, command, invalid, fmt, paper):
         p, sp, relax = drawn_input(rng)
-        values = {**dataclasses.asdict(p), **(dataclasses.asdict(sp) if command == "fuzzy" else {})}
+        values = {**dataclasses.asdict(p),
+                  **(dataclasses.asdict(sp) if command == ["fuzzy"] else {})}
         # --flag=value, so that "-inf" reaches the value checks, not argparse's option parser
-        argv = [command, *(f"--{key}={invalid.get(key, repr(value))}"
+        argv = [*command, *(f"--{key}={invalid.get(key, repr(value))}"
                            for key, value in values.items()),
                 "--format", fmt, *["--relax-bounds"] * relax, *["--paper-baseline"] * paper]
         start = time.perf_counter()

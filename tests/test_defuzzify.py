@@ -78,6 +78,14 @@ class TestSpreads:
         assert sp.d5 == 101.0
         assert sp.d6 == 202.0
 
+    def test_combined_spreads_that_overflow_raise(self):
+        # each sum of two finite spreads near the top of binary64 is inf
+        sp = FuzzySpreads(1e308, 1e308, 1e308, 1e308)
+        with pytest.raises(DomainError, match=re.escape("d1 + d3 must be finite (got inf)")):
+            sp.d5
+        with pytest.raises(DomainError, match=re.escape("d2 + d4 must be finite (got inf)")):
+            sp.d6
+
     def test_bounds_against_rates(self):
         sp = FuzzySpreads(100.0, 100.0, 1.0, 1.0)
         sp.validate_against(600.0, 10.0)

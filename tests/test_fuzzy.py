@@ -187,8 +187,8 @@ class TestIntervalOps:
     def test_add_sub_soundness_sampled(self, lo1, w1, lo2, w2, u, v):
         p = Interval(lo1, lo1 + w1)
         q = Interval(lo2, lo2 + w2)
-        x = p.lo + u * p.width
-        y = q.lo + v * q.width
+        x = p.lo + u * (p.hi - p.lo)
+        y = q.lo + v * (q.hi - q.lo)
         if x in p and y in q:
             assert (x + y) in (p + q)
             assert (x - y) in (p - q)
@@ -201,8 +201,8 @@ class TestIntervalOps:
     def test_mul_div_soundness_sampled(self, lo1, w1, lo2, w2, u, v):
         p = Interval(lo1, lo1 + w1)
         q = Interval(lo2, lo2 + w2)
-        x = p.lo + u * p.width
-        y = q.lo + v * q.width
+        x = p.lo + u * (p.hi - p.lo)
+        y = q.lo + v * (q.hi - q.lo)
         if x in p and y in q:
             assert (x * y) in (p * q)
             assert (x / y) in (p / q)

@@ -1,6 +1,12 @@
-"""The package root exports one name per quantity, and nothing else."""
+"""The package root exports one name per quantity, and nothing else, and every
+public callable has an entry in the error contract's table."""
+
+import inspect
 
 import fuzzy_eoq
+from fuzzy_eoq import CrispParams, FuzzySpreads, Interval, TriangularFuzzyNumber
+
+from test_contract import CONTRACT
 
 PUBLIC_NAMES = {
     "AUDIT_COLUMNS", "AuditCell", "AuditRow", "CrispParams",
@@ -29,3 +35,23 @@ def test_every_public_class_has_its_own_docstring():
         if isinstance(obj, type):
             doc = obj.__dict__.get("__doc__")
             assert doc and not doc.startswith(f"{name}("), name
+
+
+def _written_members(cls: type) -> set[str]:
+    """The methods and properties of ``cls`` that its own body defines and a
+    caller may use: its public names and its operators, not ``__post_init__``
+    and not what dataclasses generates from a string."""
+    names = set()
+    for name, member in vars(cls).items():
+        func = member.fget if isinstance(member, property) else member
+        if (inspect.isfunction(func) and func.__code__.co_filename == inspect.getfile(cls)
+                and name != "__post_init__" and (name[0] != "_" or name.startswith("__"))):
+            names.add(name)
+    return names
+
+
+def test_every_public_callable_has_a_contract_entry():
+    expected = {name for name in fuzzy_eoq.__all__ if callable(getattr(fuzzy_eoq, name))}
+    for cls in (Interval, TriangularFuzzyNumber, CrispParams, FuzzySpreads):
+        expected |= {f"{cls.__name__}.{name}" for name in _written_members(cls)}
+    assert set(CONTRACT) == expected
